@@ -2,7 +2,7 @@
 
 The package is organized as a pipeline:
 
-- numerics: exact integer arithmetic and lookup-table precomputation
+- numerics: problem parameters and lookup-table precomputation
 - circuit: gate-level IR with Toffoli tallies
 - sim: sparse phase-tracking simulator for functional verification
 - builders: circuit synthesis (unary, lookup, unlookup, adders, modexp)

@@ -42,7 +42,6 @@ from .numerics import (
     build_mul_table,
     build_pruned_table,
     mod_inverse,
-    mod_pow,
     window_count,
     window_width,
 )
@@ -393,48 +392,72 @@ def build_adder(mode: str, modulus: int, pad: int = 0, subtract: bool = False) -
 # Windowed modular exponentiation.
 
 
+@dataclass(frozen=True)
+class ModexpPlan:
+    """Window and workspace sizing of one modexp circuit, read by the
+    circuit builder and by costs.exact_cost.
+
+    Register order: exponent | multiplicand | target | lookup | unary |
+    fanout | walk spine | carry. exp_windows and mul_windows hold the actual
+    window widths, ragged boundary windows included; walk_bits and
+    unary_bits are the widest walk and unary zone used anywhere in the
+    circuit, and fanout is the width of the low-depth unary's control
+    copies (0 when absent).
+    """
+
+    exp_windows: tuple[int, ...]
+    mul_windows: tuple[int, ...]
+    walk_bits: int
+    unary_bits: int
+    fanout: int
+    carry: bool
+
+    @property
+    def unary_size(self) -> int:
+        """Width of the unary register; there is none without exponent
+        windows."""
+        return 1 << self.unary_bits if self.exp_windows else 0
+
+
+def plan_modexp(cfg: ModexpConfig) -> ModexpPlan:
+    """Size the windows and the shared workspace of cfg's circuit."""
+    inst, wp, opts = cfg.inst, cfg.wp, cfg.opts
+    nep = opts.initial_lookup_bits
+    reduced_exp_bits = inst.exp_bits - nep
+    exp_windows = tuple(
+        window_width(reduced_exp_bits, wp.exp_window, i)
+        for i in range(window_count(reduced_exp_bits, wp.exp_window))
+    )
+    mul_windows = tuple(
+        window_width(inst.mod_bits, wp.mul_window, j)
+        for j in range(window_count(inst.mod_bits, wp.mul_window))
+    )
+    walk_bits, unary_bits = nep, 0
+    if exp_windows:
+        we, wm = max(exp_windows), max(mul_windows)
+        walk_bits = max(nep, we + wm)
+        unary_bits = we if opts.deferred_unlookup else (we + wm) // 2
+    fanout = (1 << (unary_bits - 1)) - 1 if opts.lowdepth_unary and unary_bits >= 2 else 0
+    return ModexpPlan(exp_windows, mul_windows, walk_bits, unary_bits, fanout, cfg.adder == COSET)
+
+
 class _ModexpEmitter:
     """Stateful assembler shared by the modexp builders and build_lookup_add.
 
-    Register plan: exponent | multiplicand | target | lookup | unary | fanout
-    | walk spine | carry. The multiplicand/target registers trade logical
-    roles after each exponent window (a free renaming); self.acc and self.tgt
-    track the current assignment and result_register records where the output
-    ends up.
+    Registers follow the ModexpPlan. The multiplicand/target registers trade
+    logical roles after each exponent window (a free renaming); self.acc and
+    self.tgt track the current assignment and result_register records where
+    the output ends up.
     """
 
     def __init__(self, cfg: ModexpConfig):
         self.cfg = cfg
-        inst, wp, opts = cfg.inst, cfg.wp, cfg.opts
+        inst = cfg.inst
+        plan = plan_modexp(cfg)
         self.modulus = inst.modulus
-        self.mod_bits = inst.mod_bits
         width = cfg.value_width
-        nep = opts.initial_lookup_bits
-        self.reduced_exp_bits = inst.exp_bits - nep
-        self.exp_windows = (
-            [
-                window_width(self.reduced_exp_bits, wp.exp_window, i)
-                for i in range(window_count(self.reduced_exp_bits, wp.exp_window))
-            ]
-            if self.reduced_exp_bits
-            else []
-        )
-        self.mul_windows = [
-            window_width(self.mod_bits, wp.mul_window, j)
-            for j in range(window_count(self.mod_bits, wp.mul_window))
-        ]
-
-        # Size the shared workspace: widest walk and widest unary zone used
-        # anywhere in the circuit.
-        walk_bits = nep
-        unary_bits = 0
-        for we in self.exp_windows:
-            for wm in self.mul_windows:
-                walk_bits = max(walk_bits, we + wm)
-                if opts.deferred_unlookup:
-                    unary_bits = max(unary_bits, we)
-                else:
-                    unary_bits = max(unary_bits, (we + wm) // 2)
+        nep = cfg.opts.initial_lookup_bits
+        self.exp_windows, self.mul_windows = plan.exp_windows, plan.mul_windows
 
         cb = CircuitBuilder()
         self.cb = cb
@@ -442,23 +465,21 @@ class _ModexpEmitter:
         self.acc = cb.add_register("multiplicand", width, "multiplicand")
         self.tgt = cb.add_register("target", width, "target")
         self.look = cb.add_register("lookup", width, "lookup")
-        self.unary = (
-            cb.add_register("unary", 1 << unary_bits, "unary") if self.exp_windows else ()
+        self.unary = cb.add_register("unary", plan.unary_size, "unary") if plan.unary_size else ()
+        self.copies: tuple[int, ...] | None = (
+            cb.add_register("fanout", plan.fanout, "ancilla") if plan.fanout else None
         )
-        self.copies: tuple[int, ...] | None = None
-        if opts.lowdepth_unary and unary_bits >= 2:
-            self.copies = cb.add_register("fanout", (1 << (unary_bits - 1)) - 1, "ancilla")
-        self.spine = cb.add_register("walk", walk_bits + 1, "ancilla")
-        self.carry = cb.add_register("carry", 1, "ancilla") if cfg.adder == COSET else ()
+        self.spine = cb.add_register("walk", plan.walk_bits + 1, "ancilla")
+        self.carry = cb.add_register("carry", 1, "ancilla") if plan.carry else ()
         self.swaps = 0
 
         # Classical bases for the windowed part. When an initial lookup eats
         # nep bits, the windowed recursion continues from base**(2**nep).
-        self.window_base = mod_pow(inst.base, 1 << nep, self.modulus)
+        self.window_base = pow(inst.base, 1 << nep, self.modulus)
         self.window_base_inv = mod_inverse(self.window_base, self.modulus)
         self.reduced_inst = (
-            ProblemInstance(self.modulus, self.window_base, self.reduced_exp_bits)
-            if self.reduced_exp_bits
+            ProblemInstance(self.modulus, self.window_base, sum(self.exp_windows))
+            if self.exp_windows
             else None
         )
 
@@ -586,24 +607,6 @@ def build_windowed_modexp(cfg: ModexpConfig) -> Circuit:
     return _ModexpEmitter(cfg).build()
 
 
-def build_windowed_modexp_deferred(cfg: ModexpConfig) -> Circuit:
-    """build_windowed_modexp with deferred unlookups forced on."""
-    opts = ModexpOptions(
-        deferred_unlookup=True,
-        selective_lookup=cfg.opts.selective_lookup,
-        initial_lookup_bits=cfg.opts.initial_lookup_bits,
-        lowdepth_unary=cfg.opts.lowdepth_unary,
-    )
-    return build_windowed_modexp(ModexpConfig(cfg.inst, cfg.wp, opts, cfg.adder, cfg.coset_pad))
-
-
-def build_modexp_with_initial_lookup(cfg: ModexpConfig) -> Circuit:
-    """build_windowed_modexp, requiring a positive initial direct lookup."""
-    if cfg.opts.initial_lookup_bits == 0:
-        raise ValueError("cfg.opts.initial_lookup_bits must be positive")
-    return build_windowed_modexp(cfg)
-
-
 def build_lookup_add(cfg: ModexpConfig, exp_index: int, mul_index: int) -> Circuit:
     """A single lookup-addition at window (exp_index, mul_index) over the full
     modexp register plan. With deferred_unlookup the lookup register is
@@ -644,7 +647,7 @@ def check_modexp_output(circuit: Circuit, inst: ProblemInstance, state) -> list[
     errors = []
     for key, phase in sorted(state.branches.items()):
         x = extract(key, exp)
-        expected_value = mod_pow(inst.base, x, inst.modulus)
+        expected_value = pow(inst.base, x, inst.modulus)
         expected_key = deposit(deposit(0, exp, x), result, expected_value)
         if key != expected_key:
             got = extract(key, result)

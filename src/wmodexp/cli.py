@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass, replace
@@ -27,17 +28,17 @@ from pathlib import Path
 from . import __version__
 from .builders import (
     ModexpConfig,
-    ModexpOptions,
     build_windowed_modexp,
     check_modexp_output,
     modexp_input_state,
 )
 from .circuit import tally
-from .costs import VARIANTS, cost, exact_cost
+from .costs import VARIANT_TABLE, VARIANTS, cost, exact_cost
 from .estimator import (
     BudgetOverflow,
     EstimateRow,
     GridRanges,
+    LayoutPoint,
     audit_row,
     grid_search,
     load_profile,
@@ -50,11 +51,8 @@ from .numerics import (
     build_phase_fixup_table,
     build_pruned_table,
     dump_table,
-    mod_pow,
 )
 from .sim import ContractViolation, extract, run
-
-CIRCUIT_VARIANTS = ("original", "opt1", "opt2", "opt3", "opt4", "combined")
 
 ESTIMATE_HEADER = (
     "n, n_e, gate err, L1, L2, d_off, g_mul, g_exp, g_sep, "
@@ -226,38 +224,15 @@ def cmd_tables(args) -> int:
 # simulate
 
 
-def _variant_options(variant: str, nep: int) -> ModexpOptions:
-    if variant == "original":
-        return ModexpOptions()
-    if variant == "opt1":
-        return ModexpOptions(deferred_unlookup=True)
-    if variant == "opt2":
-        return ModexpOptions(selective_lookup=True)
-    if variant == "opt3":
-        return ModexpOptions(initial_lookup_bits=nep)
-    if variant == "opt4":
-        return ModexpOptions(lowdepth_unary=True)
-    if variant == "combined":
-        return ModexpOptions(
-            deferred_unlookup=True,
-            selective_lookup=True,
-            initial_lookup_bits=nep,
-            lowdepth_unary=True,
-        )
-    raise UsageError(
-        f"variant {variant!r} has no circuit form; "
-        f"choose one of {', '.join(CIRCUIT_VARIANTS)}, or all"
-    )
-
-
 def cmd_simulate(args) -> int:
     inst = ProblemInstance(args.modulus, args.base, args.ne)
     wp = WindowParams(args.we, args.wm)
-    variants = CIRCUIT_VARIANTS if args.variant == "all" else (args.variant,)
-    if args.variant != "all" and args.variant not in CIRCUIT_VARIANTS:
+    circuit_variants = tuple(name for name in VARIANTS if VARIANT_TABLE[name].has_circuit)
+    variants = circuit_variants if args.variant == "all" else (args.variant,)
+    if args.variant != "all" and args.variant not in circuit_variants:
         raise UsageError(
             f"variant {args.variant!r} has no circuit form; "
-            f"choose one of {', '.join(CIRCUIT_VARIANTS)}, or all"
+            f"choose one of {', '.join(circuit_variants)}, or all"
         )
 
     manifest = _manifest(
@@ -279,7 +254,7 @@ def cmd_simulate(args) -> int:
     failures = 0
     functional: dict[str, tuple] = {}
     for variant in variants:
-        cfg = ModexpConfig(inst, wp, _variant_options(variant, args.nep))
+        cfg = ModexpConfig(inst, wp, VARIANT_TABLE[variant].options(args.nep))
         circuit = build_windowed_modexp(cfg)
         state = modexp_input_state(circuit, seed=args.seed)
         final = run(circuit, state)
@@ -297,7 +272,7 @@ def cmd_simulate(args) -> int:
             outputs.append((x, value, phase))
         outputs.sort()
         for x, value, phase in outputs:
-            want = mod_pow(inst.base, x, inst.modulus)
+            want = pow(inst.base, x, inst.modulus)
             verdict = "ok" if value == want and phase == 1 else "MISMATCH"
             lines.append(
                 f"  x={x} result={value} expected={want} phase={phase:+d} {verdict}"
@@ -347,7 +322,7 @@ def cmd_cost(args) -> int:
     rows = []
     for variant in variants:
         initial = args.nep
-        if args.variant == "all" and variant not in ("opt3", "combined"):
+        if args.variant == "all" and not VARIANT_TABLE[variant].initial_lookup:
             initial = 0
         rows.append(cost(variant, args.n, args.ne, args.we, args.wm, initial))
 
@@ -425,21 +400,23 @@ def _estimate_dict(row: EstimateRow) -> dict:
     return payload
 
 
-def _parse_point(text: str) -> GridRanges:
+def _parse_point(text: str, n: int) -> GridRanges:
     parts = text.split(",")
     if len(parts) != 6:
         raise UsageError("--point wants six integers: L1,L2,d_off,g_mul,g_exp,g_sep")
     try:
-        l1, l2, d_off, g_mul, g_exp, g_sep = (int(part) for part in parts)
+        point = LayoutPoint(*(int(part) for part in parts))
     except ValueError as exc:
         raise UsageError(f"bad --point value: {exc}") from exc
+    if point.g_sep > n:
+        raise UsageError(f"--point g_sep {point.g_sep} must not exceed n = {n}")
     return GridRanges(
-        l1=(l1,),
-        l2=(l2,),
-        d_off=(d_off,),
-        g_exp=(g_exp,),
-        g_mul=(g_mul,),
-        g_sep=(g_sep,),
+        l1=(point.L1,),
+        l2=(point.L2,),
+        d_off=(point.d_off,),
+        g_exp=(point.g_exp,),
+        g_mul=(point.g_mul,),
+        g_sep=(point.g_sep,),
     )
 
 
@@ -448,14 +425,19 @@ def cmd_estimate(args) -> int:
         raise UsageError(
             f"unknown variant {args.variant!r}; choose one of {', '.join(VARIANTS)}"
         )
+    for budget in args.budget_mqb or ():
+        if not (math.isfinite(budget) and budget > 0):
+            raise UsageError(f"--budget-mqb must be finite and > 0, got {budget!r}")
     profile = load_profile(args.config)
     if args.perr is not None:
         profile = replace(profile, p_phys=args.perr)
-    q = profile.q if args.q is None else args.q
+    if args.q is not None:
+        profile = replace(profile, q=args.q)
+    q = profile.q
     fmt = args.format
     if fmt is None:
         fmt = "json" if args.out is not None and args.out.endswith(".json") else "csv"
-    ranges = _parse_point(args.point) if args.point else None
+    ranges = _parse_point(args.point, args.n) if args.point else None
 
     kwargs = {"ranges": ranges}
     if args.budget_mqb:

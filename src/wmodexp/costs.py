@@ -2,8 +2,9 @@
 
 Two layers with different contracts. ``cost`` evaluates the closed-form
 per-repetition model with continuous window counts, which is what window
-grid searches and scheme comparisons want. ``exact_cost`` mirrors the
-circuit synthesizer window for window, ragged boundary windows included,
+grid searches and scheme comparisons want. ``exact_cost`` takes its
+windows, ragged boundary windows included, and its register sizes from the
+synthesizer's ModexpPlan, books each window's Toffolis by its own formulas,
 and agrees with the metered tally of the built circuit exactly.
 """
 
@@ -11,34 +12,63 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .builders import COSET, ModexpConfig
-from .numerics import window_count, window_width
+from .builders import COSET, ModexpConfig, ModexpOptions, plan_modexp
 
-# Variant names and their circuit content:
-#   original  plain windowed recursion, immediate unlookups
-#   opt1      unlookups deferred to one shared fixup block per sweep
-#   opt2      selective lookup, skipping the mult=0 rows of every table
-#   opt3      direct initial lookup over the low exponent bits
-#   opt4      low-depth unary conversion via the fanout tree
-#   combined  all four at once
-#   sliced_A  sliced adder workspace, trading depth for qubits
-#   sliced_B  sliced adder workspace, trading Toffolis within equal qubits
-VARIANTS = (
-    "original",
-    "opt1",
-    "opt2",
-    "opt3",
-    "opt4",
-    "combined",
-    "sliced_A",
-    "sliced_B",
-)
 
-_INITIAL_VARIANTS = ("opt3", "combined")
+@dataclass(frozen=True)
+class Variant:
+    """Which of the four optimizations a variant name switches on, and
+    whether the variant has a circuit form; the sliced variants exist only
+    as closed-form adjustments in cost()."""
+
+    deferred_unlookup: bool = False
+    selective_lookup: bool = False
+    initial_lookup: bool = False
+    lowdepth_unary: bool = False
+    has_circuit: bool = True
+
+    def options(self, initial_bits: int) -> ModexpOptions:
+        """Circuit flags for this variant; initial_bits applies only when
+        the variant takes an initial lookup."""
+        return ModexpOptions(
+            deferred_unlookup=self.deferred_unlookup,
+            selective_lookup=self.selective_lookup,
+            initial_lookup_bits=initial_bits if self.initial_lookup else 0,
+            lowdepth_unary=self.lowdepth_unary,
+        )
+
+
+VARIANT_TABLE = {
+    # plain windowed recursion, immediate unlookups
+    "original": Variant(),
+    # unlookups deferred to one shared fixup block per sweep
+    "opt1": Variant(deferred_unlookup=True),
+    # selective lookup, skipping the mult=0 rows of every table
+    "opt2": Variant(selective_lookup=True),
+    # direct initial lookup over the low exponent bits
+    "opt3": Variant(initial_lookup=True),
+    # low-depth unary conversion via the fanout tree
+    "opt4": Variant(lowdepth_unary=True),
+    # all four at once
+    "combined": Variant(True, True, True, True),
+    # sliced adder workspace, trading depth for qubits
+    "sliced_A": Variant(has_circuit=False),
+    # sliced adder workspace, trading Toffolis within equal qubits
+    "sliced_B": Variant(has_circuit=False),
+}
+VARIANTS = tuple(VARIANT_TABLE)
 
 
 class InvalidVariant(ValueError):
     """Requested variant is not one of VARIANTS."""
+
+
+def variant_flags(variant: str) -> Variant:
+    """The VARIANT_TABLE row of variant; raises InvalidVariant."""
+    try:
+        return VARIANT_TABLE[variant]
+    except KeyError:
+        raise InvalidVariant(f"unknown variant {variant!r}") from None
 
 
 @dataclass(frozen=True)
@@ -90,18 +120,18 @@ def cost(
     keeps the headline 2n figure. logical_qubits ledgers the three n-bit
     value registers; workspace and exponent live in the circuit layer.
     """
-    if variant not in VARIANTS:
-        raise InvalidVariant(f"unknown variant {variant!r}")
+    flags = variant_flags(variant)
     if min(n, n_e, w_e, w_m) < 1:
         raise ValueError("n, n_e, w_e, w_m must be positive")
     if initial_bits < 0 or initial_bits > n_e:
         raise ValueError("initial_bits must lie in [0, n_e]")
-    if initial_bits and variant not in _INITIAL_VARIANTS:
-        raise ValueError(f"initial_bits only applies to {_INITIAL_VARIANTS}")
+    if initial_bits and not flags.initial_lookup:
+        takers = tuple(name for name, row in VARIANT_TABLE.items() if row.initial_lookup)
+        raise ValueError(f"initial_bits only applies to {takers}")
 
-    deferred = variant in ("opt1", "combined")
-    selective = variant in ("opt2", "combined")
-    lowdepth = variant in ("opt4", "combined")
+    deferred = flags.deferred_unlookup
+    selective = flags.selective_lookup
+    lowdepth = flags.lowdepth_unary
 
     ell = w_e + w_m
     sqrt_table = 2.0 ** (ell / 2)
@@ -109,11 +139,8 @@ def cost(
     add = 2.0 * (n + coset_pad)
     unlookup = unlookup_constant * sqrt_table
 
-    adt = 0
-    windowed_bits = n_e
-    if initial_bits and variant in _INITIAL_VARIANTS:
-        adt = 1 << initial_bits
-        windowed_bits = n_e - initial_bits
+    adt = 1 << initial_bits if initial_bits else 0
+    windowed_bits = n_e - initial_bits
 
     if selective:
         lookup -= float(1 << w_e)
@@ -200,9 +227,7 @@ def grid_best_windows(
     triple. initial_range only engages for the variants that take an
     initial lookup.
     """
-    if variant not in VARIANTS:
-        raise InvalidVariant(f"unknown variant {variant!r}")
-    inits = initial_range if variant in _INITIAL_VARIANTS else range(1)
+    inits = initial_range if variant_flags(variant).initial_lookup else range(1)
     best: tuple[float, int, int, int] | None = None
     for w_e in window_range:
         for w_m in window_range:
@@ -224,8 +249,8 @@ def grid_best_cost(n: int, n_e: int, variant: str) -> CostBreakdown:
 
 
 # ---------------------------------------------------------------------------
-# Exact layer. This reproduces the synthesizer's planning arithmetic, so it
-# must change in lockstep with builders._ModexpEmitter.
+# Exact layer. Windows and register sizes come from the synthesizer's
+# ModexpPlan; the Toffoli count of each window is predicted independently.
 
 
 @dataclass(frozen=True)
@@ -248,27 +273,14 @@ def exact_cost(cfg: ModexpConfig) -> ExactCost:
     its allocation high water, for every option subset, adder backend, and
     window shape, divisible or not.
     """
-    inst, wp, opts = cfg.inst, cfg.wp, cfg.opts
-    nep = opts.initial_lookup_bits
-    reduced_bits = inst.exp_bits - nep
-    exp_windows = (
-        [
-            window_width(reduced_bits, wp.exp_window, i)
-            for i in range(window_count(reduced_bits, wp.exp_window))
-        ]
-        if reduced_bits
-        else []
-    )
-    mul_windows = [
-        window_width(inst.mod_bits, wp.mul_window, j)
-        for j in range(window_count(inst.mod_bits, wp.mul_window))
-    ]
+    opts = cfg.opts
+    plan = plan_modexp(cfg)
     width = cfg.value_width
 
-    adt = (1 << nep) - 1 if nep else 0
+    adt = (1 << opts.initial_lookup_bits) - 1
     lookup = add = unlookup = 0
-    for we in exp_windows:
-        for wm in mul_windows:
+    for we in plan.exp_windows:
+        for wm in plan.mul_windows:
             ell = we + wm
             lookup += (1 << ell) - ((1 << we) if opts.selective_lookup else 1)
             if cfg.adder == COSET:
@@ -278,26 +290,12 @@ def exact_cost(cfg: ModexpConfig) -> ExactCost:
                 unlookup += (1 << low) + (1 << (ell - low)) - 2
         if opts.deferred_unlookup:
             unlookup += (1 << we) - 1
-            unlookup += sum((1 << wm) - 1 for wm in mul_windows)
+            unlookup += sum((1 << wm) - 1 for wm in plan.mul_windows)
     # Each exponent window runs a forward and an inverse sweep.
     lookup, add, unlookup = 2 * lookup, 2 * add, 2 * unlookup
 
-    walk_bits = nep
-    unary_bits = 0
-    for we in exp_windows:
-        for wm in mul_windows:
-            walk_bits = max(walk_bits, we + wm)
-            if opts.deferred_unlookup:
-                unary_bits = max(unary_bits, we)
-            else:
-                unary_bits = max(unary_bits, (we + wm) // 2)
-    qubits = inst.exp_bits + 3 * width + walk_bits + 1
-    if exp_windows:
-        qubits += 1 << unary_bits
-    if opts.lowdepth_unary and unary_bits >= 2:
-        qubits += (1 << (unary_bits - 1)) - 1
-    if cfg.adder == COSET:
-        qubits += 1
+    qubits = cfg.inst.exp_bits + 3 * width + plan.unary_size + plan.fanout
+    qubits += plan.walk_bits + 1 + plan.carry
 
     return ExactCost(
         adt_tofs=adt,
@@ -305,6 +303,6 @@ def exact_cost(cfg: ModexpConfig) -> ExactCost:
         add_tofs=add,
         unlookup_tofs=unlookup,
         total_tofs=adt + lookup + add + unlookup,
-        lookup_adds=2 * len(exp_windows) * len(mul_windows),
+        lookup_adds=2 * len(plan.exp_windows) * len(plan.mul_windows),
         qubits=qubits,
     )

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, fields
 from importlib import resources
 
-from .costs import CostBreakdown, cost, crossover_initial_lookup
+from .costs import CostBreakdown, cost, crossover_initial_lookup, variant_flags
 
 DEFAULTS_RESOURCE = "estimator_defaults.cfg"
 
@@ -76,6 +76,8 @@ class HardwareProfile:
     def __post_init__(self) -> None:
         if not 0 < self.p_phys < 1:
             raise ValueError("p_phys must lie in (0, 1)")
+        if not self.q > 0:
+            raise ValueError(f"q must be > 0, got {self.q!r}")
         if self.serial_overhead < 1:
             raise ValueError("serial_overhead cannot beat the reaction limit")
 
@@ -299,49 +301,6 @@ def physical_per_logical(code_distance: int) -> int:
     return 2 * (code_distance + 1) ** 2
 
 
-@dataclass(frozen=True)
-class LayoutSummary:
-    """Qubit accounting for one point: abstract register demand, the tile
-    count the board actually spends, and the physical total."""
-
-    abstract_qubits: int
-    runway_qubits: int
-    logical_qubits: int
-    routing_overhead: float
-    physical_qubits: int
-
-    @property
-    def mqb(self) -> float:
-        return self.physical_qubits / 1e6
-
-
-def logical_layout(
-    n: int,
-    point: LayoutPoint,
-    profile: HardwareProfile | None = None,
-    n_e: int | None = None,
-) -> LayoutSummary:
-    """Qubit ledger at one point. n_e defaults to 3n/2, the exponent
-    length used throughout for the RSA-style instances."""
-    profile = profile or HardwareProfile()
-    n_e = n_e if n_e is not None else 3 * n // 2
-    pieces = math.ceil(n / point.g_sep)
-    reps = 2 * math.ceil(n_e / point.g_exp) * math.ceil(n / point.g_mul)
-    pad = padding_bits(reps, pieces, point.d_off)
-    runway = pad * (pieces - 1)
-    workspace = (1 << ((point.g_exp + point.g_mul) // 2)) + point.g_exp + point.g_mul + 2
-    abstract = 3 * n + n_e + pad + runway + workspace
-    board = board_layout(profile, point, pieces, point.g_sep + pad)
-    physical = board.tiles * physical_per_logical(point.data_distance)
-    return LayoutSummary(
-        abstract_qubits=abstract,
-        runway_qubits=runway,
-        logical_qubits=board.tiles,
-        routing_overhead=board.tiles / abstract,
-        physical_qubits=physical,
-    )
-
-
 def padding_bits(reps: int, pieces: int, d_off: int) -> int:
     """Coset/runway padding: enough bits that the expected deviation over
     all additions stays bounded, plus the searched offset."""
@@ -494,7 +453,7 @@ class GridResult:
 
 def _variant_cost(variant: str, n: int, n_e: int, g_exp: int, g_mul: int) -> CostBreakdown:
     initial = 0
-    if variant in ("opt3", "combined"):
+    if variant_flags(variant).initial_lookup:
         initial = min(crossover_initial_lookup(n, g_exp, g_mul), n_e)
     return cost(variant, n, n_e, g_exp, g_mul, initial)
 

@@ -1,14 +1,16 @@
-"""Exact modular arithmetic and classical precomputation of lookup tables.
+"""Problem parameters and classical precomputation of lookup tables.
 
-Everything here is plain big-integer arithmetic. The tables produced are the
-classical data consumed by the circuit builders: windowed multiplication
-tables, their pruned variants (for the copy-then-lookup trick), phase fixup
-tables derived from X-basis measurement outcomes, and direct exponentiation
-tables for the initial-lookup shortcut.
+Modular arithmetic is Python's own (``pow``, ``math.gcd``); mod_inverse only
+adds the NotInvertible contract. The tables produced are the classical data
+consumed by the circuit builders: windowed multiplication tables, their
+pruned variants (for the copy-then-lookup trick), phase fixup tables derived
+from X-basis measurement outcomes, and direct exponentiation tables for the
+initial-lookup shortcut.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -40,7 +42,7 @@ class ProblemInstance:
             raise ValueError(f"modulus must be odd and >= 3, got {self.modulus}")
         if not 1 <= self.base < self.modulus:
             raise ValueError(f"base must lie in [1, modulus), got {self.base}")
-        if gcd(self.base, self.modulus) != 1:
+        if math.gcd(self.base, self.modulus) != 1:
             raise NotInvertible(f"base {self.base} shares a factor with {self.modulus}")
         if self.exp_bits < 1:
             raise ValueError("exp_bits must be positive")
@@ -98,45 +100,19 @@ class LookupTable:
         return len(self.entries)
 
 
-def gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """Square-and-multiply exponentiation: base**exponent mod modulus."""
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
-    result = 1 % modulus
-    square = base % modulus
-    while exponent:
-        if exponent & 1:
-            result = result * square % modulus
-        square = square * square % modulus
-        exponent >>= 1
-    return result
-
-
 def mod_inverse(value: int, modulus: int) -> int:
-    """Inverse of value mod modulus via the extended Euclidean algorithm.
+    """Inverse of value mod modulus.
 
     Raises NotInvertible when gcd(value, modulus) != 1; in the factoring
     setting that gcd is itself a nontrivial factor.
     """
     if modulus < 2:
         raise ValueError("modulus must be >= 2")
-    r_prev, r_cur = modulus, value % modulus
-    s_prev, s_cur = 0, 1
-    while r_cur:
-        q = r_prev // r_cur
-        r_prev, r_cur = r_cur, r_prev - q * r_cur
-        s_prev, s_cur = s_cur, s_prev - q * s_cur
-    if r_prev != 1:
-        raise NotInvertible(f"{value} has no inverse mod {modulus} (gcd {r_prev})")
-    return s_prev % modulus
+    try:
+        return pow(value, -1, modulus)
+    except ValueError:
+        factor = math.gcd(value, modulus)
+        raise NotInvertible(f"{value} has no inverse mod {modulus} (gcd {factor})") from None
 
 
 def window_count(total_bits: int, window: int) -> int:
@@ -172,17 +148,17 @@ def build_mul_table(
     if base is None:
         base = inst.base
     modulus = inst.modulus
-    if gcd(base % modulus, modulus) != 1:
+    if math.gcd(base, modulus) != 1:
         raise NotInvertible(f"table base {base} not coprime to {modulus}")
     exp_width = window_width(inst.exp_bits, wp.exp_window, exp_index)
     mul_width = window_width(inst.mod_bits, wp.mul_window, mul_index)
-    step = mod_pow(base, 1 << (exp_index * wp.exp_window), modulus)
+    step = pow(base, 1 << (exp_index * wp.exp_window), modulus)
     shift = (1 << (mul_index * wp.mul_window)) % modulus
     entries = []
     for mult in range(1 << mul_width):
         shifted_mult = mult * shift % modulus
         for expn in range(1 << exp_width):
-            entries.append(mod_pow(step, expn, modulus) * shifted_mult % modulus)
+            entries.append(pow(step, expn, modulus) * shifted_mult % modulus)
     return LookupTable("multiply", exp_width + mul_width, inst.mod_bits, tuple(entries))
 
 
@@ -236,9 +212,7 @@ def build_direct_exp_table(inst: ProblemInstance, initial_bits: int) -> LookupTa
     """Table of base**e mod N for every e below 2**initial_bits."""
     if not 0 <= initial_bits <= inst.exp_bits:
         raise ValueError(f"initial_bits must lie in [0, {inst.exp_bits}]")
-    entries = tuple(
-        mod_pow(inst.base, e, inst.modulus) for e in range(1 << initial_bits)
-    )
+    entries = tuple(pow(inst.base, e, inst.modulus) for e in range(1 << initial_bits))
     return LookupTable("direct_exp", initial_bits, inst.mod_bits, entries)
 
 

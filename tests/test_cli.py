@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -71,10 +72,13 @@ def test_missing_config_is_bad_input(capsys, tmp_path):
 
 
 def test_module_entry_point():
+    # The child gets this process's import path, so it runs the same wmodexp
+    # whether that comes from PYTHONPATH, pytest's pythonpath or an install.
     proc = subprocess.run(
         [sys.executable, "-m", "wmodexp.cli", "cost"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0
     assert "total_tofs" in proc.stdout
@@ -372,6 +376,29 @@ def test_estimate_bad_point_is_bad_input(capsys):
     assert main(["estimate", "--point", "15,27,4"]) == 2
     assert main(["estimate", "--point", "a,b,c,d,e,f"]) == 2
     capsys.readouterr()
+    assert main(["estimate", "--point", "27,15,5,5,5,1024"]) == 2
+    assert "L1 must be smaller than L2" in capsys.readouterr().err
+    assert main(["estimate", "--n", "1024", "--ne", "1493", "--point", "15,27,4,5,5,2048"]) == 2
+    assert "g_sep 2048 must not exceed n = 1024" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("q", ["0", "-1"])
+def test_estimate_nonpositive_q_is_bad_input(capsys, q):
+    assert main(["estimate", *PUBLISHED_POINT, "--q", q]) == 2
+    assert "q must be > 0" in capsys.readouterr().err
+
+
+def test_estimate_config_zero_q_is_bad_input(tmp_path, capsys):
+    cfg = tmp_path / "zero_q.cfg"
+    cfg.write_text("q = 0\n")
+    assert main(["--config", str(cfg), "estimate", *PUBLISHED_POINT]) == 2
+    assert "q must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf", "0", "-5"])
+def test_estimate_bad_budget_is_bad_input(capsys, budget):
+    assert main(["estimate", *PUBLISHED_POINT, "--budget-mqb", budget]) == 2
+    assert "--budget-mqb must be finite and > 0" in capsys.readouterr().err
 
 
 def test_estimate_overflowing_setting_is_bad_input(capsys):

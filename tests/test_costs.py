@@ -1,6 +1,7 @@
 """Cost model: formula rows, grid searches, crossover, and the exact layer."""
 
 import math
+import random
 from itertools import product
 
 import pytest
@@ -257,21 +258,54 @@ def _flag_subsets(initial_bits):
         )
 
 
-@pytest.mark.parametrize(
-    "modulus,base,exp_bits,w_e,w_m",
-    [
-        (15, 7, 4, 2, 2),
-        (15, 7, 5, 2, 3),
-        (21, 2, 3, 1, 3),
-        (33, 10, 5, 3, 2),
-        (33, 10, 5, 3, 4),
-    ],
-)
-def test_exact_layer_matches_meter(modulus, base, exp_bits, w_e, w_m):
+_ADDERS = ((EXACT_MODULAR, 0), (COSET, 0), (COSET, 2))
+
+
+def _meter_shapes(seed=5):
+    """(modulus, base, exp_bits, w_e, w_m, initial bits, adders): five
+    hand-picked shapes, then one seeded shape per edge that the shared
+    ModexpPlan has to get right: an exponent window wider than the whole
+    exponent, a multiplicand window wider than the modulus, an initial
+    lookup that leaves one exponent bit or none, and the ripple adder at
+    pads 0 to 3."""
+    shapes = [
+        pytest.param(*shape, 2, _ADDERS, id="-".join(map(str, shape)))
+        for shape in (
+            (15, 7, 4, 2, 2),
+            (15, 7, 5, 2, 3),
+            (21, 2, 3, 1, 3),
+            (33, 10, 5, 3, 2),
+            (33, 10, 5, 3, 4),
+        )
+    ]
+    rng = random.Random(seed)
+    for edge in ("wide_exp", "wide_mul", "nep_one_left", "nep_all", "coset_pads"):
+        modulus = rng.randrange(3, 16, 2)
+        base = rng.choice([b for b in range(1, modulus) if math.gcd(b, modulus) == 1])
+        exp_bits, w_e, w_m = rng.randint(2, 4), rng.randint(1, 3), rng.randint(1, 3)
+        nep = rng.randint(1, exp_bits - 1)
+        adders = _ADDERS
+        if edge == "wide_exp":
+            w_e = exp_bits + rng.randint(1, 2)
+        elif edge == "wide_mul":
+            w_m = modulus.bit_length() + rng.randint(1, 2)
+        elif edge == "nep_one_left":
+            nep = exp_bits - 1
+        elif edge == "nep_all":
+            nep = exp_bits
+        else:
+            adders = tuple((COSET, pad) for pad in range(4))
+        shape = (modulus, base, exp_bits, w_e, w_m, nep)
+        shapes.append(pytest.param(*shape, adders, id=f"{edge}-" + "-".join(map(str, shape))))
+    return shapes
+
+
+@pytest.mark.parametrize("modulus,base,exp_bits,w_e,w_m,nep,adders", _meter_shapes())
+def test_exact_layer_matches_meter(modulus, base, exp_bits, w_e, w_m, nep, adders):
     inst = ProblemInstance(modulus, base, exp_bits)
     wp = WindowParams(w_e, w_m)
-    for opts in _flag_subsets(2):
-        for adder, pad in ((EXACT_MODULAR, 0), (COSET, 0), (COSET, 2)):
+    for opts in _flag_subsets(nep):
+        for adder, pad in adders:
             cfg = ModexpConfig(inst, wp, opts, adder, pad)
             predicted = exact_cost(cfg)
             metered = tally(build_windowed_modexp(cfg))

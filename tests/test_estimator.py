@@ -21,7 +21,6 @@ from wmodexp.estimator import (
     factory_dimensions,
     grid_search,
     load_profile,
-    logical_layout,
     padding_bits,
     pareto_frontier,
     parse_config,
@@ -127,8 +126,8 @@ def test_layout_point_distance_defaults_and_overrides():
 
 # ---------------------------------------------------------------------------
 # Board geometry. The dimensions below are frozen regression values for
-# the default profile; mqb at the published point must also sit inside
-# the acceptance band around the published 19.249.
+# the default profile; mqb at the published point is checked against the
+# acceptance band around the published 19.249 through estimate() below.
 
 
 def test_factory_dimensions_at_ge_point(profile):
@@ -144,19 +143,6 @@ def test_board_layout_at_ge_point(profile):
     assert board.distillation_tiles == 7 * 13 * 7 * 2
     assert board.storage_tiles == board.tiles - 2 * board.distillation_tiles
     assert board.toffoli_rate == pytest.approx(2 * 2 * 7 / 135e-6, rel=1e-12)
-
-
-def test_logical_layout_mqb_near_published(profile):
-    summary = logical_layout(N, GE_POINT, profile, n_e=NE)
-    assert summary.mqb == pytest.approx(GE_MQB, rel=0.15)
-    assert summary.physical_qubits == summary.logical_qubits * 1568
-    assert summary.routing_overhead > 1
-
-
-def test_logical_layout_single_piece_has_no_runway(profile):
-    point = dataclasses.replace(GE_POINT, g_sep=2048)
-    summary = logical_layout(N, point, profile, n_e=NE)
-    assert summary.runway_qubits == 0
 
 
 def test_padding_bits_monotone():

@@ -10,9 +10,7 @@ from wmodexp.builders import (
     ModexpConfig,
     ModexpOptions,
     build_lookup_add,
-    build_modexp_with_initial_lookup,
     build_windowed_modexp,
-    build_windowed_modexp_deferred,
     check_modexp_output,
     modexp_input_state,
 )
@@ -21,7 +19,6 @@ from wmodexp.numerics import (
     ProblemInstance,
     WindowParams,
     build_mul_table,
-    mod_pow,
 )
 from wmodexp.sim import SparseState, deposit, extract, run
 
@@ -87,7 +84,7 @@ def test_single_exponent_value():
 
 def test_deferred_output_independent_of_measurement_seed():
     cfg = ModexpConfig(INST15, WindowParams(2, 2), ModexpOptions(deferred_unlookup=True))
-    circuit = build_windowed_modexp_deferred(cfg)
+    circuit = build_windowed_modexp(cfg)
     reference = None
     for seed in range(10):
         state = run(circuit, modexp_input_state(circuit, seed=seed), seed=seed)
@@ -113,14 +110,6 @@ def test_pure_initial_lookup():
     assert counts.toffoli_count == 15  # one 4-bit walk, nothing else
     assert counts.measurement_depth == 0
     assert circuit.result_register == "multiplicand"
-
-
-def test_initial_lookup_wrapper_requires_bits():
-    cfg = ModexpConfig(INST15, WindowParams(2, 2))
-    with pytest.raises(ValueError):
-        build_modexp_with_initial_lookup(cfg)
-    cfg2 = ModexpConfig(INST15, WindowParams(2, 2), ModexpOptions(initial_lookup_bits=2))
-    assert build_modexp_with_initial_lookup(cfg2).gates == build_windowed_modexp(cfg2).gates
 
 
 def test_initial_bits_out_of_range():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,42 +15,9 @@ from wmodexp.numerics import (
     dump_table,
     load_table,
     mod_inverse,
-    mod_pow,
     window_count,
     window_width,
 )
-
-
-def brute_pow(base, exponent, modulus):
-    # Oracle: repeated multiplication, no shortcuts.
-    value = 1 % modulus
-    for _ in range(exponent):
-        value = value * base % modulus
-    return value
-
-
-class TestModPow:
-    def test_zero_exponent(self):
-        assert mod_pow(7, 0, 15) == 1
-
-    def test_matches_repeated_product(self):
-        assert mod_pow(7, 10, 15) == brute_pow(7, 10, 15)
-
-    def test_identity_base(self):
-        for k in range(8):
-            assert mod_pow(1, k, 23) == 1
-
-    @given(
-        st.integers(min_value=0, max_value=200),
-        st.integers(min_value=2, max_value=97),
-        st.integers(min_value=0, max_value=40),
-    )
-    def test_against_oracle(self, base, modulus, exponent):
-        assert mod_pow(base, exponent, modulus) == brute_pow(base, exponent, modulus)
-
-    def test_rejects_negative_exponent(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, -1, 7)
 
 
 class TestModInverse:
@@ -66,9 +35,7 @@ class TestModInverse:
 
     @given(st.integers(min_value=2, max_value=300), st.integers(min_value=1, max_value=299))
     def test_product_is_one(self, modulus, value):
-        from wmodexp.numerics import gcd
-
-        if gcd(value, modulus) == 1:
+        if math.gcd(value, modulus) == 1:
             assert mod_inverse(value, modulus) * value % modulus == 1
         else:
             with pytest.raises(NotInvertible):
@@ -132,7 +99,7 @@ class TestMulTable:
                 for mult in range(4):
                     for expn in range(4):
                         expected = (
-                            mod_pow(7, expn << (i * 2), 15) * ((mult << (j * 2)) % 15) % 15
+                            pow(7, expn << (i * 2), 15) * ((mult << (j * 2)) % 15) % 15
                         )
                         assert table[(mult << 2) | expn] == expected
 
@@ -174,9 +141,7 @@ class TestPrunedTable:
 
 
 def mod_is_coprime(a, n):
-    from wmodexp.numerics import gcd
-
-    return gcd(a, n) == 1
+    return math.gcd(a, n) == 1
 
 
 class TestPhaseFixupTable:
@@ -219,7 +184,7 @@ class TestDirectExpTable:
         inst = ProblemInstance(21, 2, 5)
         table = build_direct_exp_table(inst, 5)
         for e in range(32):
-            assert table[e] == mod_pow(2, e, 21)
+            assert table[e] == pow(2, e, 21)
 
 
 class TestSerialization:
