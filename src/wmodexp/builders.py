@@ -33,6 +33,7 @@ from .circuit import (
     CircuitBuilder,
     Gate,
     invert_gates,
+    mod_add_gate,
 )
 from .numerics import (
     LookupTable,
@@ -271,6 +272,30 @@ def cuccaro_gates(
     return gates
 
 
+def phase_fixup_gates(
+    low: tuple[int, ...],
+    unary: tuple[int, ...],
+    spine: tuple[int, ...],
+    copies: tuple[int, ...] | None,
+    walks: list[tuple[tuple[int, ...], LookupTable, str]],
+) -> list[Gate]:
+    """Cancel the phases that X-measuring looked-up entries left behind.
+
+    Unarizes the low address bits shared by every walk, then for each
+    (high bits, table, slot) in walks runs a phase walk over the high bits
+    whose leaves flip exactly the phases measurement `slot` left on `table`'s
+    entries, then tears the unary down again. Metered cost: 2^len(low) - 1
+    temp-ANDs for the unary plus 2^len(high) - 1 per walk, the teardown
+    being free.
+    """
+    init = [Gate(X, (unary[0],))] + unary_forward_gates(low, unary[: 1 << len(low)], copies)
+    gates = list(init)
+    for high, table, slot in walks:
+        gates.extend(select_walk_gates(high, spine, phase_payload(table, len(low), unary, slot)))
+    gates.extend(invert_gates(init))
+    return gates
+
+
 def unlookup_gates(
     addr_lsb: tuple[int, ...],
     table: LookupTable,
@@ -283,19 +308,14 @@ def unlookup_gates(
     """Measurement-based uncomputation of dest, which holds table[address].
 
     X-measures dest (clearing it, phasing each branch by the parity of the
-    outcome against its former value), unarizes the floor(l/2) low address
-    bits, then runs a phase-fixup walk over the high bits whose leaves cancel
-    exactly those phases. Metered cost: 2^u + 2^(l-u) - 2 temp-ANDs, the
-    unary teardown being free.
+    outcome against its former value), then runs the phase fixup with the
+    floor(l/2) low address bits unarized and one walk over the high bits.
+    Metered cost: 2^u + 2^(l-u) - 2 temp-ANDs.
     """
     low_bits = table.addr_bits // 2
     low, high = addr_lsb[:low_bits], addr_lsb[low_bits:]
-    gates: list[Gate] = [Gate(MEASURE_X, dest, slot=slot)]
-    init = [Gate(X, (unary[0],))] + unary_forward_gates(low, unary[: 1 << low_bits], copies)
-    gates.extend(init)
-    gates.extend(select_walk_gates(high, spine, phase_payload(table, low_bits, unary, slot)))
-    gates.extend(invert_gates(init))
-    return gates
+    fixup = phase_fixup_gates(low, unary, spine, copies, [(high, table, slot)])
+    return [Gate(MEASURE_X, dest, slot=slot)] + fixup
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +328,7 @@ def build_unary(width: int) -> Circuit:
     cb = CircuitBuilder()
     value = cb.add_register("input", width, "exponent")
     out = cb.add_register("unary_out", 1 << width, "unary")
-    for gate in unary_cswap_gates(value, out):
-        cb.emit(gate)
+    cb.emit(*unary_cswap_gates(value, out))
     cb.result_register = "unary_out"
     return cb.build()
 
@@ -322,8 +341,7 @@ def build_unary_lowdepth(width: int) -> Circuit:
     value = cb.add_register("input", width, "exponent")
     out = cb.add_register("unary_out", 1 << width, "unary")
     routing = cb.add_register("routing", max(0, (1 << max(width - 1, 0)) - 1), "ancilla")
-    for gate in unary_forward_gates(value, out, routing if routing else None):
-        cb.emit(gate)
+    cb.emit(*unary_forward_gates(value, out, routing if routing else None))
     cb.result_register = "unary_out"
     return cb.build()
 
@@ -334,8 +352,7 @@ def build_qrom_lookup(table: LookupTable, skip_below: int = 0) -> Circuit:
     addr = cb.add_register("address", table.addr_bits, "exponent")
     dest = cb.add_register("dest", table.word_bits, "lookup")
     spine = cb.add_register("walk", table.addr_bits + 1, "ancilla")
-    for gate in select_walk_gates(addr, spine, xor_payload(table, dest), skip_below):
-        cb.emit(gate)
+    cb.emit(*select_walk_gates(addr, spine, xor_payload(table, dest), skip_below))
     cb.result_register = "dest"
     return cb.build()
 
@@ -353,8 +370,7 @@ def build_unlookup(table: LookupTable, lowdepth_unary: bool = False) -> Circuit:
     if lowdepth_unary and low_bits >= 2:
         copies = cb.add_register("routing", (1 << (low_bits - 1)) - 1, "ancilla")
     slot = cb.new_slot("unlook")
-    for gate in unlookup_gates(addr, table, dest, unary, spine, slot, copies):
-        cb.emit(gate)
+    cb.emit(*unlookup_gates(addr, table, dest, unary, spine, slot, copies))
     return cb.build()
 
 
@@ -371,17 +387,14 @@ def build_adder(mode: str, modulus: int, pad: int = 0, subtract: bool = False) -
     if mode == EXACT_MODULAR:
         dest = cb.add_register("dest", n, "target")
         src = cb.add_register("src", n, "lookup")
-        cb.mod_add(dest, src, modulus, -1 if subtract else 1)
+        cb.emit(mod_add_gate(dest, src, modulus, -1 if subtract else 1))
     elif mode == COSET:
         width = n + pad
         dest = cb.add_register("dest", width, "target")
         src = cb.add_register("src", width, "lookup")
         carry = cb.add_register("carry", 1, "ancilla")
         gates = cuccaro_gates(src, dest, carry[0])
-        if subtract:
-            gates = invert_gates(gates)
-        for gate in gates:
-            cb.emit(gate)
+        cb.emit(*(invert_gates(gates) if subtract else gates))
     else:
         raise ValueError(f"unknown adder mode {mode!r}")
     cb.result_register = "dest"
@@ -485,10 +498,6 @@ class _ModexpEmitter:
 
     # -- small helpers ------------------------------------------------------
 
-    def emit_all(self, gates) -> None:
-        for gate in gates:
-            self.cb.emit(gate)
-
     def exp_window_qubits(self, index: int) -> tuple[int, ...]:
         start = self.cfg.opts.initial_lookup_bits + index * self.cfg.wp.exp_window
         return self.exp[start : start + self.exp_windows[index]]
@@ -508,20 +517,18 @@ class _ModexpEmitter:
         low initial_lookup_bits exponent bits."""
         nep = self.cfg.opts.initial_lookup_bits
         if nep == 0:
-            self.cb.x(self.acc[0])
+            self.cb.emit(Gate(X, (self.acc[0],)))
             return
         table = build_direct_exp_table(self.cfg.inst, nep)
-        self.emit_all(
-            select_walk_gates(self.exp[:nep], self.spine, xor_payload(table, self.acc))
-        )
+        self.cb.emit(*select_walk_gates(self.exp[:nep], self.spine, xor_payload(table, self.acc)))
 
     def emit_lookup_add(
         self, exp_index: int, mul_index: int, forward: bool
-    ) -> tuple[str, LookupTable]:
+    ) -> tuple[tuple[int, ...], LookupTable, str]:
         """One lookup-addition: table lookup into the lookup register, add or
         subtract into the target, then uncompute (immediately, or by deferred
-        measurement). Returns the measurement slot and the plain table, which
-        deferred fixups need."""
+        measurement). Returns the phase walk a deferred fixup needs: the
+        multiplicand window qubits, the plain table and the measurement slot."""
         cfg = self.cfg
         base = self.window_base if forward else self.window_base_inv
         table = build_mul_table(self.reduced_inst, cfg.wp, exp_index, mul_index, base)
@@ -531,53 +538,38 @@ class _ModexpEmitter:
             pruned = build_pruned_table(self.reduced_inst, cfg.wp, exp_index, mul_index, base)
             offset = mul_index * cfg.wp.mul_window
             for t, q in enumerate(self.acc_window_qubits(mul_index)):
-                self.cb.cnot(q, self.look[offset + t])
+                self.cb.emit(Gate(CNOT, (q, self.look[offset + t])))
             skip = 1 << self.exp_windows[exp_index]
-            self.emit_all(
-                select_walk_gates(addr, self.spine, xor_payload(pruned, self.look), skip)
-            )
+            self.cb.emit(*select_walk_gates(addr, self.spine, xor_payload(pruned, self.look), skip))
         else:
-            self.emit_all(select_walk_gates(addr, self.spine, xor_payload(table, self.look)))
+            self.cb.emit(*select_walk_gates(addr, self.spine, xor_payload(table, self.look)))
 
         if cfg.adder == EXACT_MODULAR:
-            self.cb.mod_add(self.tgt, self.look, self.modulus, 1 if forward else -1)
+            self.cb.emit(mod_add_gate(self.tgt, self.look, self.modulus, 1 if forward else -1))
         else:
             gates = cuccaro_gates(self.look, self.tgt, self.carry[0])
-            self.emit_all(gates if forward else invert_gates(gates))
+            self.cb.emit(*(gates if forward else invert_gates(gates)))
 
         slot = self.cb.new_slot("m")
         if cfg.opts.deferred_unlookup:
-            self.cb.measure_x(self.look, slot)
+            self.cb.emit(Gate(MEASURE_X, self.look, slot=slot))
         else:
-            self.emit_all(
-                unlookup_gates(addr, table, self.look, self.unary, self.spine, slot, self.copies)
+            self.cb.emit(
+                *unlookup_gates(addr, table, self.look, self.unary, self.spine, slot, self.copies)
             )
-        return slot, table
-
-    def emit_deferred_fixups(self, exp_index: int, recorded: list[tuple[str, LookupTable]]) -> None:
-        """Shared fixup block for one sweep: a single unary conversion of the
-        exponent window, one phase walk per multiplication window, teardown."""
-        we = self.exp_windows[exp_index]
-        exp_qubits = self.exp_window_qubits(exp_index)
-        init = [Gate(X, (self.unary[0],))] + unary_forward_gates(
-            exp_qubits, self.unary[: 1 << we], self.copies
-        )
-        self.emit_all(init)
-        for mul_index, (slot, table) in enumerate(recorded):
-            mult_qubits = self.acc_window_qubits(mul_index)
-            self.emit_all(
-                select_walk_gates(
-                    mult_qubits, self.spine, phase_payload(table, we, self.unary, slot)
-                )
-            )
-        self.emit_all(invert_gates(init))
+        return self.acc_window_qubits(mul_index), table, slot
 
     def emit_sweep(self, exp_index: int, forward: bool) -> None:
-        recorded = []
-        for mul_index in range(len(self.mul_windows)):
-            recorded.append(self.emit_lookup_add(exp_index, mul_index, forward))
+        """One sweep of lookup-additions. With deferred_unlookup it ends in
+        one shared fixup block: a single unary conversion of the exponent
+        window, one phase walk per multiplication window, teardown."""
+        walks = [
+            self.emit_lookup_add(exp_index, mul_index, forward)
+            for mul_index in range(len(self.mul_windows))
+        ]
         if self.cfg.opts.deferred_unlookup:
-            self.emit_deferred_fixups(exp_index, recorded)
+            exp_qubits = self.exp_window_qubits(exp_index)
+            self.cb.emit(*phase_fixup_gates(exp_qubits, self.unary, self.spine, self.copies, walks))
 
     def build(self) -> Circuit:
         self.emit_initialization()

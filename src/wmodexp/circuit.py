@@ -9,7 +9,7 @@ layering over the counted gates only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 # Gate variant names; these strings are also the dump format's opcodes.
 X = "X"
@@ -227,8 +227,8 @@ def load_circuit(text: str) -> Circuit:
 
 
 class CircuitBuilder:
-    """Mutable assembler for Circuits: allocates qubits, names slots, and
-    collects gates. Builders in builders.py drive this."""
+    """Mutable assembler for Circuits: allocates registers and names slots,
+    collects the gate lists that builders.py produces, and builds."""
 
     def __init__(self) -> None:
         self._gates: list[Gate] = []
@@ -243,56 +243,13 @@ class CircuitBuilder:
         self._registers.append(Register(name, qubits, role))
         return qubits
 
-    def rename(self, old: str, new: str) -> None:
-        """Swap two register names in place (zero-cost logical swap)."""
-        renamed = []
-        for reg in self._registers:
-            if reg.name == old:
-                renamed.append(Register(new, reg.qubits, reg.role))
-            elif reg.name == new:
-                renamed.append(Register(old, reg.qubits, reg.role))
-            else:
-                renamed.append(reg)
-        self._registers = renamed
-
     def new_slot(self, prefix: str) -> str:
         slot = f"{prefix}.{len(self._slots)}"
         self._slots.append(slot)
         return slot
 
-    def emit(self, gate: Gate) -> None:
-        self._gates.append(gate)
-
-    def x(self, q: int) -> None:
-        self.emit(Gate(X, (q,)))
-
-    def cnot(self, control: int, target: int) -> None:
-        self.emit(Gate(CNOT, (control, target)))
-
-    def toffoli(self, c1: int, c2: int, target: int) -> None:
-        self.emit(Gate(TOFFOLI, (c1, c2, target)))
-
-    def temp_and(self, c1: int, c2: int, target: int) -> None:
-        self.emit(Gate(TEMP_AND, (c1, c2, target)))
-
-    def temp_and_undo(self, c1: int, c2: int, target: int) -> None:
-        self.emit(Gate(TEMP_AND_UNDO, (c1, c2, target)))
-
-    def cswap(self, control: int, a: int, b: int) -> None:
-        self.emit(Gate(CSWAP, (control, a, b)))
-
-    def measure_x(self, qubits: tuple[int, ...], slot: str) -> None:
-        self.emit(Gate(MEASURE_X, qubits, slot=slot))
-
-    def phase_z(self, qubits: tuple[int, ...], slot: str | None = None, mask: int = 0) -> None:
-        self.emit(Gate(PHASE_Z, qubits, slot=slot, mask=mask))
-
-    def mod_add(
-        self, dest: tuple[int, ...], src: tuple[int, ...], modulus: int, sign: int
-    ) -> None:
-        self.emit(
-            Gate(MOD_ADD, dest + src, modulus=modulus, sign=sign, dest_len=len(dest))
-        )
+    def emit(self, *gates: Gate) -> None:
+        self._gates.extend(gates)
 
     def build(self) -> Circuit:
         return Circuit(
@@ -301,6 +258,11 @@ class CircuitBuilder:
             tuple(self._slots),
             self.result_register,
         )
+
+
+def mod_add_gate(dest: tuple[int, ...], src: tuple[int, ...], modulus: int, sign: int) -> Gate:
+    """ModAddOracle setting dest to (dest + sign * src) mod modulus."""
+    return Gate(MOD_ADD, dest + src, modulus=modulus, sign=sign, dest_len=len(dest))
 
 
 def invert_gates(gates: list[Gate] | tuple[Gate, ...]) -> list[Gate]:
@@ -314,15 +276,7 @@ def invert_gates(gates: list[Gate] | tuple[Gate, ...]) -> list[Gate]:
         elif gate.name == TEMP_AND_UNDO:
             inverted.append(Gate(TEMP_AND, gate.qubits))
         elif gate.name == MOD_ADD:
-            inverted.append(
-                Gate(
-                    MOD_ADD,
-                    gate.qubits,
-                    modulus=gate.modulus,
-                    sign=-gate.sign,
-                    dest_len=gate.dest_len,
-                )
-            )
+            inverted.append(replace(gate, sign=-gate.sign))
         elif gate.name == MEASURE_X:
             raise ValueError("cannot invert across a measurement")
         else:

@@ -349,20 +349,19 @@ def cmd_cost(args) -> int:
 # estimate
 
 
-def _estimate_cells(row: EstimateRow) -> list[str]:
+def _estimate_values(row: EstimateRow) -> list:
+    """The ESTIMATE_HEADER columns of row, in order."""
     point = row.point
-    cells = [
-        str(row.n),
-        str(row.n_e),
-        format(row.p_phys, ".6g"),
-        str(point.L1),
-        str(point.L2),
-        str(point.d_off),
-        str(point.g_mul),
-        str(point.g_exp),
-        str(point.g_sep),
-    ]
-    for value in (
+    return [
+        row.n,
+        row.n_e,
+        row.p_phys,
+        point.L1,
+        point.L2,
+        point.d_off,
+        point.g_mul,
+        point.g_exp,
+        point.g_sep,
         100.0 * row.retry_risk,
         row.vol_per_run,
         row.expected_vol,
@@ -370,32 +369,19 @@ def _estimate_cells(row: EstimateRow) -> list[str]:
         row.hours,
         row.expected_hours,
         row.b_tofs,
-    ):
-        cells.append(format(value, ".6g"))
-    return cells
+    ]
+
+
+def _estimate_cells(row: EstimateRow) -> list[str]:
+    return [
+        format(value, ".6g") if isinstance(value, float) else str(value)
+        for value in _estimate_values(row)
+    ]
 
 
 def _estimate_dict(row: EstimateRow) -> dict:
     keys = [key.strip() for key in ESTIMATE_HEADER.split(",")]
-    values = [
-        row.n,
-        row.n_e,
-        row.p_phys,
-        row.point.L1,
-        row.point.L2,
-        row.point.d_off,
-        row.point.g_mul,
-        row.point.g_exp,
-        row.point.g_sep,
-        100.0 * row.retry_risk,
-        row.vol_per_run,
-        row.expected_vol,
-        row.mqb,
-        row.hours,
-        row.expected_hours,
-        row.b_tofs,
-    ]
-    payload = dict(zip(keys, values))
+    payload = dict(zip(keys, _estimate_values(row)))
     payload["binding"] = row.binding
     return payload
 
@@ -433,7 +419,6 @@ def cmd_estimate(args) -> int:
         profile = replace(profile, p_phys=args.perr)
     if args.q is not None:
         profile = replace(profile, q=args.q)
-    q = profile.q
     fmt = args.format
     if fmt is None:
         fmt = "json" if args.out is not None and args.out.endswith(".json") else "csv"
@@ -442,7 +427,7 @@ def cmd_estimate(args) -> int:
     kwargs = {"ranges": ranges}
     if args.budget_mqb:
         kwargs["budgets"] = tuple(args.budget_mqb)
-    result = grid_search(args.n, args.ne, profile, args.variant, q, **kwargs)
+    result = grid_search(args.n, args.ne, profile, args.variant, **kwargs)
 
     manifest = _manifest(
         args,
@@ -451,7 +436,7 @@ def cmd_estimate(args) -> int:
             ("ne", args.ne),
             ("perr", profile.p_phys),
             ("variant", args.variant),
-            ("q", q),
+            ("q", profile.q),
             ("budget-mqb", args.budget_mqb or None),
             ("point", args.point),
             ("format", fmt),

@@ -106,19 +106,14 @@ def cost(
     w_e: int,
     w_m: int,
     initial_bits: int = 0,
-    *,
-    unlookup_constant: float = 3.0,
-    coset_pad: int = 0,
-    corrected_combined_depth: bool = False,
 ) -> CostBreakdown:
     """Closed-form cost of one variant.
 
-    The immediate-unlookup cost is booked as unlookup_constant * sqrt(L)
-    with L the table size; 3 covers unary conversion plus fixup plus unary
-    uncomputation, 2 applies when the uncomputation is free. The adder is
-    booked at 2*(n + coset_pad) Toffolis and depth; the default pad of 0
-    keeps the headline 2n figure. logical_qubits ledgers the three n-bit
-    value registers; workspace and exponent live in the circuit layer.
+    The immediate-unlookup cost is booked as 3 * sqrt(L) with L the table
+    size, covering unary conversion plus fixup plus unary uncomputation.
+    The adder is booked at 2n Toffolis and depth, the headline figure
+    without coset padding. logical_qubits ledgers the three n-bit value
+    registers; workspace and exponent live in the circuit layer.
     """
     flags = variant_flags(variant)
     if min(n, n_e, w_e, w_m) < 1:
@@ -136,8 +131,8 @@ def cost(
     ell = w_e + w_m
     sqrt_table = 2.0 ** (ell / 2)
     lookup = float(1 << ell)
-    add = 2.0 * (n + coset_pad)
-    unlookup = unlookup_constant * sqrt_table
+    add = 2.0 * n
+    unlookup = 3.0 * sqrt_table
 
     adt = 1 << initial_bits if initial_bits else 0
     windowed_bits = n_e - initial_bits
@@ -154,8 +149,6 @@ def cost(
         # The unary build and teardown happen once per sweep, so their
         # depth amortizes to far below one layer per repetition.
         unlookup_d = 2.0 * (w_m / n) * (w_e - 1) + (1 << w_m)
-        if corrected_combined_depth:
-            unlookup_d = 2.0 * (w_m / n) * w_e + (1 << w_m)
 
     qubits = 3 * n
     if variant == "sliced_A":
@@ -195,42 +188,35 @@ def per_window_cost(n: int, w_e: int, w_m: int) -> float:
     return 2.0 * (n / w_m) * (float(1 << ell) + 2.0 * n + unlookup)
 
 
-def crossover_initial_lookup(n: int, w_e: int, w_m: int, *, max_bits: int = 64) -> int:
+def crossover_initial_lookup(n: int, w_e: int, w_m: int) -> int:
     """Initial-lookup width that minimizes total cost.
 
     Handling k low exponent bits directly costs 2^k and removes k/w_e
     exponent windows, so the objective 2^k + (n_e - k)/w_e * per_window
     has the same argmin as 2^k - k * per_window/w_e for every n_e; the
-    best k is independent of the exponent length.
+    best k is independent of the exponent length. k is searched up to 64.
     """
     per_bit = per_window_cost(n, w_e, w_m) / w_e
     best_k = 0
     best_f = 1.0
-    for k in range(max_bits + 1):
+    for k in range(65):
         f = 2.0**k - k * per_bit
         if f < best_f:
             best_k, best_f = k, f
     return best_k
 
 
-def grid_best_windows(
-    n: int,
-    n_e: int,
-    variant: str,
-    *,
-    window_range: range = range(1, 11),
-    initial_range: range = range(0, 41),
-) -> tuple[int, int, int]:
+def grid_best_windows(n: int, n_e: int, variant: str) -> tuple[int, int, int]:
     """Exhaustive window search minimizing total_tofs.
 
-    Returns (w_e, w_m, initial_bits); ties break lexicographically on that
-    triple. initial_range only engages for the variants that take an
-    initial lookup.
+    Returns (w_e, w_m, initial_bits) with windows in 1..10; ties break
+    lexicographically on that triple. initial_bits ranges over 0..40 for
+    the variants that take an initial lookup and is 0 otherwise.
     """
-    inits = initial_range if variant_flags(variant).initial_lookup else range(1)
+    inits = range(41) if variant_flags(variant).initial_lookup else range(1)
     best: tuple[float, int, int, int] | None = None
-    for w_e in window_range:
-        for w_m in window_range:
+    for w_e in range(1, 11):
+        for w_m in range(1, 11):
             for nep in inits:
                 if nep > n_e:
                     continue
@@ -240,12 +226,6 @@ def grid_best_windows(
                     best = key
     assert best is not None
     return best[1], best[2], best[3]
-
-
-def grid_best_cost(n: int, n_e: int, variant: str) -> CostBreakdown:
-    """cost() at the grid_best_windows optimum."""
-    w_e, w_m, nep = grid_best_windows(n, n_e, variant)
-    return cost(variant, n, n_e, w_e, w_m, nep)
 
 
 # ---------------------------------------------------------------------------

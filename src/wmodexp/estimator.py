@@ -78,6 +78,8 @@ class HardwareProfile:
             raise ValueError("p_phys must lie in (0, 1)")
         if not self.q > 0:
             raise ValueError(f"q must be > 0, got {self.q!r}")
+        if not math.isfinite(self.q):
+            raise ValueError(f"q must be finite, got {self.q!r}")
         if self.serial_overhead < 1:
             raise ValueError("serial_overhead cannot beat the reaction limit")
 
@@ -132,8 +134,8 @@ def load_profile(path: str | None = None) -> HardwareProfile:
 @dataclass(frozen=True)
 class LayoutPoint:
     """One operating point of the machine: factory distances, padding
-    deviation, window sizes, and the runway separation. Data code
-    distances default to the factory level distances."""
+    deviation, window sizes, and the runway separation. The data code
+    distance is L2, the level-2 factory distance."""
 
     L1: int
     L2: int
@@ -141,8 +143,6 @@ class LayoutPoint:
     g_mul: int
     g_exp: int
     g_sep: int
-    d1: int | None = None
-    d2: int | None = None
 
     def __post_init__(self) -> None:
         if min(self.L1, self.L2, self.g_mul, self.g_exp, self.g_sep) < 1:
@@ -151,14 +151,6 @@ class LayoutPoint:
             raise ValueError("d_off must be >= 0")
         if self.L1 >= self.L2:
             raise ValueError("L1 must be smaller than L2")
-
-    @property
-    def data_distance(self) -> int:
-        return self.d2 if self.d2 is not None else self.L2
-
-    @property
-    def injection_distance(self) -> int:
-        return self.d1 if self.d1 is not None else self.L1
 
     def sort_key(self) -> tuple:
         return (self.L1, self.L2, self.d_off, self.g_mul, self.g_exp, self.g_sep)
@@ -274,7 +266,7 @@ def board_layout(
     profile: HardwareProfile, point: LayoutPoint, pieces: int, piece_len: int
 ) -> BoardLayout:
     fac_w, fac_h, fac_d = factory_dimensions(profile, point)
-    ccz_time = fac_d * profile.cycle_s * point.data_distance
+    ccz_time = fac_d * profile.cycle_s * point.L2
     pair_count = math.ceil(ccz_time / profile.reaction_s / 2)
     width = (fac_w + 1) * pair_count + 1
     reg_rows = math.ceil(piece_len / (width - 2))
@@ -317,7 +309,6 @@ def estimate(
     profile: HardwareProfile,
     point: LayoutPoint,
     cost_row: CostBreakdown,
-    q: float | None = None,
 ) -> EstimateRow:
     """Evaluate one operating point.
 
@@ -325,10 +316,9 @@ def estimate(
     supplied CostBreakdown (so the variant choice lives there); the adder
     cost is recomputed against the padded register length, and repetition
     counts use ceiling window counts. Raises BudgetOverflow when the
-    accumulated error probability reaches 1.
+    accumulated error probability reaches 1, and ValueError when profile.q
+    overflows the skewed volume.
     """
-    if q is None:
-        q = profile.q
     if point.g_exp != cost_row.w_e or point.g_mul != cost_row.w_m:
         raise ValueError("cost_row windows disagree with the layout point")
     pieces = math.ceil(n / point.g_sep)
@@ -356,7 +346,7 @@ def estimate(
     depth_s = serial_steps * profile.reaction_s * profile.serial_overhead
 
     board = board_layout(profile, point, pieces, piece_len)
-    mqb = board.tiles * physical_per_logical(point.data_distance) / 1e6
+    mqb = board.tiles * physical_per_logical(point.L2) / 1e6
     factory_s = tofs / board.toffoli_rate
     runtime_s = max(depth_s, factory_s)
     binding = "depth" if depth_s >= factory_s else "factory"
@@ -369,6 +359,12 @@ def estimate(
 
     vol_per_run = mqb * hours / 24.0
     expected_hours = hours / (1 - risk)
+    try:
+        skewed_volume = mqb**profile.q * expected_hours
+    except OverflowError:
+        skewed_volume = math.inf
+    if not math.isfinite(skewed_volume):
+        raise ValueError(f"q = {profile.q!r} overflows the skewed volume Mqb**q * E[hrs]")
     row = EstimateRow(
         n=n,
         n_e=n_e,
@@ -376,7 +372,7 @@ def estimate(
         point=point,
         variant=cost_row.variant,
         initial_bits=cost_row.initial_bits,
-        q=q,
+        q=profile.q,
         retry_risk=risk,
         vol_per_run=vol_per_run,
         expected_vol=vol_per_run / (1 - risk),
@@ -384,7 +380,7 @@ def estimate(
         hours=hours,
         expected_hours=expected_hours,
         b_tofs=tofs / 1e9,
-        skewed_volume=mqb**q * expected_hours,
+        skewed_volume=skewed_volume,
         budget=budget,
         binding=binding,
     )
@@ -403,8 +399,8 @@ def error_budget(
     runtime_s: float,
 ) -> ErrorBudget:
     """Failure probability per component for one run."""
-    d = point.data_distance
-    l0_d = point.injection_distance // 2
+    d = point.L2
+    l0_d = point.L1 // 2
     l0 = profile.p_phys + profile.l0_injection_cells * profile.unit_cell_error(l0_d)
     l1 = profile.l1_distill_coeff * l0**3 + profile.l1_factory_cells * profile.unit_cell_error(
         point.L1
@@ -463,7 +459,6 @@ def grid_search(
     n_e: int,
     profile: HardwareProfile,
     variant: str = "original",
-    q: float | None = None,
     ranges: GridRanges | None = None,
     budgets: tuple[float, ...] = DEFAULT_MQB_BUDGETS,
 ) -> GridResult:
@@ -471,11 +466,16 @@ def grid_search(
 
     Returns the skewed-volume minimizer (ties broken by lexicographic
     point), the Pareto frontier over (mqb, expected_hours), and the best
-    row under each physical-qubit budget.
+    row under each physical-qubit budget. Raises ValueError when every
+    g_sep exceeds n, so no point can be evaluated, and BudgetOverflow when
+    every evaluated point overflows the error budget.
     """
-    if q is None:
-        q = profile.q
     ranges = ranges or GridRanges()
+    if min(ranges.g_sep) > n:
+        raise ValueError(
+            f"every grid g_sep exceeds n = {n} (smallest g_sep is {min(ranges.g_sep)}), "
+            "so no grid point can be evaluated"
+        )
     rows: list[EstimateRow] = []
     cost_cache: dict[tuple[int, int], CostBreakdown] = {}
     for g_exp in ranges.g_exp:
@@ -494,14 +494,7 @@ def grid_search(
                             point = LayoutPoint(l1, l2, d_off, g_mul, g_exp, g_sep)
                             try:
                                 rows.append(
-                                    estimate(
-                                        n,
-                                        n_e,
-                                        profile,
-                                        point,
-                                        cost_cache[g_exp, g_mul],
-                                        q,
-                                    )
+                                    estimate(n, n_e, profile, point, cost_cache[g_exp, g_mul])
                                 )
                             except BudgetOverflow:
                                 continue

@@ -57,12 +57,6 @@ class SparseState:
             raise ValueError("state needs at least one branch")
         return cls(num_qubits, dict(values), random.Random(seed))
 
-    def copy(self) -> "SparseState":
-        dup = SparseState(self.num_qubits, dict(self.branches))
-        dup.rng = self.rng  # shared stream; callers fork via reseed when needed
-        dup.transcript = dict(self.transcript)
-        return dup
-
     def canonical(self) -> tuple[tuple[int, int], ...]:
         """Branch list sorted by assignment, for exact state comparison."""
         return tuple(sorted(self.branches.items()))

@@ -1,5 +1,6 @@
 """Unary converters, table lookup, unlookup, and adders."""
 
+import hashlib
 import random
 
 import pytest
@@ -9,17 +10,27 @@ from hypothesis import strategies as st
 from wmodexp.builders import (
     COSET,
     EXACT_MODULAR,
+    ModexpConfig,
+    ModexpOptions,
     SizeMismatch,
     build_adder,
+    build_lookup_add,
     build_qrom_lookup,
     build_unary,
     build_unary_lowdepth,
     build_unlookup,
+    build_windowed_modexp,
     select_walk_gates,
     unary_forward_gates,
 )
-from wmodexp.circuit import COUNTED, CircuitBuilder, invert_gates, tally
-from wmodexp.numerics import LookupTable
+from wmodexp.circuit import COUNTED, CircuitBuilder, dump_circuit, invert_gates, tally
+from wmodexp.numerics import (
+    LookupTable,
+    ProblemInstance,
+    WindowParams,
+    build_mul_table,
+    build_pruned_table,
+)
 from wmodexp.sim import ContractViolation, SparseState, deposit, extract, run
 
 
@@ -289,3 +300,119 @@ def test_adder_unknown_mode():
 
 def test_counted_gate_set_is_what_costing_assumes():
     assert COUNTED == {"Toffoli", "TempAndCompute", "CSwap"}
+
+
+# ---------------------------------------------------------------------------
+# Gate-stream pin: the first 16 hex digits of sha256(dump_circuit(...)) of
+# each circuit below. A refactoring of the builders must leave them alone;
+# a change to any gate, operand or register of these circuits shows up here
+# by name, and a deliberate one updates the digest.
+
+
+def _pinned_circuits():
+    """(name, zero-argument builder) for every pinned circuit."""
+    shapes = {
+        "15": (ProblemInstance(15, 7, 4), WindowParams(2, 2), 2),
+        "21": (ProblemInstance(21, 2, 6), WindowParams(3, 2), 3),
+    }
+    circuits = []
+    for tag, (inst, wp, nep) in shapes.items():
+        for bits in range(16):
+            opts = ModexpOptions(
+                deferred_unlookup=bool(bits & 1),
+                selective_lookup=bool(bits & 2),
+                initial_lookup_bits=nep if bits & 4 else 0,
+                lowdepth_unary=bool(bits & 8),
+            )
+            cfg = ModexpConfig(inst, wp, opts)
+            circuits.append((f"modexp{tag}.flags{bits}", lambda c=cfg: build_windowed_modexp(c)))
+    for w in range(1, 5):
+        circuits.append((f"unary{w}", lambda w=w: build_unary(w)))
+        circuits.append((f"unary_lowdepth{w}", lambda w=w: build_unary_lowdepth(w)))
+    inst, wp = ProblemInstance(15, 7, 4), WindowParams(2, 2)
+    table = build_mul_table(inst, wp, 0, 1)
+    pruned = build_pruned_table(inst, wp, 0, 1)
+    circuits += [
+        ("qrom", lambda: build_qrom_lookup(table)),
+        ("qrom_skip", lambda: build_qrom_lookup(pruned, 1 << wp.exp_window)),
+        ("unlookup", lambda: build_unlookup(table)),
+        ("unlookup_lowdepth", lambda: build_unlookup(table, lowdepth_unary=True)),
+    ]
+    for mode in (EXACT_MODULAR, COSET):
+        for subtract in (False, True):
+            name = f"adder.{mode}.{'sub' if subtract else 'add'}"
+            circuits.append((name, lambda m=mode, s=subtract: build_adder(m, 15, 2, s)))
+    plain = ModexpConfig(ProblemInstance(21, 2, 6), WindowParams(3, 2))
+    flagged = ModexpConfig(
+        ProblemInstance(21, 2, 6),
+        WindowParams(3, 2),
+        ModexpOptions(True, True, 0, True),
+        adder=COSET,
+        coset_pad=1,
+    )
+    circuits.append(("lookup_add.plain", lambda: build_lookup_add(plain, 1, 2)))
+    circuits.append(("lookup_add.flagged", lambda: build_lookup_add(flagged, 0, 1)))
+    return circuits
+
+
+PINNED_DIGESTS = {
+    "modexp15.flags0": "e7259b4bdfd3a1f6",
+    "modexp15.flags1": "62d21252a0650827",
+    "modexp15.flags2": "88b7eb155de13cff",
+    "modexp15.flags3": "2d8239a6ed1ca699",
+    "modexp15.flags4": "e950524acb29c1e0",
+    "modexp15.flags5": "cae2e02e6e798ca2",
+    "modexp15.flags6": "ecdb90a54238eb20",
+    "modexp15.flags7": "856c3b07f15f07cd",
+    "modexp15.flags8": "0152c089f4d046d1",
+    "modexp15.flags9": "9935a7797e2b441c",
+    "modexp15.flags10": "8e7a60e860ec8699",
+    "modexp15.flags11": "570a2ab58ca540b5",
+    "modexp15.flags12": "af153c9e598f9611",
+    "modexp15.flags13": "44419cb32627d2f6",
+    "modexp15.flags14": "de2514cc47c5db62",
+    "modexp15.flags15": "dc0a1fd3d843f971",
+    "modexp21.flags0": "c4740c2f29d44bb9",
+    "modexp21.flags1": "76aa8a11bbad3d2b",
+    "modexp21.flags2": "1e281435f62aac80",
+    "modexp21.flags3": "f2e8051a088df40a",
+    "modexp21.flags4": "1f20f80c08be808f",
+    "modexp21.flags5": "0349fd0792748c83",
+    "modexp21.flags6": "4e5a76e5e8e9113a",
+    "modexp21.flags7": "63a5694543211edf",
+    "modexp21.flags8": "8d378332736d1d46",
+    "modexp21.flags9": "dbb5776c175f8752",
+    "modexp21.flags10": "d3d0b3c798da354e",
+    "modexp21.flags11": "e16aa012e87f7a31",
+    "modexp21.flags12": "b680f420eea41ce5",
+    "modexp21.flags13": "5c642de0993d22a9",
+    "modexp21.flags14": "04d3856dcb9b68cb",
+    "modexp21.flags15": "8d1bc8282377e4bc",
+    "unary1": "1f4c524083572256",
+    "unary_lowdepth1": "3f14560b16b125f6",
+    "unary2": "18409c5ee29f3470",
+    "unary_lowdepth2": "d9a1b6c1e49045cf",
+    "unary3": "af7f3d53d06b3f37",
+    "unary_lowdepth3": "ed1323cdd7b57ceb",
+    "unary4": "a71cd8734b346464",
+    "unary_lowdepth4": "a6461cbab12f1226",
+    "qrom": "f590b4de7356be64",
+    "qrom_skip": "fd5ec5627bf3b61f",
+    "unlookup": "0cbd2dccade5ad74",
+    "unlookup_lowdepth": "ba85263f30f876ea",
+    "adder.exact_modular.add": "5afda18e2dcf434b",
+    "adder.exact_modular.sub": "11516b8500be074a",
+    "adder.coset.add": "f32bf3e3e6ecd131",
+    "adder.coset.sub": "39846fab5f9374e0",
+    "lookup_add.plain": "7b5b4068b3d64544",
+    "lookup_add.flagged": "5292a7f711ce0a2c",
+}
+
+
+def test_gate_streams_are_pinned():
+    changed = []
+    for name, build in _pinned_circuits():
+        digest = hashlib.sha256(dump_circuit(build()).encode()).hexdigest()[:16]
+        if PINNED_DIGESTS.get(name) != digest:
+            changed.append(f"{name}: {digest} (pinned {PINNED_DIGESTS.get(name)})")
+    assert not changed, "gate stream changed for " + "; ".join(changed)

@@ -388,6 +388,16 @@ def test_estimate_nonpositive_q_is_bad_input(capsys, q):
     assert "q must be > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("q", "reason"),
+    [("inf", "q must be finite, got inf"), ("500", "q = 500.0 overflows the skewed volume")],
+    ids=["inf", "500"],
+)
+def test_estimate_unbounded_q_is_bad_input(capsys, q, reason):
+    assert main(["estimate", *PUBLISHED_POINT, "--q", q]) == 2
+    assert reason in capsys.readouterr().err
+
+
 def test_estimate_config_zero_q_is_bad_input(tmp_path, capsys):
     cfg = tmp_path / "zero_q.cfg"
     cfg.write_text("q = 0\n")
@@ -403,4 +413,11 @@ def test_estimate_bad_budget_is_bad_input(capsys, budget):
 
 def test_estimate_overflowing_setting_is_bad_input(capsys):
     assert main(["estimate", "--n", "4096", "--ne", "6101", *PUBLISHED_POINT]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error: no grid point stays under the error budget" in capsys.readouterr().err
+
+
+def test_estimate_n_below_every_g_sep_is_bad_input(capsys):
+    assert main(["estimate", "--n", "100", "--ne", "150"]) == 2
+    err = capsys.readouterr().err
+    assert "every grid g_sep exceeds n = 100 (smallest g_sep is 256)" in err
+    assert "error budget" not in err

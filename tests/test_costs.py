@@ -20,7 +20,6 @@ from wmodexp.costs import (
     cost,
     crossover_initial_lookup,
     exact_cost,
-    grid_best_cost,
     grid_best_windows,
     per_window_cost,
 )
@@ -86,17 +85,6 @@ def test_total_composition_invariant():
         assert c.total_depth == pytest.approx(c.adt_factor + c.reps * per_rep_d, rel=REL)
 
 
-def test_unlookup_constant_footnote_value():
-    c = cost("original", 2048, 3029, 5, 5, unlookup_constant=2)
-    assert c.unlookup_tofs == 64
-
-
-def test_coset_pad_folds_into_adder():
-    c = cost("original", 2048, 3029, 5, 5, coset_pad=24)
-    assert c.add_tofs == 2 * (2048 + 24)
-    assert c.add_depth == 2 * (2048 + 24)
-
-
 def test_opt1_row():
     c = cost("opt1", 2048, 3029, 5, 5)
     expected = 2 * (5 / 2048) * 32 + 32
@@ -150,11 +138,6 @@ def test_combined_row():
     assert c.add_tofs == 4096
     assert c.unlookup_tofs == pytest.approx(2 * (5 / 2048) * 32 + 32, rel=REL)
     assert c.unlookup_depth == pytest.approx(2 * (5 / 2048) * 4 + 32, rel=REL)
-    corrected = cost(
-        "combined", 2048, 3029, 5, 5, 20, corrected_combined_depth=True
-    )
-    assert corrected.unlookup_depth == pytest.approx(2 * (5 / 2048) * 5 + 32, rel=REL)
-    assert corrected.total_tofs == pytest.approx(c.total_tofs, rel=REL)
 
 
 def test_sliced_a_changes_qubits_and_depth_only():
@@ -179,7 +162,7 @@ def test_sliced_b_changes_toffolis_only():
 @pytest.mark.parametrize("n", [64, 256, 1024, 2048])
 def test_monotonicity_at_grid_optimum(n):
     n_e = 3 * n // 2
-    best = {v: grid_best_cost(n, n_e, v).total_tofs for v in VARIANTS[:6]}
+    best = {v: cost(v, n, n_e, *grid_best_windows(n, n_e, v)).total_tofs for v in VARIANTS[:6]}
     for single in ("opt1", "opt2", "opt3", "opt4"):
         assert best["combined"] <= best[single] + REL * best[single]
         assert best[single] <= best["original"] + REL * best["original"]

@@ -116,14 +116,6 @@ def test_layout_point_validation():
         LayoutPoint(L1=15, L2=27, d_off=4, g_mul=0, g_exp=5, g_sep=1024)
 
 
-def test_layout_point_distance_defaults_and_overrides():
-    assert GE_POINT.data_distance == 27
-    assert GE_POINT.injection_distance == 15
-    tweaked = dataclasses.replace(GE_POINT, d1=13, d2=25)
-    assert tweaked.injection_distance == 13
-    assert tweaked.data_distance == 25
-
-
 # ---------------------------------------------------------------------------
 # Board geometry. The dimensions below are frozen regression values for
 # the default profile; mqb at the published point is checked against the
@@ -220,7 +212,8 @@ def test_budget_overflow_on_undersized_factories(profile):
 
 
 def test_q_override_changes_skew_only(profile):
-    flat = estimate(N, NE, profile, GE_POINT, _variant_cost("original", N, NE, 5, 5), q=1.0)
+    flat_profile = dataclasses.replace(profile, q=1.0)
+    flat = estimate(N, NE, flat_profile, GE_POINT, _variant_cost("original", N, NE, 5, 5))
     assert flat.skewed_volume == pytest.approx(flat.mqb * flat.expected_hours, rel=1e-9)
     assert flat.hours == pytest.approx(5.7709, abs=5e-4)
 
