@@ -22,7 +22,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -33,13 +33,12 @@ from .builders import (
     modexp_input_state,
 )
 from .circuit import tally
-from .costs import VARIANT_TABLE, VARIANTS, cost, exact_cost
+from .costs import VARIANT_TABLE, VARIANTS, CostBreakdown, cost, exact_cost
 from .estimator import (
     BudgetOverflow,
     EstimateRow,
     GridRanges,
     LayoutPoint,
-    audit_row,
     grid_search,
     load_profile,
 )
@@ -52,32 +51,14 @@ from .numerics import (
     build_pruned_table,
     dump_table,
 )
-from .sim import ContractViolation, extract, run
+from .sim import extract, run
 
 ESTIMATE_HEADER = (
     "n, n_e, gate err, L1, L2, d_off, g_mul, g_exp, g_sep, "
     "%, v.p.r, E[vol], Mqb, hrs, E[hrs], B Tofs"
 )
 
-COST_FIELDS = (
-    "variant",
-    "n",
-    "n_e",
-    "w_e",
-    "w_m",
-    "initial_bits",
-    "reps",
-    "adt_factor",
-    "lookup_tofs",
-    "add_tofs",
-    "unlookup_tofs",
-    "lookup_depth",
-    "add_depth",
-    "unlookup_depth",
-    "total_tofs",
-    "total_depth",
-    "logical_qubits",
-)
+COST_FIELDS = tuple(f.name for f in fields(CostBreakdown))
 
 
 class UsageError(ValueError):
@@ -142,11 +123,18 @@ def _config_digest(path: str | None) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _manifest(args, flags: list[tuple[str, object]]) -> RunManifest:
-    rendered = tuple((name, _render_flag(value)) for name, value in flags)
+def _manifest(args, **resolved) -> RunManifest:
+    """Manifest of this run: the subcommand's flags in declaration order,
+    each valued from resolved (keyed by argparse dest) when the subcommand
+    resolved it itself, else as parsed."""
+    flags = []
+    for flag, _ in FLAGS[args.subcommand]:
+        dest = flag[2:].replace("-", "_")
+        value = resolved[dest] if dest in resolved else getattr(args, dest)
+        flags.append((flag[2:], _render_flag(value)))
     return RunManifest(
         subcommand=args.subcommand,
-        flags=rendered,
+        flags=tuple(flags),
         seed=args.seed,
         config_digest=_config_digest(args.config),
         version=__version__,
@@ -185,21 +173,7 @@ def cmd_tables(args) -> int:
     fixup = build_phase_fixup_table(mul, outcome, low_bits)
     direct = build_direct_exp_table(inst, args.initial_bits)
 
-    manifest = _manifest(
-        args,
-        [
-            ("modulus", args.modulus),
-            ("base", args.base),
-            ("ne", args.ne),
-            ("we", args.we),
-            ("wm", args.wm),
-            ("exp-index", args.exp_index),
-            ("mul-index", args.mul_index),
-            ("initial-bits", args.initial_bits),
-            ("low-bits", low_bits),
-            ("outcome", outcome),
-        ],
-    )
+    manifest = _manifest(args, low_bits=low_bits, outcome=outcome)
     header = "\n".join(manifest.lines()) + "\n"
     outdir = Path(args.out) if args.out is not None else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -235,19 +209,7 @@ def cmd_simulate(args) -> int:
             f"choose one of {', '.join(circuit_variants)}, or all"
         )
 
-    manifest = _manifest(
-        args,
-        [
-            ("modulus", args.modulus),
-            ("base", args.base),
-            ("ne", args.ne),
-            ("we", args.we),
-            ("wm", args.wm),
-            ("nep", args.nep),
-            ("variant", args.variant),
-        ],
-    )
-    lines = manifest.lines()
+    lines = _manifest(args).lines()
     lines.append(
         f"instance: modulus={inst.modulus} base={inst.base} exp_bits={inst.exp_bits}"
     )
@@ -326,18 +288,7 @@ def cmd_cost(args) -> int:
             initial = 0
         rows.append(cost(variant, args.n, args.ne, args.we, args.wm, initial))
 
-    manifest = _manifest(
-        args,
-        [
-            ("n", args.n),
-            ("ne", args.ne),
-            ("we", args.we),
-            ("wm", args.wm),
-            ("nep", args.nep),
-            ("variant", args.variant),
-        ],
-    )
-    lines = manifest.lines()
+    lines = _manifest(args).lines()
     lines.append(", ".join(COST_FIELDS))
     for row in rows:
         lines.append(", ".join(_num(getattr(row, field)) for field in COST_FIELDS))
@@ -424,30 +375,10 @@ def cmd_estimate(args) -> int:
         fmt = "json" if args.out is not None and args.out.endswith(".json") else "csv"
     ranges = _parse_point(args.point, args.n) if args.point else None
 
-    kwargs = {"ranges": ranges}
-    if args.budget_mqb:
-        kwargs["budgets"] = tuple(args.budget_mqb)
-    result = grid_search(args.n, args.ne, profile, args.variant, **kwargs)
+    budgets = {"budgets": tuple(args.budget_mqb)} if args.budget_mqb else {}
+    result = grid_search(args.n, args.ne, profile, args.variant, ranges, **budgets)
 
-    manifest = _manifest(
-        args,
-        [
-            ("n", args.n),
-            ("ne", args.ne),
-            ("perr", profile.p_phys),
-            ("variant", args.variant),
-            ("q", profile.q),
-            ("budget-mqb", args.budget_mqb or None),
-            ("point", args.point),
-            ("format", fmt),
-        ],
-    )
-
-    emitted: list[EstimateRow] = list(result.frontier)
-    if args.budget_mqb:
-        emitted = [row for _, row in result.by_budget if row is not None]
-    for row in emitted:
-        audit_row(row)
+    manifest = _manifest(args, perr=profile.p_phys, q=profile.q, format=fmt)
 
     if fmt == "json":
         payload = {
@@ -467,20 +398,11 @@ def cmd_estimate(args) -> int:
         return 0
 
     best = result.best
+    point = " ".join(f"{f.name}={getattr(best.point, f.name)}" for f in fields(LayoutPoint))
     lines = manifest.lines()
     lines.append(
-        "# best: L1={} L2={} d_off={} g_mul={} g_exp={} g_sep={} "
-        "E[hrs]={:.6g} Mqb={:.6g} binding={}".format(
-            best.point.L1,
-            best.point.L2,
-            best.point.d_off,
-            best.point.g_mul,
-            best.point.g_exp,
-            best.point.g_sep,
-            best.expected_hours,
-            best.mqb,
-            best.binding,
-        )
+        f"# best: {point} E[hrs]={best.expected_hours:.6g} Mqb={best.mqb:.6g} "
+        f"binding={best.binding}"
     )
     lines.append(ESTIMATE_HEADER)
     if args.budget_mqb:
@@ -517,6 +439,61 @@ def _add_global_flags(parser: argparse.ArgumentParser, top: bool) -> None:
     )
 
 
+# Each subcommand's flags, declared once: build_parser adds them in this
+# order, and _manifest records them in it.
+FLAGS: dict[str, tuple[tuple[str, dict], ...]] = {
+    "tables": (
+        ("--modulus", dict(type=int, default=15)),
+        ("--base", dict(type=int, default=7)),
+        ("--ne", dict(type=int, default=4, help="exponent register bits")),
+        ("--we", dict(type=int, default=2, help="exponent window bits")),
+        ("--wm", dict(type=int, default=2, help="multiplicand window bits")),
+        ("--exp-index", dict(type=int, default=0)),
+        ("--mul-index", dict(type=int, default=0)),
+        ("--initial-bits", dict(type=int, default=2)),
+        ("--low-bits", dict(type=int, help="fixup split (default: half the address bits)")),
+        (
+            "--outcome",
+            dict(type=int, help="fixup measurement outcome (default: drawn from the seed)"),
+        ),
+    ),
+    "simulate": (
+        ("--modulus", dict(type=int, default=15)),
+        ("--base", dict(type=int, default=7)),
+        ("--ne", dict(type=int, default=4)),
+        ("--we", dict(type=int, default=2)),
+        ("--wm", dict(type=int, default=2)),
+        ("--nep", dict(type=int, default=2, help="initial lookup bits (opt3)")),
+        ("--variant", dict(default="original")),
+    ),
+    "cost": (
+        ("--n", dict(type=int, default=2048)),
+        ("--ne", dict(type=int, default=3029)),
+        ("--we", dict(type=int, default=5)),
+        ("--wm", dict(type=int, default=5)),
+        ("--nep", dict(type=int, default=0)),
+        ("--variant", dict(default="original")),
+    ),
+    "estimate": (
+        ("--n", dict(type=int, default=2048)),
+        ("--ne", dict(type=int, default=3029)),
+        ("--perr", dict(type=float, help="physical gate error rate")),
+        ("--variant", dict(default="original")),
+        ("--q", dict(type=float, help="skewed-volume exponent")),
+        (
+            "--budget-mqb",
+            dict(
+                type=float,
+                action="append",
+                help="emit the best row under this qubit budget (repeatable)",
+            ),
+        ),
+        ("--point", dict(help="restrict the grid to one L1,L2,d_off,g_mul,g_exp,g_sep point")),
+        ("--format", dict(choices=("csv", "json"))),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wmodexp",
@@ -526,74 +503,16 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     _add_global_flags(common, top=False)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    t = sub.add_parser(
-        "tables", parents=[common], help="dump lookup tables in the text format"
-    )
-    t.add_argument("--modulus", type=int, default=15)
-    t.add_argument("--base", type=int, default=7)
-    t.add_argument("--ne", type=int, default=4, help="exponent register bits")
-    t.add_argument("--we", type=int, default=2, help="exponent window bits")
-    t.add_argument("--wm", type=int, default=2, help="multiplicand window bits")
-    t.add_argument("--exp-index", type=int, default=0)
-    t.add_argument("--mul-index", type=int, default=0)
-    t.add_argument("--initial-bits", type=int, default=2)
-    t.add_argument(
-        "--low-bits",
-        type=int,
-        default=None,
-        help="fixup split (default: half the address bits)",
-    )
-    t.add_argument(
-        "--outcome",
-        type=int,
-        default=None,
-        help="fixup measurement outcome (default: drawn from the seed)",
-    )
-    t.set_defaults(func=cmd_tables)
-
-    s = sub.add_parser(
-        "simulate", parents=[common], help="build, simulate, and verify a variant"
-    )
-    s.add_argument("--modulus", type=int, default=15)
-    s.add_argument("--base", type=int, default=7)
-    s.add_argument("--ne", type=int, default=4)
-    s.add_argument("--we", type=int, default=2)
-    s.add_argument("--wm", type=int, default=2)
-    s.add_argument("--nep", type=int, default=2, help="initial lookup bits (opt3)")
-    s.add_argument("--variant", default="original")
-    s.set_defaults(func=cmd_simulate)
-
-    c = sub.add_parser("cost", parents=[common], help="closed-form cost rows as CSV")
-    c.add_argument("--n", type=int, default=2048)
-    c.add_argument("--ne", type=int, default=3029)
-    c.add_argument("--we", type=int, default=5)
-    c.add_argument("--wm", type=int, default=5)
-    c.add_argument("--nep", type=int, default=0)
-    c.add_argument("--variant", default="original")
-    c.set_defaults(func=cmd_cost)
-
-    e = sub.add_parser(
-        "estimate", parents=[common], help="grid search and frontier export"
-    )
-    e.add_argument("--n", type=int, default=2048)
-    e.add_argument("--ne", type=int, default=3029)
-    e.add_argument("--perr", type=float, default=None, help="physical gate error rate")
-    e.add_argument("--variant", default="original")
-    e.add_argument("--q", type=float, default=None, help="skewed-volume exponent")
-    e.add_argument(
-        "--budget-mqb",
-        type=float,
-        action="append",
-        help="emit the best row under this qubit budget (repeatable)",
-    )
-    e.add_argument(
-        "--point",
-        default=None,
-        help="restrict the grid to one L1,L2,d_off,g_mul,g_exp,g_sep point",
-    )
-    e.add_argument("--format", choices=("csv", "json"), default=None)
-    e.set_defaults(func=cmd_estimate)
+    for name, func, text in (
+        ("tables", cmd_tables, "dump lookup tables in the text format"),
+        ("simulate", cmd_simulate, "build, simulate, and verify a variant"),
+        ("cost", cmd_cost, "closed-form cost rows as CSV"),
+        ("estimate", cmd_estimate, "grid search and frontier export"),
+    ):
+        p = sub.add_parser(name, parents=[common], help=text)
+        for flag, options in FLAGS[name]:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -602,10 +521,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ContractViolation as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
-    except AssertionError as exc:
+    except AssertionError as exc:  # sim.ContractViolation among them
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except (ValueError, BudgetOverflow, OSError) as exc:

@@ -7,19 +7,16 @@ the factory pairing is provisioned so that state production keeps pace
 with one reaction-limited Toffoli per reaction time. Runtime is therefore
 depth-limited with a factory-throughput floor; estimate() computes both
 and reports which one bound. All geometry and error-fit constants are
-calibration data living in HardwareProfile and the packaged defaults
-config, not in the formulas.
+calibration data living in the HardwareProfile defaults, which a config
+file may overlay; none is written into the formulas.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from importlib import resources
 
 from .costs import CostBreakdown, cost, crossover_initial_lookup, variant_flags
-
-DEFAULTS_RESOURCE = "estimator_defaults.cfg"
 
 # Physical-qubit budgets (in millions) for the matched-budget comparison
 # tables; each is the footprint of some operating point on the frontier.
@@ -40,27 +37,48 @@ DEFAULT_MQB_BUDGETS = (
 
 
 class BudgetOverflow(RuntimeError):
-    """Accumulated error probability reached 1; the run cannot succeed."""
+    """Accumulated error probability reached 1; the run cannot succeed.
+
+    The argument is the overflowing LayoutPoint or a message. A point is
+    rendered only when the error is shown, since the grid search raises and
+    swallows one per overflowing point.
+    """
+
+    def __str__(self) -> str:
+        (cause,) = self.args
+        return cause if isinstance(cause, str) else f"error budget saturated at {cause}"
 
 
 @dataclass(frozen=True)
 class HardwareProfile:
-    """Device and calibration constants. Field defaults mirror the packaged
-    defaults config; load_profile keeps them honest."""
+    """Device and calibration constants. A config file passed to
+    load_profile (the CLI's --config) overlays these defaults key by key."""
 
+    # Physical device.
     p_phys: float = 1e-3
     cycle_ns: float = 1000.0
     reaction_ns: float = 10000.0
+    # Wall-clock stretch on the reaction-limited critical path. Feedforward
+    # decoding, factory restocking and routing congestion stall the serial
+    # schedule; 1.3 is calibrated against published end-to-end runtimes.
     serial_overhead: float = 1.3
+    # Volume skew exponent for the selection metric.
     q: float = 1.2
+    # Classical postprocessing retry allowance.
     postprocess_error: float = 0.01
+    # Logical failure fit per qubit per code-distance-round block:
+    # error_coeff * (p_phys / error_threshold) ** ((d + 1) / 2).
     error_coeff: float = 0.1
     error_threshold: float = 0.01
+    # Two-level CCZ distillation: topological unit cells charged to each
+    # stage and the distillation suppression coefficients.
     l0_injection_cells: float = 100.0
     l1_factory_cells: float = 1100.0
     l2_factory_cells: float = 1000.0
     l1_distill_coeff: float = 35.0
     l2_distill_coeff: float = 28.0
+    # Factory footprints in logical tiles at the level-2 code distance. The
+    # level-1 blocks shrink by L1/L2; depths are in code-distance rounds.
     t1_width: float = 8.0
     t1_height: float = 4.0
     t1_depth: float = 5.75
@@ -69,6 +87,7 @@ class HardwareProfile:
     ccz_height: float = 6.0
     ccz_depth: float = 5.0
     storage_width: float = 2.0
+    # Board strips between the factory rows and the data registers.
     cz_fixup_height: float = 3.0
     adder_height: float = 3.0
     routing_height: float = 6.0
@@ -116,26 +135,23 @@ def parse_config(text: str) -> dict[str, float]:
 
 
 def load_profile(path: str | None = None) -> HardwareProfile:
-    """Packaged defaults, overlaid with an optional user config file."""
-    text = (
-        resources.files(__package__).joinpath("data").joinpath(DEFAULTS_RESOURCE)
-    ).read_text()
-    values = parse_config(text)
-    if path is not None:
-        with open(path) as handle:
-            values.update(parse_config(handle.read()))
-    known = {f.name for f in fields(HardwareProfile)}
-    unknown = set(values) - known
+    """The HardwareProfile defaults, overlaid with an optional config file."""
+    if path is None:
+        return HardwareProfile()
+    with open(path) as handle:
+        values = parse_config(handle.read())
+    unknown = set(values) - {f.name for f in fields(HardwareProfile)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return HardwareProfile(**values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class LayoutPoint:
     """One operating point of the machine: factory distances, padding
     deviation, window sizes, and the runway separation. The data code
-    distance is L2, the level-2 factory distance."""
+    distance is L2, the level-2 factory distance. Points order
+    lexicographically by field, which breaks ties between equal rows."""
 
     L1: int
     L2: int
@@ -151,9 +167,6 @@ class LayoutPoint:
             raise ValueError("d_off must be >= 0")
         if self.L1 >= self.L2:
             raise ValueError("L1 must be smaller than L2")
-
-    def sort_key(self) -> tuple:
-        return (self.L1, self.L2, self.d_off, self.g_mul, self.g_exp, self.g_sep)
 
 
 @dataclass(frozen=True)
@@ -201,7 +214,7 @@ class EstimateRow:
     hours: float
     expected_hours: float
     b_tofs: float
-    skewed_volume: float
+    log_skewed_volume: float
     budget: ErrorBudget
     binding: str = "depth"
 
@@ -216,7 +229,9 @@ def audit_row(row: EstimateRow, rel: float = 1e-9) -> None:
     assert close(row.expected_hours, row.hours / (1 - row.retry_risk)), row
     assert close(row.expected_vol, row.vol_per_run / (1 - row.retry_risk)), row
     assert close(row.vol_per_run, row.mqb * row.hours / 24), row
-    assert close(row.skewed_volume, row.mqb**row.q * row.expected_hours), row
+    assert close(
+        row.log_skewed_volume, row.q * math.log(row.mqb) + math.log(row.expected_hours)
+    ), row
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +278,10 @@ def factory_dimensions(profile: HardwareProfile, point: LayoutPoint) -> tuple[in
 
 
 def board_layout(
-    profile: HardwareProfile, point: LayoutPoint, pieces: int, piece_len: int
+    profile: HardwareProfile, point: LayoutPoint, pieces: int, piece_len: int, registers: float
 ) -> BoardLayout:
+    """Board of `pieces` strips, each holding `registers` data registers of
+    piece_len qubits below its factory rows."""
     fac_w, fac_h, fac_d = factory_dimensions(profile, point)
     ccz_time = fac_d * profile.cycle_s * point.L2
     pair_count = math.ceil(ccz_time / profile.reaction_s / 2)
@@ -275,7 +292,7 @@ def board_layout(
         + profile.cz_fixup_height * 2
         + profile.adder_height
         + profile.routing_height
-        + reg_rows * 3
+        + reg_rows * registers
     )
     distillation = fac_h * fac_w * pair_count * 2
     return BoardLayout(
@@ -312,12 +329,12 @@ def estimate(
 ) -> EstimateRow:
     """Evaluate one operating point.
 
-    The per-repetition lookup and unlookup Toffoli costs come from the
-    supplied CostBreakdown (so the variant choice lives there); the adder
-    cost is recomputed against the padded register length, and repetition
-    counts use ceiling window counts. Raises BudgetOverflow when the
-    accumulated error probability reaches 1, and ValueError when profile.q
-    overflows the skewed volume.
+    The per-repetition costs and the register count come from the
+    supplied CostBreakdown, so the variant choice lives there. The adder's
+    plain 2n Toffolis and steps are recharged against the padded register
+    and piece lengths, keeping the variant's difference from 2n, and
+    repetition counts use ceiling window counts. Raises BudgetOverflow when
+    the accumulated error probability reaches 1.
     """
     if point.g_exp != cost_row.w_e or point.g_mul != cost_row.w_m:
         raise ValueError("cost_row windows disagree with the layout point")
@@ -328,8 +345,9 @@ def estimate(
     piece_len = point.g_sep + pad
     reg_len = n + pad * pieces
 
+    add_tofs = 2 * reg_len + (cost_row.add_tofs - 2 * n)
     tofs = cost_row.adt_factor + reps * (
-        cost_row.lookup_tofs + 2 * reg_len + cost_row.unlookup_tofs
+        cost_row.lookup_tofs + add_tofs + cost_row.unlookup_tofs
     )
 
     # Serial reaction-limited schedule. Lookup and unlookup contribute
@@ -339,13 +357,13 @@ def estimate(
     # serial_overhead stretches the bare reaction time for feedforward and
     # routing stalls. The factories cap the schedule from below: the run
     # can never finish faster than the board distills its CCZ states.
-    add_steps = 2.0 * piece_len
+    add_steps = 2.0 * piece_len + (cost_row.add_depth - 2 * n)
     serial_steps = cost_row.adt_factor + reps * (
         cost_row.lookup_depth + add_steps + cost_row.unlookup_depth
     )
     depth_s = serial_steps * profile.reaction_s * profile.serial_overhead
 
-    board = board_layout(profile, point, pieces, piece_len)
+    board = board_layout(profile, point, pieces, piece_len, cost_row.logical_qubits / n)
     mqb = board.tiles * physical_per_logical(point.L2) / 1e6
     factory_s = tofs / board.toffoli_rate
     runtime_s = max(depth_s, factory_s)
@@ -355,16 +373,10 @@ def estimate(
     budget = error_budget(profile, point, tofs, reps, pieces, pad, board, runtime_s)
     risk = budget.total
     if risk >= 1 or any(part >= 1 for part in budget.components()):
-        raise BudgetOverflow(f"error budget saturated at {point}")
+        raise BudgetOverflow(point)
 
     vol_per_run = mqb * hours / 24.0
     expected_hours = hours / (1 - risk)
-    try:
-        skewed_volume = mqb**profile.q * expected_hours
-    except OverflowError:
-        skewed_volume = math.inf
-    if not math.isfinite(skewed_volume):
-        raise ValueError(f"q = {profile.q!r} overflows the skewed volume Mqb**q * E[hrs]")
     row = EstimateRow(
         n=n,
         n_e=n_e,
@@ -380,7 +392,7 @@ def estimate(
         hours=hours,
         expected_hours=expected_hours,
         b_tofs=tofs / 1e9,
-        skewed_volume=skewed_volume,
+        log_skewed_volume=profile.q * math.log(mqb) + math.log(expected_hours),
         budget=budget,
         binding=binding,
     )
@@ -464,11 +476,11 @@ def grid_search(
 ) -> GridResult:
     """Exhaustive evaluation over the layout grid.
 
-    Returns the skewed-volume minimizer (ties broken by lexicographic
-    point), the Pareto frontier over (mqb, expected_hours), and the best
-    row under each physical-qubit budget. Raises ValueError when every
-    g_sep exceeds n, so no point can be evaluated, and BudgetOverflow when
-    every evaluated point overflows the error budget.
+    Returns the skewed-volume minimizer (ranked by its log, ties broken by
+    lexicographic point), the Pareto frontier over (mqb, expected_hours),
+    and the best row under each physical-qubit budget. Raises ValueError
+    when every g_sep exceeds n, so no point can be evaluated, and
+    BudgetOverflow when every evaluated point overflows the error budget.
     """
     ranges = ranges or GridRanges()
     if min(ranges.g_sep) > n:
@@ -500,7 +512,7 @@ def grid_search(
                                 continue
     if not rows:
         raise BudgetOverflow("no grid point stays under the error budget")
-    best = min(rows, key=lambda r: (r.skewed_volume, r.point.sort_key()))
+    best = min(rows, key=lambda r: (r.log_skewed_volume, r.point))
     frontier = pareto_frontier(rows)
     by_budget = tuple((b, best_under_budget(frontier, b)) for b in budgets)
     return GridResult(best=best, frontier=frontier, by_budget=by_budget)
@@ -508,7 +520,7 @@ def grid_search(
 
 def pareto_frontier(rows: list[EstimateRow]) -> tuple[EstimateRow, ...]:
     """Rows not dominated in both mqb and expected_hours; sorted by mqb."""
-    ordered = sorted(rows, key=lambda r: (r.mqb, r.expected_hours, r.point.sort_key()))
+    ordered = sorted(rows, key=lambda r: (r.mqb, r.expected_hours, r.point))
     frontier: list[EstimateRow] = []
     best_hours = math.inf
     for row in ordered:

@@ -45,10 +45,6 @@ class SparseState:
     transcript: dict[str, int] = field(default_factory=dict)
 
     @classmethod
-    def zero(cls, num_qubits: int, seed: int = 0) -> "SparseState":
-        return cls(num_qubits, {0: 1}, random.Random(seed))
-
-    @classmethod
     def superposition(
         cls, num_qubits: int, values: dict[int, int], seed: int = 0
     ) -> "SparseState":
@@ -148,12 +144,7 @@ def apply(state: SparseState, gate: Gate) -> SparseState:
     return state
 
 
-def measure_x(
-    state: SparseState,
-    qubits: tuple[int, ...],
-    slot: str,
-    forced_outcome: int | None = None,
-) -> tuple[SparseState, int]:
+def measure_x(state: SparseState, qubits: tuple[int, ...], slot: str) -> tuple[SparseState, int]:
     """X-basis measurement of a register holding a deterministic function of
     the remaining qubits.
 
@@ -172,13 +163,7 @@ def measure_x(
             raise ContractViolation(
                 f"measured register is not a function of the other registers (slot {slot})"
             )
-    outcome = (
-        forced_outcome
-        if forced_outcome is not None
-        else state.rng.getrandbits(len(qubits))
-        if qubits
-        else 0
-    )
+    outcome = state.rng.getrandbits(len(qubits)) if qubits else 0
     updated: dict[int, int] = {}
     for key, phase in state.branches.items():
         value = extract(key, qubits)
@@ -190,19 +175,11 @@ def measure_x(
     return state, outcome
 
 
-def run(
-    circuit: Circuit,
-    state: SparseState | None = None,
-    seed: int = 0,
-    forced_outcomes: dict[str, int] | None = None,
-) -> SparseState:
-    """Run a circuit on the given state (default all-zero) and return it."""
-    if state is None:
-        state = SparseState.zero(circuit.num_qubits, seed)
+def run(circuit: Circuit, state: SparseState) -> SparseState:
+    """Run a circuit on the given state in place and return it."""
     for gate in circuit.gates:
         if gate.name == MEASURE_X:
-            forced = None if forced_outcomes is None else forced_outcomes.get(gate.slot)
-            measure_x(state, gate.qubits, gate.slot, forced)  # type: ignore[arg-type]
+            measure_x(state, gate.qubits, gate.slot)  # type: ignore[arg-type]
         else:
             apply(state, gate)
     return state

@@ -208,7 +208,7 @@ def test_unlookup_restores_prelookup_state(addr_bits, seed):
     before = {deposit(0, addr, a): 1 for a in range(len(table))}
     loaded = {deposit(k, dest, table[extract(k, addr)]): 1 for k in before}
     state = SparseState.superposition(circuit.num_qubits, loaded, seed)
-    state = run(circuit, state, seed=seed)
+    state = run(circuit, state)
     # bit- and phase-exact, not merely up to global phase
     assert state.branches == before
 
@@ -222,7 +222,7 @@ def test_unlookup_lowdepth_variant_matches():
     dest = routed.register("dest").qubits
     before = {deposit(0, addr, a): 1 for a in range(16)}
     loaded = {deposit(k, dest, table[extract(k, addr)]): 1 for k in before}
-    state = run(routed, SparseState.superposition(routed.num_qubits, loaded, 3), seed=3)
+    state = run(routed, SparseState.superposition(routed.num_qubits, loaded, 3))
     assert state.branches == before
 
 

@@ -389,13 +389,23 @@ def test_estimate_nonpositive_q_is_bad_input(capsys, q):
 
 
 @pytest.mark.parametrize(
-    ("q", "reason"),
-    [("inf", "q must be finite, got inf"), ("500", "q = 500.0 overflows the skewed volume")],
-    ids=["inf", "500"],
+    ("q", "reason"), [("inf", "q must be finite, got inf")], ids=["inf"]
 )
 def test_estimate_unbounded_q_is_bad_input(capsys, q, reason):
     assert main(["estimate", *PUBLISHED_POINT, "--q", q]) == 2
     assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("q", "point"), [("500", PUBLISHED_POINT), ("200", [])], ids=["500", "200"]
+)
+def test_estimate_large_q_runs(capsys, q, point):
+    # Points are ranked by log skewed volume, so a steep q cannot overflow
+    # Mqb**q at the grid's large-footprint corners.
+    assert main(["estimate", *point, "--q", q]) == 0
+    out = capsys.readouterr().out
+    assert f"q={float(q)!r}" in out
+    assert data_lines(out)[0] == ESTIMATE_HEADER
 
 
 def test_estimate_config_zero_q_is_bad_input(tmp_path, capsys):
@@ -421,3 +431,43 @@ def test_estimate_n_below_every_g_sep_is_bad_input(capsys):
     err = capsys.readouterr().err
     assert "every grid g_sep exceeds n = 100 (smallest g_sep is 256)" in err
     assert "error budget" not in err
+
+
+# ---------------------------------------------------------------------------
+# Output bytes, pinned. Each key is a command line run in a scratch directory
+# holding reaction.cfg, and each digest the sha256 prefix of what it writes
+# to --out (for "tables NAME", the file NAME it writes). A mismatch means the
+# CLI's output changed, so review the change and re-pin.
+
+PINNED_OUTPUTS = {
+    "simulate --variant all": "4f35c53e34f5a0d4",
+    "cost --variant all --nep 20": "498a41a654df75cb",
+    "estimate --point 15,27,4,5,5,1024 --format csv": "c74ea33ecdaca7c0",
+    "estimate --point 15,27,4,5,5,1024 --format json": "ab816cff5d3942f0",
+    "--config reaction.cfg estimate --point 15,27,4,5,5,1024 --format csv": "caf83b10a80260a8",
+    "--config reaction.cfg estimate --point 15,27,4,5,5,1024 --format json": "3ed14a747ca13b34",
+    "estimate --budget-mqb 20 --budget-mqb 14 --format csv": "33f71cae722b7119",
+    "estimate --variant combined --format json": "6852ec9b97d12eba",
+    "tables multiply.tbl": "754b9bfb885a94e7",
+    "tables pruned.tbl": "2e036c245b31098d",
+    "tables phase_fixup.tbl": "761e23a2aca5b472",
+    "tables direct_exp.tbl": "a8b775e35a98ef6c",
+}
+
+
+def test_cli_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "reaction.cfg").write_text("reaction_ns = 12000\n")
+    assert main(["tables", "--out", "tables"]) == 0
+    changed = []
+    for name, pinned in PINNED_OUTPUTS.items():
+        if name.startswith("tables "):
+            data = (tmp_path / "tables" / name.split()[1]).read_bytes()
+        else:
+            assert main([*name.split(), "--out", "out"]) == 0, name
+            data = (tmp_path / "out").read_bytes()
+        digest = hashlib.sha256(data).hexdigest()[:16]
+        if digest != pinned:
+            changed.append(f"{name}: {digest} (pinned {pinned})")
+    capsys.readouterr()
+    assert not changed, "CLI output changed for " + "; ".join(changed)

@@ -52,7 +52,7 @@ def ge_row(profile):
 # Profile and config plumbing.
 
 
-def test_packaged_defaults_match_in_code_defaults(profile):
+def test_load_profile_without_file_gives_defaults(profile):
     assert profile == HardwareProfile()
 
 
@@ -127,7 +127,7 @@ def test_factory_dimensions_at_ge_point(profile):
 
 
 def test_board_layout_at_ge_point(profile):
-    board = board_layout(profile, GE_POINT, pieces=2, piece_len=1048)
+    board = board_layout(profile, GE_POINT, pieces=2, piece_len=1048, registers=3)
     assert (board.width, board.height) == (99, 62)
     assert board.ccz_pairs == 7
     assert board.ccz_time_s == pytest.approx(135e-6, rel=1e-12)
@@ -169,7 +169,7 @@ def test_row_identities_audit(ge_row):
     assert ge_row.expected_vol == pytest.approx(
         ge_row.vol_per_run / (1 - ge_row.retry_risk), rel=1e-9
     )
-    assert ge_row.skewed_volume == pytest.approx(
+    assert math.exp(ge_row.log_skewed_volume) == pytest.approx(
         ge_row.mqb**ge_row.q * ge_row.expected_hours, rel=1e-9
     )
 
@@ -207,15 +207,37 @@ def test_estimate_rejects_mismatched_windows(profile):
 
 def test_budget_overflow_on_undersized_factories(profile):
     # A 4096-bit run through 15/27 factories exhausts the error budget.
-    with pytest.raises(BudgetOverflow):
+    with pytest.raises(BudgetOverflow) as info:
         estimate(4096, 6101, profile, GE_POINT, _variant_cost("original", 4096, 6101, 5, 5))
+    assert info.value.args == (GE_POINT,)
+    assert str(info.value) == f"error budget saturated at {GE_POINT}"
 
 
 def test_q_override_changes_skew_only(profile):
     flat_profile = dataclasses.replace(profile, q=1.0)
     flat = estimate(N, NE, flat_profile, GE_POINT, _variant_cost("original", N, NE, 5, 5))
-    assert flat.skewed_volume == pytest.approx(flat.mqb * flat.expected_hours, rel=1e-9)
+    assert flat.log_skewed_volume == pytest.approx(
+        math.log(flat.mqb * flat.expected_hours), rel=1e-9
+    )
     assert flat.hours == pytest.approx(5.7709, abs=5e-4)
+
+
+def test_sliced_variants_priced_from_their_cost_rows(profile, ge_row):
+    # sliced_A keeps n/2 fewer register qubits but adds n adder steps per
+    # repetition; sliced_B saves n/2 adder Toffolis per repetition.
+    reps = 2 * math.ceil(NE / 5) * math.ceil(N / 5)
+    assert reps == 496920
+    a = estimate(N, NE, profile, GE_POINT, _variant_cost("sliced_A", N, NE, 5, 5))
+    b = estimate(N, NE, profile, GE_POINT, _variant_cost("sliced_B", N, NE, 5, 5))
+    assert b.b_tofs == pytest.approx(ge_row.b_tofs - reps * N / 2 / 1e9, rel=1e-12)
+    assert b.b_tofs == pytest.approx(2.13079, abs=5e-6)
+    assert (b.mqb, b.hours) == (ge_row.mqb, ge_row.hours)
+    assert a.b_tofs == ge_row.b_tofs
+    extra_s = reps * N * profile.reaction_s * profile.serial_overhead
+    assert a.hours == pytest.approx(ge_row.hours + extra_s / 3600, rel=1e-9)
+    assert a.hours == pytest.approx(9.4459, abs=5e-4)
+    assert a.mqb == pytest.approx(17.6964, abs=5e-4)
+    assert a.binding == b.binding == "depth"
 
 
 def test_error_budget_components(profile, ge_row):

@@ -1,6 +1,7 @@
 """End-to-end windowed modular exponentiation, under every flag combination."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -39,7 +40,7 @@ def flag_subsets(initial_bits):
 
 def assert_exact(cfg, seed=3):
     circuit = build_windowed_modexp(cfg)
-    state = run(circuit, modexp_input_state(circuit, seed=seed), seed=seed)
+    state = run(circuit, modexp_input_state(circuit, seed=seed))
     errors = check_modexp_output(circuit, cfg.inst, state)
     assert not errors, errors[:4]
     return circuit, state
@@ -87,7 +88,7 @@ def test_deferred_output_independent_of_measurement_seed():
     circuit = build_windowed_modexp(cfg)
     reference = None
     for seed in range(10):
-        state = run(circuit, modexp_input_state(circuit, seed=seed), seed=seed)
+        state = run(circuit, modexp_input_state(circuit, seed=seed))
         if reference is None:
             reference = state.canonical()
         assert state.canonical() == reference
@@ -98,8 +99,9 @@ def test_forced_zero_outcomes_disable_every_fixup():
     # yet the output is still exact
     cfg = ModexpConfig(INST15, WindowParams(2, 2), ModexpOptions(deferred_unlookup=True))
     circuit = build_windowed_modexp(cfg)
-    forced = {slot: 0 for slot in circuit.slots}
-    state = run(circuit, modexp_input_state(circuit), forced_outcomes=forced)
+    state = modexp_input_state(circuit)
+    state.rng = SimpleNamespace(getrandbits=lambda bits: 0)
+    state = run(circuit, state)
     assert not check_modexp_output(circuit, INST15, state)
 
 
@@ -159,7 +161,7 @@ def test_coset_backend_simulates_without_contract_breaks():
         coset_pad=2,
     )
     circuit = build_windowed_modexp(cfg)
-    state = run(circuit, modexp_input_state(circuit, seed=9), seed=9)
+    state = run(circuit, modexp_input_state(circuit, seed=9))
     assert len(state.branches) == 16
 
 
@@ -173,9 +175,7 @@ def test_lookup_add_matches_table():
     for e in range(4):
         for m in range(4):
             key = deposit(deposit(0, exp, e), acc, m << 2)
-            state = run(
-                circuit, SparseState.superposition(circuit.num_qubits, {key: 1}), seed=1
-            )
+            state = run(circuit, SparseState.superposition(circuit.num_qubits, {key: 1}))
             (out,) = state.branches
             assert extract(out, tgt) == table[(m << 2) | e]
             assert extract(out, circuit.register("lookup").qubits) == 0
@@ -194,7 +194,6 @@ def test_lookup_add_zero_mult_window_adds_nothing():
             SparseState.superposition(
                 circuit.num_qubits, {deposit(0, exp, e): 1 for e in range(4)}
             ),
-            seed=2,
         )
         assert all(extract(k, tgt) == 0 for k in state.branches)
 
@@ -211,7 +210,6 @@ def test_lookup_add_selective_zero_exponent_is_shifted_copy():
             SparseState.superposition(
                 circuit.num_qubits, {deposit(0, acc, m << 2): 1}
             ),
-            seed=4,
         )
         (out,) = state.branches
         assert extract(out, tgt) == (m << 2) % 15

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,12 @@ from wmodexp.sim import ContractViolation, SparseState, apply, extract, measure_
 
 def state_of(width, branches, seed=0):
     return SparseState.superposition(width, branches, seed)
+
+
+def forcing(state, outcome):
+    """state with its RNG replaced so that every measurement draws outcome."""
+    state.rng = SimpleNamespace(getrandbits=lambda bits: outcome)
+    return state
 
 
 class TestGateSemantics:
@@ -133,8 +140,8 @@ class TestMeasureX:
             assert s.branches == {0b0001: 1, 0b0010: -1}
 
     def test_single_branch_global_phase(self):
-        s = state_of(3, {0b111: 1})
-        measure_x(s, (1, 2), "m", forced_outcome=0b11)
+        s = forcing(state_of(3, {0b111: 1}), 0b11)
+        measure_x(s, (1, 2), "m")
         ((key, phase),) = s.branches.items()
         assert key == 0b001  # register cleared
         assert phase in (1, -1)
@@ -144,8 +151,8 @@ class TestMeasureX:
         # outcome 11 leaves parity 0 on the 00 branch and parity 2 on 11 -> no
         # flips; forcing 01 or 10 flips only the 11 branch.
         for outcome, expected in [(0b11, 1), (0b01, -1), (0b10, -1)]:
-            s = state_of(3, {0b000: 1, 0b111: 1})
-            measure_x(s, (1, 2), "m", forced_outcome=outcome)
+            s = forcing(state_of(3, {0b000: 1, 0b111: 1}), outcome)
+            measure_x(s, (1, 2), "m")
             assert s.branches[0b000] == 1
             assert s.branches[0b001] == expected
 
@@ -155,8 +162,8 @@ class TestMeasureX:
             measure_x(s, (2,), "m")
 
     def test_transcript_recorded(self):
-        s = state_of(2, {0b00: 1})
-        _, outcome = measure_x(s, (0, 1), "m", forced_outcome=2)
+        s = forcing(state_of(2, {0b00: 1}), 2)
+        _, outcome = measure_x(s, (0, 1), "m")
         assert outcome == 2
         assert s.transcript["m"] == 2
 
@@ -180,8 +187,8 @@ class TestRun:
         circuit = Circuit(gates, regs, ("m.0",))
         # Input: uniform over qubit 0. The CNOT copies it; measuring X with
         # outcome 1 phases the a=1 branch; the fixup phase undoes it exactly.
-        s = state_of(2, {0: 1, 1: 1})
-        run(circuit, s, forced_outcomes={"m.0": 1})
+        s = forcing(state_of(2, {0: 1, 1: 1}), 1)
+        run(circuit, s)
         assert s.canonical() == ((0, 1), (1, 1))
 
     def test_unknown_gate_rejected(self):
