@@ -9,7 +9,8 @@ layering over the counted gates only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 # Gate variant names; these strings are also the dump format's opcodes.
 X = "X"
@@ -34,8 +35,7 @@ class UnknownQubit(KeyError):
     """A gate referenced a qubit outside every register."""
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     """One gate. qubits are (controls..., target) for X/CNOT/Toffoli/TempAnd,
     (control, a, b) for CSwap, the measured register (low bit first) for
     MeasureXRegister, and the conditioned-on-1 qubits for ClassicalPhaseZ.
@@ -53,22 +53,6 @@ class Gate:
     modulus: int = 0
     sign: int = 1
     dest_len: int = 0
-
-    def __post_init__(self) -> None:
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"{self.name} operands must be distinct: {self.qubits}")
-        arity = GATE_ARITY.get(self.name)
-        if arity is not None and len(self.qubits) != arity:
-            raise ValueError(f"{self.name} takes {arity} qubits, got {len(self.qubits)}")
-        if self.name == MEASURE_X and (not self.qubits or self.slot is None):
-            raise ValueError("MeasureXRegister needs qubits and a slot")
-        if self.name == PHASE_Z and not self.qubits:
-            raise ValueError("ClassicalPhaseZ needs at least one qubit")
-        if self.name == MOD_ADD:
-            if not 0 < self.dest_len < len(self.qubits):
-                raise ValueError("ModAddOracle needs dest and source qubits")
-            if self.modulus < 2 or self.sign not in (1, -1):
-                raise ValueError("ModAddOracle needs modulus >= 2 and sign +/-1")
 
 
 @dataclass(frozen=True)
@@ -97,16 +81,14 @@ class Tally:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate sequence over named registers.
-
-    slots lists the transcript slot names in the order their measurements
-    appear. result_register, when set, names the register holding the
-    computation's output (builders that rename registers record it here).
+    """Ordered gate sequence over named registers. Every gate is checked
+    here, once, when the circuit is made. result_register, when set, names
+    the register holding the computation's output (builders that rename
+    registers record it here).
     """
 
     gates: tuple[Gate, ...]
     registers: tuple[Register, ...]
-    slots: tuple[str, ...] = ()
     result_register: str | None = None
 
     def __post_init__(self) -> None:
@@ -116,10 +98,37 @@ class Circuit:
                 if q in owned:
                     raise ValueError(f"qubit {q} appears in two registers")
                 owned.add(q)
-        for gate in self.gates:
-            for q in gate.qubits:
-                if q not in owned:
-                    raise UnknownQubit(q)
+        slots = set()
+        for name, qubits, slot, _, modulus, sign, dest_len in self.gates:
+            if len(set(qubits)) != len(qubits):
+                raise ValueError(f"{name} operands must be distinct: {qubits}")
+            arity = GATE_ARITY.get(name)
+            if arity is not None:
+                if len(qubits) != arity:
+                    raise ValueError(f"{name} takes {arity} qubits, got {len(qubits)}")
+            elif name == MEASURE_X:
+                if not qubits or slot is None:
+                    raise ValueError("MeasureXRegister needs qubits and a slot")
+                if slot in slots:
+                    raise ValueError(f"measurement slot {slot} is used twice")
+                slots.add(slot)
+            elif name == PHASE_Z:
+                if not qubits:
+                    raise ValueError("ClassicalPhaseZ needs at least one qubit")
+            elif name == MOD_ADD:
+                if not 0 < dest_len < len(qubits):
+                    raise ValueError("ModAddOracle needs dest and source qubits")
+                if modulus < 2 or sign not in (1, -1):
+                    raise ValueError("ModAddOracle needs modulus >= 2 and sign +/-1")
+            else:
+                raise ValueError(f"unknown gate kind {name!r}")
+            if not owned.issuperset(qubits):
+                raise UnknownQubit(next(q for q in qubits if q not in owned))
+
+    @property
+    def slots(self) -> tuple[str, ...]:
+        """Transcript slot names in the order their measurements appear."""
+        return tuple(gate.slot for gate in self.gates if gate.name == MEASURE_X)
 
     @property
     def num_qubits(self) -> int:
@@ -186,7 +195,6 @@ def load_circuit(text: str) -> Circuit:
     """Parse the dump_circuit format."""
     registers: list[Register] = []
     gates: list[Gate] = []
-    slots: list[str] = []
     result = None
     for raw in text.splitlines():
         line = raw.strip()
@@ -219,11 +227,8 @@ def load_circuit(text: str) -> Circuit:
             kwargs["dest_len"] = int(extras["dest"])
             kwargs["modulus"] = int(extras["mod"])
             kwargs["sign"] = int(extras["sign"])
-        gate = Gate(name, tuple(qubits), **kwargs)
-        if gate.name == MEASURE_X:
-            slots.append(gate.slot)  # type: ignore[arg-type]
-        gates.append(gate)
-    return Circuit(tuple(gates), tuple(registers), tuple(slots), result)
+        gates.append(Gate(name, tuple(qubits), **kwargs))
+    return Circuit(tuple(gates), tuple(registers), result)
 
 
 class CircuitBuilder:
@@ -233,7 +238,7 @@ class CircuitBuilder:
     def __init__(self) -> None:
         self._gates: list[Gate] = []
         self._registers: list[Register] = []
-        self._slots: list[str] = []
+        self._slot_count = 0
         self._next_qubit = 0
         self.result_register: str | None = None
 
@@ -244,20 +249,14 @@ class CircuitBuilder:
         return qubits
 
     def new_slot(self, prefix: str) -> str:
-        slot = f"{prefix}.{len(self._slots)}"
-        self._slots.append(slot)
-        return slot
+        self._slot_count += 1
+        return f"{prefix}.{self._slot_count - 1}"
 
     def emit(self, *gates: Gate) -> None:
         self._gates.extend(gates)
 
     def build(self) -> Circuit:
-        return Circuit(
-            tuple(self._gates),
-            tuple(self._registers),
-            tuple(self._slots),
-            self.result_register,
-        )
+        return Circuit(tuple(self._gates), tuple(self._registers), self.result_register)
 
 
 def mod_add_gate(dest: tuple[int, ...], src: tuple[int, ...], modulus: int, sign: int) -> Gate:
@@ -276,7 +275,7 @@ def invert_gates(gates: list[Gate] | tuple[Gate, ...]) -> list[Gate]:
         elif gate.name == TEMP_AND_UNDO:
             inverted.append(Gate(TEMP_AND, gate.qubits))
         elif gate.name == MOD_ADD:
-            inverted.append(replace(gate, sign=-gate.sign))
+            inverted.append(gate._replace(sign=-gate.sign))
         elif gate.name == MEASURE_X:
             raise ValueError("cannot invert across a measurement")
         else:

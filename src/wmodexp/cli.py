@@ -31,6 +31,7 @@ from .builders import (
     build_windowed_modexp,
     check_modexp_output,
     modexp_input_state,
+    plan_modexp,
 )
 from .circuit import tally
 from .costs import VARIANT_TABLE, VARIANTS, CostBreakdown, cost, exact_cost
@@ -50,6 +51,7 @@ from .numerics import (
     build_phase_fixup_table,
     build_pruned_table,
     dump_table,
+    window_width,
 )
 from .sim import extract, run
 
@@ -59,6 +61,16 @@ ESTIMATE_HEADER = (
 )
 
 COST_FIELDS = tuple(f.name for f in fields(CostBreakdown))
+
+# Allocation caps, both powers of two. simulate and tables refuse an input
+# above one before building anything, so no input can allocate without
+# bound. MAX_ENTRIES bounds what a command enumerates: the 2^n_e branches
+# that simulate holds and each table that tables dumps (2^16 entries dump
+# in about 0.3 s). A circuit holds tens of gates per entry of its widest
+# lookup walk (2^12 entries build 92k gates in 32 MB), so simulate bounds
+# that walk by the tighter MAX_WALK_ENTRIES.
+MAX_ENTRIES = 1 << 16
+MAX_WALK_ENTRIES = 1 << 12
 
 
 class UsageError(ValueError):
@@ -148,6 +160,12 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8", newline="\n")
 
 
+def _check_cap(bits: int, cap: int, name: str, what: str) -> None:
+    # Compare widths: 2**bits itself may be too large to build.
+    if bits >= cap.bit_length():
+        raise UsageError(f"{what}: 2^{bits} exceeds the cap {name} = {cap}")
+
+
 def _num(value) -> str:
     """Full-fidelity cell rendering: ints verbatim, floats via repr."""
     if isinstance(value, float):
@@ -162,6 +180,14 @@ def _num(value) -> str:
 def cmd_tables(args) -> int:
     inst = ProblemInstance(args.modulus, args.base, args.ne)
     wp = WindowParams(args.we, args.wm)
+    addr_bits = window_width(inst.exp_bits, wp.exp_window, args.exp_index)
+    addr_bits += window_width(inst.mod_bits, wp.mul_window, args.mul_index)
+    bits = max(addr_bits, args.initial_bits)
+    _check_cap(bits, MAX_ENTRIES, "MAX_ENTRIES", "entries of the widest table")
+    if args.outcome is not None and not 0 <= args.outcome < 1 << inst.mod_bits:
+        raise UsageError(
+            f"--outcome {args.outcome} is not a {inst.mod_bits}-bit measurement outcome"
+        )
     mul = build_mul_table(inst, wp, args.exp_index, args.mul_index)
     pruned = build_pruned_table(inst, wp, args.exp_index, args.mul_index)
     low_bits = mul.addr_bits // 2 if args.low_bits is None else args.low_bits
@@ -209,14 +235,18 @@ def cmd_simulate(args) -> int:
             f"choose one of {', '.join(circuit_variants)}, or all"
         )
 
+    _check_cap(inst.exp_bits, MAX_ENTRIES, "MAX_ENTRIES", "simulated branches")
+    cfgs = [ModexpConfig(inst, wp, VARIANT_TABLE[v].options(args.nep)) for v in variants]
+    bits = max(plan_modexp(cfg).walk_bits for cfg in cfgs)
+    _check_cap(bits, MAX_WALK_ENTRIES, "MAX_WALK_ENTRIES", "entries of the widest walk")
+
     lines = _manifest(args).lines()
     lines.append(
         f"instance: modulus={inst.modulus} base={inst.base} exp_bits={inst.exp_bits}"
     )
     failures = 0
     functional: dict[str, tuple] = {}
-    for variant in variants:
-        cfg = ModexpConfig(inst, wp, VARIANT_TABLE[variant].options(args.nep))
+    for variant, cfg in zip(variants, cfgs):
         circuit = build_windowed_modexp(cfg)
         state = modexp_input_state(circuit, seed=args.seed)
         final = run(circuit, state)

@@ -10,6 +10,8 @@ and agrees with the metered tally of the built circuit exactly.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 from .builders import COSET, ModexpConfig, ModexpOptions, plan_modexp
@@ -57,6 +59,16 @@ VARIANT_TABLE = {
     "sliced_B": Variant(has_circuit=False),
 }
 VARIANTS = tuple(VARIANT_TABLE)
+
+# No int of FLOAT_BITS bits converts to a float. cost() checks each width
+# against it before it builds or converts an int, so a huge input fails at
+# once instead of building 2**width first.
+FLOAT_BITS = sys.float_info.max_exp
+
+
+def _unfit(what: str, **params: int) -> ValueError:
+    named = ", ".join(f"{name}={value}" for name, value in params.items())
+    return ValueError(f"{what} at {named} does not fit a finite float")
 
 
 class InvalidVariant(ValueError):
@@ -113,7 +125,8 @@ def cost(
     size, covering unary conversion plus fixup plus unary uncomputation.
     The adder is booked at 2n Toffolis and depth, the headline figure
     without coset padding. logical_qubits ledgers the three n-bit value
-    registers; workspace and exponent live in the circuit layer.
+    registers; workspace and exponent live in the circuit layer. Raises
+    ValueError when a term or a total does not fit a finite float.
     """
     flags = variant_flags(variant)
     if min(n, n_e, w_e, w_m) < 1:
@@ -123,6 +136,8 @@ def cost(
     if initial_bits and not flags.initial_lookup:
         takers = tuple(name for name, row in VARIANT_TABLE.items() if row.initial_lookup)
         raise ValueError(f"initial_bits only applies to {takers}")
+    if max(w_e + w_m, initial_bits, n.bit_length(), n_e.bit_length()) >= FLOAT_BITS:
+        raise _unfit("cost", n=n, n_e=n_e, w_e=w_e, w_m=w_m, initial_bits=initial_bits)
 
     deferred = flags.deferred_unlookup
     selective = flags.selective_lookup
@@ -158,6 +173,10 @@ def cost(
         add -= n / 2.0
 
     reps = 2.0 * n * windowed_bits / (w_m * w_e)
+    total_tofs = adt + reps * (lookup + add + unlookup)
+    total_depth = adt + reps * (lookup_d + add_d + unlookup_d)
+    if not (math.isfinite(total_tofs) and math.isfinite(total_depth)):
+        raise _unfit("cost", n=n, n_e=n_e, w_e=w_e, w_m=w_m, initial_bits=initial_bits)
     return CostBreakdown(
         variant=variant,
         n=n,
@@ -173,8 +192,8 @@ def cost(
         lookup_depth=lookup_d,
         add_depth=add_d,
         unlookup_depth=unlookup_d,
-        total_tofs=adt + reps * (lookup + add + unlookup),
-        total_depth=adt + reps * (lookup_d + add_d + unlookup_d),
+        total_tofs=total_tofs,
+        total_depth=total_depth,
         logical_qubits=qubits,
     )
 
@@ -184,8 +203,13 @@ def per_window_cost(n: int, w_e: int, w_m: int) -> float:
     of n/w_m lookup-additions, with the unlookup booked as unary creation
     plus phase fixup (2^(l/2) each, no uncomputation Toffolis)."""
     ell = w_e + w_m
+    if max(ell, n.bit_length()) >= FLOAT_BITS:
+        raise _unfit("per-window cost", n=n, w_e=w_e, w_m=w_m)
     unlookup = float((1 << (ell // 2)) + (1 << (ell - ell // 2)))
-    return 2.0 * (n / w_m) * (float(1 << ell) + 2.0 * n + unlookup)
+    per_window = 2.0 * (n / w_m) * (float(1 << ell) + 2.0 * n + unlookup)
+    if not math.isfinite(per_window):
+        raise _unfit("per-window cost", n=n, w_e=w_e, w_m=w_m)
+    return per_window
 
 
 def crossover_initial_lookup(n: int, w_e: int, w_m: int) -> int:

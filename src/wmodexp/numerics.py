@@ -123,7 +123,7 @@ def window_count(total_bits: int, window: int) -> int:
 def window_width(total_bits: int, window: int, index: int) -> int:
     """Actual width of window `index`; the final window absorbs the remainder."""
     width = min(window, total_bits - index * window)
-    if width <= 0:
+    if width <= 0 or index < 0:
         raise ValueError(f"window index {index} out of range for {total_bits} bits")
     return width
 
@@ -152,7 +152,10 @@ def build_mul_table(
         raise NotInvertible(f"table base {base} not coprime to {modulus}")
     exp_width = window_width(inst.exp_bits, wp.exp_window, exp_index)
     mul_width = window_width(inst.mod_bits, wp.mul_window, mul_index)
-    step = pow(base, 1 << (exp_index * wp.exp_window), modulus)
+    # base**(2**offset) by repeated squaring, which never builds 2**offset.
+    step = base
+    for _ in range(exp_index * wp.exp_window):
+        step = step * step % modulus
     shift = (1 << (mul_index * wp.mul_window)) % modulus
     entries = []
     for mult in range(1 << mul_width):

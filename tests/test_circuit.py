@@ -1,6 +1,7 @@
 import pytest
 
 from wmodexp.circuit import (
+    CNOT,
     CSWAP,
     MEASURE_X,
     MOD_ADD,
@@ -75,7 +76,42 @@ class TestValidation:
 
     def test_duplicate_operand(self):
         with pytest.raises(ValueError):
-            Gate(TOFFOLI, (0, 0, 1))
+            circuit_over(2, [Gate(TOFFOLI, (0, 0, 1))])
+
+    @pytest.mark.parametrize(
+        "gates",
+        [
+            pytest.param([Gate(X, (0, 1))], id="x-arity"),
+            pytest.param([Gate(CNOT, (0,))], id="cnot-arity"),
+            pytest.param([Gate(TOFFOLI, (0, 1))], id="toffoli-arity"),
+            pytest.param([Gate(TEMP_AND, (0, 1, 2, 3))], id="temp-and-arity"),
+            pytest.param([Gate(TEMP_AND_UNDO, (0,))], id="temp-and-undo-arity"),
+            pytest.param([Gate(CSWAP, (0, 1))], id="cswap-arity"),
+            pytest.param([Gate(MEASURE_X, (0,))], id="measure-without-slot"),
+            pytest.param([Gate(MEASURE_X, (), slot="m")], id="measure-without-qubits"),
+            pytest.param([Gate(PHASE_Z, ())], id="empty-phase-z"),
+            pytest.param([Gate(MOD_ADD, (0, 1), modulus=3, dest_len=0)], id="mod-add-no-dest"),
+            pytest.param([Gate(MOD_ADD, (0, 1), modulus=3, dest_len=2)], id="mod-add-no-src"),
+            pytest.param([Gate(MOD_ADD, (0, 1), modulus=1, dest_len=1)], id="mod-add-modulus"),
+            pytest.param([Gate(MOD_ADD, (0, 1), modulus=3, sign=0, dest_len=1)], id="mod-add-sign"),
+            pytest.param([Gate("Tofoli", (0, 1, 2))], id="unknown-kind"),
+            pytest.param(
+                [Gate(MEASURE_X, (0,), slot="m"), Gate(MEASURE_X, (1,), slot="m")],
+                id="repeated-slot",
+            ),
+        ],
+    )
+    def test_bad_gate_rejected_at_assembly(self, gates):
+        with pytest.raises(ValueError):
+            circuit_over(4, gates)
+
+    def test_unknown_kind_rejected_on_load(self):
+        with pytest.raises(ValueError, match="Tofoli"):
+            load_circuit("register w ancilla 0 1 2\nTofoli 0 1 2\nToffoli 0 1 2\n")
+
+    def test_slots_follow_the_measurements(self):
+        gates = [Gate(MEASURE_X, (1,), slot="b"), Gate(X, (0,)), Gate(MEASURE_X, (0,), slot="a")]
+        assert circuit_over(2, gates).slots == ("b", "a")
 
     def test_overlapping_registers(self):
         regs = (

@@ -159,6 +159,82 @@ def test_tables_global_flag_position_is_irrelevant(tmp_path, capsys):
         assert path_a.read_text() == path_b.read_text()
 
 
+@pytest.mark.parametrize(
+    "flags, reason",
+    [
+        (["--exp-index", "-1"], "window index -1 out of range"),
+        (["--mul-index", "-1"], "window index -1 out of range"),
+        (["--outcome", "99"], "--outcome 99 is not a 4-bit measurement outcome"),
+        (["--outcome", "-3"], "--outcome -3 is not a 4-bit measurement outcome"),
+    ],
+)
+def test_tables_bad_index_or_outcome_is_bad_input(tmp_path, capsys, flags, reason):
+    out = tmp_path / "tables"
+    assert main(["tables", "--out", str(out), *flags]) == 2
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        ("simulate --ne 40", "MAX_ENTRIES"),
+        ("simulate --ne 1000000000000", "MAX_ENTRIES"),
+        ("simulate --modulus 1000003 --base 3 --ne 8 --we 8 --wm 8", "MAX_WALK_ENTRIES"),
+        ("tables --ne 40 --we 40", "MAX_ENTRIES"),
+        ("tables --ne 1000000000000 --we 1000000000000", "MAX_ENTRIES"),
+        ("tables --ne 40 --initial-bits 40", "MAX_ENTRIES"),
+        ("tables --ne 17 --initial-bits 17", "MAX_ENTRIES"),
+        ("tables --initial-bits 1000000000000", "MAX_ENTRIES"),
+    ],
+)
+def test_allocation_caps_refuse_before_building(monkeypatch, capsys, tmp_path, argv, cap):
+    import wmodexp.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built past an allocation cap")
+
+    for name in ("build_windowed_modexp", "modexp_input_state", "build_mul_table",
+                 "build_pruned_table", "build_phase_fixup_table", "build_direct_exp_table"):
+        monkeypatch.setattr(cli, name, refuse)
+    plan_modexp = cli.plan_modexp
+
+    def plan_within_branch_cap(cfg):
+        # A plan lists every exponent window, so it must follow the branch check.
+        assert cfg.inst.exp_bits < cli.MAX_ENTRIES.bit_length(), "planned past MAX_ENTRIES"
+        return plan_modexp(cfg)
+
+    monkeypatch.setattr(cli, "plan_modexp", plan_within_branch_cap)
+    assert main([*argv.split(), "--out", str(tmp_path / "out")]) == 2
+    assert f"exceeds the cap {cap} = {getattr(cli, cap)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, builder",
+    [
+        # 1,024 branches and 64-entry tables, the largest shape the
+        # benchmark simulates.
+        ("simulate --modulus 1021 --base 3 --ne 10 --we 3 --wm 3 --variant all",
+         "build_windowed_modexp"),
+        # Tables of 2^16 entries, which dump in well under a second.
+        ("tables --ne 16 --initial-bits 16", "build_mul_table"),
+        ("tables --modulus 251 --base 3 --ne 8 --we 8 --wm 8", "build_mul_table"),
+    ],
+)
+def test_allocation_caps_admit_working_shapes(monkeypatch, argv, builder):
+    import wmodexp.cli as cli
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(cli, builder, reached)
+    with pytest.raises(Reached):
+        main(argv.split())
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -264,6 +340,22 @@ def test_cost_all_variants(capsys):
     assert float(by_name["combined"]["total_tofs"]) < float(
         by_name["original"]["total_tofs"]
     )
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["cost", "--we", "511", "--wm", "511"], "w_e=511, w_m=511"),
+        (["cost", "--we", "520", "--wm", "510"], "w_e=520, w_m=510"),
+        (["cost", "--variant", "opt3", "--nep", "3029"], "initial_bits=3029"),
+        (["estimate", "--point", "15,27,4,600,600,1024"], "w_e=600, w_m=600"),
+    ],
+)
+def test_unrepresentable_cost_is_bad_input(capsys, argv, reason):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert reason in err
+    assert "does not fit a finite float" in err
 
 
 # ---------------------------------------------------------------------------

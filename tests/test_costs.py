@@ -62,6 +62,29 @@ def test_parameter_validation():
         cost("opt3", 2048, 10, 5, 5, initial_bits=11)
 
 
+@pytest.mark.parametrize(
+    "variant, n, n_e, w_e, w_m, initial_bits",
+    [
+        ("original", 2048, 3029, 511, 511, 0),  # each term fits, the total is inf
+        ("sliced_A", 2048, 3029, 520, 510, 0),  # the lookup term alone overflows
+        ("opt3", 2048, 3029, 5, 5, 3029),  # the initial lookup overflows
+        ("combined", 2048, 3029, 600, 600, 64),
+        ("opt3", 2048, 10**12, 5, 5, 10**12),  # refused before 2**(10**12) is built
+        ("sliced_B", 10**400, 3029, 5, 5, 0),  # n does not convert to a float
+        ("opt1", 2048, 10**400, 5, 5, 0),
+    ],
+)
+def test_unrepresentable_cost_raises(variant, n, n_e, w_e, w_m, initial_bits):
+    with pytest.raises(ValueError, match="does not fit a finite float"):
+        cost(variant, n, n_e, w_e, w_m, initial_bits)
+
+
+@pytest.mark.parametrize("n, w", [(2048, 600), (2048, 10**12), (10**400, 5)])
+def test_unrepresentable_crossover_raises(n, w):
+    with pytest.raises(ValueError, match=f"w_e={w}, w_m={w} does not fit a finite float"):
+        crossover_initial_lookup(n, w, w)
+
+
 def test_original_reference_point():
     c = cost("original", 2048, 3029, 5, 5)
     assert c.reps == pytest.approx(2 * 2048 * 3029 / 25, rel=REL)

@@ -68,6 +68,10 @@ class TestWindows:
         with pytest.raises(ValueError):
             window_width(7, 3, 3)
 
+    def test_negative_index_is_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            window_width(7, 3, -1)
+
 
 class TestMulTable:
     def setup_method(self):
@@ -109,6 +113,14 @@ class TestMulTable:
         table = build_mul_table(inst, wp, 1, 1)  # both windows are 2 bits here
         assert table.addr_bits == 4
         assert len(table) == 16
+
+    def test_far_window_against_direct_formula(self):
+        # Window 604 of a 3,029-bit exponent sits 3,020 bits up.
+        inst = ProblemInstance(1021, 3, 3029)
+        table = build_mul_table(inst, WindowParams(5, 5), 604, 0)
+        for addr in (1 << 5 | 1, 3 << 5 | 2, 31 << 5 | 31):
+            mult, expn = addr >> 5, addr & 31
+            assert table[addr] == pow(3, expn << 3020, 1021) * mult % 1021
 
     def test_invalid_base(self):
         with pytest.raises(NotInvertible):

@@ -7,13 +7,19 @@ from hypothesis import given, settings, strategies as st
 from wmodexp.circuit import (
     CNOT,
     CSWAP,
+    GATE_ARITY,
+    MEASURE_X,
     MOD_ADD,
+    PHASE_Z,
+    TEMP_AND,
+    TEMP_AND_UNDO,
     TOFFOLI,
     X,
     Circuit,
     Gate,
     Register,
     invert_gates,
+    mod_add_gate,
 )
 from wmodexp.sim import ContractViolation, SparseState, apply, extract, measure_x, run
 
@@ -184,7 +190,7 @@ class TestRun:
             Gate("MeasureXRegister", (1,), slot="m.0"),
             Gate("ClassicalPhaseZ", (0,), slot="m.0", mask=1),
         )
-        circuit = Circuit(gates, regs, ("m.0",))
+        circuit = Circuit(gates, regs)
         # Input: uniform over qubit 0. The CNOT copies it; measuring X with
         # outcome 1 phases the a=1 branch; the fixup phase undoes it exactly.
         s = forcing(state_of(2, {0: 1, 1: 1}), 1)
@@ -195,3 +201,136 @@ class TestRun:
         s = state_of(1, {0: 1})
         with pytest.raises(ValueError):
             apply(s, Gate("Hadamard", (0,)))
+
+
+# ---------------------------------------------------------------------------
+# Differential test: sim.run against a per-branch reference interpreter.
+
+WIDTH = 6
+WORK = (Register("work", tuple(range(WIDTH)), "ancilla"),)
+
+
+def reference_run(gates, branches, outcomes):
+    """Run gates one branch at a time, bits as lists. Returns the branches,
+    the transcript and the index of the gate whose contract broke (None if
+    none did); on a break the state is the one before that gate."""
+    state, transcript, draws = dict(branches), {}, iter(outcomes)
+    for index, gate in enumerate(gates):
+        name, qs = gate.name, gate.qubits
+        if name == MEASURE_X:
+            seen = {}
+            for key in state:
+                rest = tuple(key >> q & 1 for q in range(WIDTH) if q not in qs)
+                value = [key >> q & 1 for q in qs]
+                if seen.setdefault(rest, value) != value:
+                    return state, transcript, index
+            outcome = transcript[gate.slot] = next(draws)
+            updated = {}
+            for key, phase in state.items():
+                parity = sum((outcome >> i & 1) & (key >> q & 1) for i, q in enumerate(qs)) % 2
+                updated[key & ~sum(1 << q for q in qs)] = -phase if parity else phase
+            state = updated
+            continue
+        if name == PHASE_Z and gate.slot is not None:
+            if gate.slot not in transcript:
+                return state, transcript, index
+            if bin(transcript[gate.slot] & gate.mask).count("1") % 2 == 0:
+                continue
+        updated = {}
+        for key, phase in state.items():
+            b = [key >> q & 1 for q in range(WIDTH)]
+            if name == X:
+                b[qs[0]] ^= 1
+            elif name in (CNOT, TOFFOLI):
+                b[qs[-1]] ^= all(b[q] for q in qs[:-1])
+            elif name == TEMP_AND:
+                if b[qs[2]]:
+                    return state, transcript, index
+                b[qs[2]] = b[qs[0]] & b[qs[1]]
+            elif name == TEMP_AND_UNDO:
+                if b[qs[2]] != b[qs[0]] & b[qs[1]]:
+                    return state, transcript, index
+                b[qs[2]] = 0
+            elif name == CSWAP and b[qs[0]]:
+                b[qs[1]], b[qs[2]] = b[qs[2]], b[qs[1]]
+            elif name == PHASE_Z and all(b[q] for q in qs):
+                phase = -phase
+            elif name == MOD_ADD:
+                dest, src = qs[: gate.dest_len], qs[gate.dest_len :]
+                value = sum(b[q] << i for i, q in enumerate(dest))
+                if value < gate.modulus:
+                    value += gate.sign * sum(b[q] << i for i, q in enumerate(src))
+                    for i, q in enumerate(dest):
+                        b[q] = value % gate.modulus >> i & 1
+            updated[sum(bit << q for q, bit in enumerate(b))] = phase
+        state = updated
+    return state, transcript, None
+
+
+def engine_run(gates, branches, outcomes):
+    """sim.run on the circuit, with measurement outcomes forced. On a
+    ContractViolation, the failing gate is the shortest prefix that raises."""
+
+    def attempt(count):
+        state = state_of(WIDTH, branches)
+        draws = iter(outcomes)
+        state.rng = SimpleNamespace(getrandbits=lambda bits: next(draws))
+        try:
+            run(Circuit(tuple(gates[:count]), WORK), state)
+        except ContractViolation:
+            return state, True
+        return state, False
+
+    state, broke = attempt(len(gates))
+    failed = next(k for k in range(len(gates)) if attempt(k + 1)[1]) if broke else None
+    return state.branches, state.transcript, failed
+
+
+@st.composite
+def random_circuits(draw):
+    """A valid gate list over all nine kinds and one forced outcome per
+    measurement. TempAnd pairs may break their contracts on purpose, and a
+    conditioned phase may name a slot that is never measured."""
+    qubits = st.permutations(range(WIDTH))
+    gates, outcomes = [], []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from([*GATE_ARITY, "pair", MEASURE_X, PHASE_Z, MOD_ADD]))
+        order = draw(qubits)
+        if kind == "pair":
+            gates.append(Gate(TEMP_AND, tuple(order[:3])))
+            between = draw(st.sampled_from([X, CNOT, TOFFOLI]))
+            gates.append(Gate(between, tuple(draw(qubits)[: GATE_ARITY[between]])))
+            gates.append(Gate(TEMP_AND_UNDO, tuple(order[:3])))
+        elif kind in GATE_ARITY:
+            gates.append(Gate(kind, tuple(order[: GATE_ARITY[kind]])))
+        elif kind == MEASURE_X:
+            size = draw(st.integers(1, 3))
+            slot = f"m.{len(outcomes)}"
+            gates.append(Gate(MEASURE_X, tuple(order[:size]), slot=slot))
+            outcomes.append(draw(st.integers(0, (1 << size) - 1)))
+            # A fixup conditioned on the outcome just drawn, as builders emit.
+            gates.append(Gate(PHASE_Z, (order[size],), slot, draw(st.integers(1, 7))))
+        elif kind == PHASE_Z:
+            slot = draw(st.sampled_from([None, *(f"m.{k}" for k in range(len(outcomes)))]))
+            if draw(st.integers(0, 9)) == 0:
+                slot = "m.never"
+            mask = draw(st.integers(0, 7))
+            gates.append(Gate(PHASE_Z, tuple(order[: draw(st.integers(1, 3))]), slot, mask))
+        else:
+            dest_len = draw(st.integers(1, 3))
+            src_len = draw(st.integers(1, WIDTH - dest_len))
+            modulus = draw(st.integers(2, 9))
+            sign = draw(st.sampled_from([1, -1]))
+            gates.append(mod_add_gate(order[:dest_len], order[dest_len:][:src_len], modulus, sign))
+    # The high half starts at |0>, like the ancillas of a built circuit.
+    values = st.integers(0, (1 << WIDTH // 2) - 1)
+    branches = draw(st.dictionaries(values, st.sampled_from([1, -1]), min_size=1, max_size=6))
+    return gates, branches, outcomes
+
+
+class TestDifferential:
+    @given(random_circuits())
+    @settings(max_examples=200, deadline=None)
+    def test_engine_matches_reference(self, case):
+        gates, branches, outcomes = case
+        assert engine_run(gates, branches, outcomes) == reference_run(gates, branches, outcomes)
