@@ -196,15 +196,20 @@ def load_circuit(text: str) -> Circuit:
     registers: list[Register] = []
     gates: list[Gate] = []
     result = None
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         if parts[0] == "register":
+            if len(parts) < 3:
+                missing = ("name", "role")[len(parts) - 1]
+                raise ValueError(f"line {number}: register is missing its {missing}")
             registers.append(Register(parts[1], tuple(int(q) for q in parts[3:]), parts[2]))
             continue
         if parts[0] == "result":
+            if len(parts) < 2:
+                raise ValueError(f"line {number}: result is missing its register name")
             result = parts[1]
             continue
         name = parts[0]
@@ -223,7 +228,10 @@ def load_circuit(text: str) -> Circuit:
             slot, mask = extras["cond"].split(":")
             kwargs["slot"] = slot
             kwargs["mask"] = int(mask, 16)
-        if "dest" in extras:
+        if name == MOD_ADD:
+            for key in ("dest", "mod", "sign"):
+                if key not in extras:
+                    raise ValueError(f"line {number}: {MOD_ADD} is missing {key}=")
             kwargs["dest_len"] = int(extras["dest"])
             kwargs["modulus"] = int(extras["mod"])
             kwargs["sign"] = int(extras["sign"])

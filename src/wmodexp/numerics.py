@@ -18,6 +18,14 @@ class NotInvertible(ValueError):
     """The value shares a factor with the modulus, so no inverse exists."""
 
 
+def _brief(number: int) -> str:
+    """number in full below 2**64, else its leading hex digits and bit length,
+    so that a message about a cryptographic-size modulus stays one line."""
+    if abs(number) < 1 << 64:
+        return str(number)
+    return f"{number:#x}"[:10] + f"... ({number.bit_length()} bits)"
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """Parameters of one modular-exponentiation problem.
@@ -43,7 +51,9 @@ class ProblemInstance:
         if not 1 <= self.base < self.modulus:
             raise ValueError(f"base must lie in [1, modulus), got {self.base}")
         if math.gcd(self.base, self.modulus) != 1:
-            raise NotInvertible(f"base {self.base} shares a factor with {self.modulus}")
+            raise NotInvertible(
+                f"base {_brief(self.base)} shares a factor with {_brief(self.modulus)}"
+            )
         if self.exp_bits < 1:
             raise ValueError("exp_bits must be positive")
 
@@ -112,7 +122,9 @@ def mod_inverse(value: int, modulus: int) -> int:
         return pow(value, -1, modulus)
     except ValueError:
         factor = math.gcd(value, modulus)
-        raise NotInvertible(f"{value} has no inverse mod {modulus} (gcd {factor})") from None
+        raise NotInvertible(
+            f"{_brief(value)} has no inverse mod {_brief(modulus)} (gcd {_brief(factor)})"
+        ) from None
 
 
 def window_count(total_bits: int, window: int) -> int:
@@ -149,7 +161,7 @@ def build_mul_table(
         base = inst.base
     modulus = inst.modulus
     if math.gcd(base, modulus) != 1:
-        raise NotInvertible(f"table base {base} not coprime to {modulus}")
+        raise NotInvertible(f"table base {_brief(base)} not coprime to {_brief(modulus)}")
     exp_width = window_width(inst.exp_bits, wp.exp_window, exp_index)
     mul_width = window_width(inst.mod_bits, wp.mul_window, mul_index)
     # base**(2**offset) by repeated squaring, which never builds 2**offset.

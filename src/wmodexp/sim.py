@@ -1,18 +1,27 @@
-"""Sparse phase-tracking simulator.
+"""Bit-sliced phase-tracking simulator.
 
 Every circuit in this package permutes computational basis states and applies
-classically controlled phase flips, so a state is just a map from basis
-assignments to phases in {+1, -1}. X-basis register measurement is the one
-probabilistic element: outcomes are drawn from a seeded RNG (uniform over
-bitstrings, which is exact because the measured register is always a
-deterministic function of the others), each branch picks up
-(-1)^parity(outcome AND register value), and the register is cleared.
+classically controlled phase flips, so a state is a set of branches, each a
+basis assignment with a phase in {+1, -1}. The state is stored bit-sliced:
+one int per qubit (a plane) whose bit i is that qubit on branch i, plus a
+phase plane whose bit i is set when branch i has phase -1. Each gate is a few
+whole-int operations that act on every branch at once, and a branch keeps its
+index for the life of the state.
+
+X-basis register measurement is the one probabilistic element: outcomes are
+drawn from a seeded RNG (uniform over bitstrings, which is exact because the
+measured register is always a deterministic function of the others), each
+branch picks up (-1)^parity(outcome AND register value), and the register is
+cleared.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import zip_longest
+from types import MappingProxyType
 
 from .circuit import (
     CNOT,
@@ -31,18 +40,23 @@ from .circuit import (
 
 class ContractViolation(AssertionError):
     """A gate's precondition failed on some branch (e.g. temp-AND target not
-    fresh, or a measured register not a function of the rest)."""
+    fresh, or a measured register not a function of the rest). The state is
+    left as it was before the gate."""
 
 
 @dataclass
 class SparseState:
-    """branches maps basis assignment (int, bit q = qubit q) to phase +/-1.
-    transcript records measurement outcomes by slot name."""
+    """planes[q] holds qubit q with bit i for branch i; bit i of phase is set
+    when branch i has phase -1; ones has one bit per branch. transcript
+    records measurement outcomes by slot name."""
 
     num_qubits: int
-    branches: dict[int, int]
+    planes: list[int]
+    phase: int
+    ones: int
     rng: random.Random = field(default_factory=lambda: random.Random(0))
     transcript: dict[str, int] = field(default_factory=dict)
+    _view: Mapping[int, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def superposition(
@@ -51,11 +65,38 @@ class SparseState:
         """State with the given branch assignments and phases."""
         if not values:
             raise ValueError("state needs at least one branch")
-        return cls(num_qubits, dict(values), random.Random(seed))
+        if any(key < 0 or key >> num_qubits for key in values):
+            raise ValueError(f"a branch assignment does not fit {num_qubits} qubits")
+        if any(phase not in (1, -1) for phase in values.values()):
+            raise ValueError("branch phases must be +1 or -1")
+        planes = _transpose(list(values), num_qubits)
+        (phase,) = _transpose([int(p < 0) for p in values.values()], 1)
+        return cls(num_qubits, planes, phase, (1 << len(values)) - 1, random.Random(seed))
+
+    @property
+    def branches(self) -> Mapping[int, int]:
+        """Read-only map of basis assignment (bit q = qubit q) to phase +/-1,
+        in branch order. Built from the planes on the first read after a
+        gate."""
+        if self._view is None:
+            count = self.ones.bit_length()
+            keys = _transpose(self.planes, count)
+            signs = _transpose([self.phase], count)
+            self._view = MappingProxyType({k: -1 if s else 1 for k, s in zip(keys, signs)})
+        return self._view
 
     def canonical(self) -> tuple[tuple[int, int], ...]:
         """Branch list sorted by assignment, for exact state comparison."""
         return tuple(sorted(self.branches.items()))
+
+
+def _transpose(rows: list[int], width: int) -> list[int]:
+    """Transpose a bit matrix: bit j of result[i] is bit i of rows[j]. Every
+    row must be below 2**width."""
+    if not rows or not width:
+        return [0] * width
+    digits = [format(row, f"0{width}b") for row in reversed(rows)]
+    return [int("".join(column), 2) for column in zip(*digits)][::-1]
 
 
 def extract(key: int, qubits: tuple[int, ...]) -> int:
@@ -77,39 +118,32 @@ def apply(state: SparseState, gate: Gate) -> SparseState:
     """Apply one reversible gate in place and return the state. Measurement
     gates go through measure_x instead."""
     name = gate.name
-    branches = state.branches
-    if name == X:
-        t = 1 << gate.qubits[0]
-        state.branches = {key ^ t: phase for key, phase in branches.items()}
-    elif name == CNOT:
+    p = state.planes
+    if name == CNOT:
         c, t = gate.qubits
-        cm, tm = 1 << c, 1 << t
-        state.branches = {
-            (key ^ tm if key & cm else key): phase for key, phase in branches.items()
-        }
-    elif name in (TOFFOLI, TEMP_AND, TEMP_AND_UNDO):
-        c1, c2, t = gate.qubits
-        m1, m2, tm = 1 << c1, 1 << c2, 1 << t
-        updated: dict[int, int] = {}
-        for key, phase in branches.items():
-            conjunction = bool(key & m1) and bool(key & m2)
-            if name == TEMP_AND and key & tm:
-                raise ContractViolation(f"TempAndCompute target {t} not |0> on a branch")
-            if name == TEMP_AND_UNDO and bool(key & tm) != conjunction:
-                raise ContractViolation(
-                    f"TempAndUncompute target {t} does not hold the AND on a branch"
-                )
-            updated[key ^ tm if conjunction else key] = phase
-        state.branches = updated
+        p[t] ^= p[c]
+    elif name == TEMP_AND:
+        a, b, t = gate.qubits
+        if p[t]:
+            raise ContractViolation(f"TempAndCompute target {t} not |0> on a branch")
+        p[t] = p[a] & p[b]
+    elif name == TEMP_AND_UNDO:
+        a, b, t = gate.qubits
+        if p[t] != p[a] & p[b]:
+            raise ContractViolation(
+                f"TempAndUncompute target {t} does not hold the AND on a branch"
+            )
+        p[t] = 0
+    elif name == X:
+        p[gate.qubits[0]] ^= state.ones
+    elif name == TOFFOLI:
+        a, b, t = gate.qubits
+        p[t] ^= p[a] & p[b]
     elif name == CSWAP:
         c, a, b = gate.qubits
-        cm, am, bm = 1 << c, 1 << a, 1 << b
-        updated = {}
-        for key, phase in branches.items():
-            if key & cm and bool(key & am) != bool(key & bm):
-                key ^= am | bm
-            updated[key] = phase
-        state.branches = updated
+        swap = p[c] & (p[a] ^ p[b])
+        p[a] ^= swap
+        p[b] ^= swap
     elif name == PHASE_Z:
         if gate.slot is not None:
             outcome = state.transcript.get(gate.slot)
@@ -117,61 +151,108 @@ def apply(state: SparseState, gate: Gate) -> SparseState:
                 raise ContractViolation(f"ClassicalPhaseZ before measurement {gate.slot}")
             if (outcome & gate.mask).bit_count() & 1 == 0:
                 return state
-        mask = 0
+        hit = state.ones
         for q in gate.qubits:
-            mask |= 1 << q
-        state.branches = {
-            key: (-phase if key & mask == mask else phase)
-            for key, phase in branches.items()
-        }
+            hit &= p[q]
+        state.phase ^= hit
     elif name == MOD_ADD:
-        dest = gate.qubits[: gate.dest_len]
-        src = gate.qubits[gate.dest_len :]
-        modulus, sign = gate.modulus, gate.sign
-        updated = {}
-        for key, phase in branches.items():
-            value = extract(key, dest)
-            if value < modulus:
-                operand = extract(key, src) % modulus
-                value = (value + sign * operand) % modulus
-                key = deposit(key, dest, value)
-            updated[key] = phase
-        state.branches = updated
+        _mod_add(p, state.ones, gate)
     elif name == MEASURE_X:
         raise ValueError("apply() does not handle measurements; use measure_x")
     else:
         raise ValueError(f"unknown gate {name}")
+    state._view = None
     return state
+
+
+def _mod_add(p: list[int], ones: int, gate: Gate) -> None:
+    """dest <- (dest + sign * (src mod N)) mod N on every branch where
+    dest < N, bit-sliced. src is reduced by restoring division, which leaves
+    it unchanged unless src >= N on some branch; sign -1 adds N - src. The
+    result keeps dest's width, as deposit does."""
+    dest_qubits = gate.qubits[: gate.dest_len]
+    dest = [p[q] for q in dest_qubits]
+    src = [p[q] for q in gate.qubits[gate.dest_len :]]
+    width = gate.modulus.bit_length()
+    modulus = [ones if gate.modulus >> i & 1 else 0 for i in range(width)]
+    below = _sub(dest, modulus)[1]
+    for shift in range(len(src) - width, -1, -1):
+        src = _sub_where_fits(src, [0] * shift + modulus)
+    if gate.sign < 0:
+        src = _sub(modulus, src)[0]
+    total = _sub_where_fits(_add(dest, src), modulus)
+    for q, old, new in zip(dest_qubits, dest, total):
+        p[q] = old ^ (below & (old ^ new))
+
+
+def _add(a: list[int], b: list[int]) -> list[int]:
+    """Bit-sliced a + b, one plane wider than the wider operand."""
+    total, carry = [], 0
+    for x, y in zip_longest(a, b, fillvalue=0):
+        half = x ^ y
+        total.append(half ^ carry)
+        carry = x & y | carry & half
+    total.append(carry)
+    return total
+
+
+def _sub(a: list[int], b: list[int]) -> tuple[list[int], int]:
+    """Bit-sliced a - b modulo 2**width, and the mask of branches where a < b."""
+    diff, borrow = [], 0
+    for x, y in zip_longest(a, b, fillvalue=0):
+        half = x ^ y
+        diff.append(half ^ borrow)
+        borrow = y & ~x | borrow & ~half
+    return diff, borrow
+
+
+def _sub_where_fits(a: list[int], b: list[int]) -> list[int]:
+    """a - b on the branches where a >= b, a elsewhere."""
+    diff, below = _sub(a, b)
+    return [x ^ (x ^ d) & ~below for x, d in zip_longest(a, diff, fillvalue=0)]
 
 
 def measure_x(state: SparseState, qubits: tuple[int, ...], slot: str) -> tuple[SparseState, int]:
     """X-basis measurement of a register holding a deterministic function of
     the remaining qubits.
 
-    The contract is checked exhaustively: any two branches agreeing outside
-    the register must agree inside it. Under it, measuring in the X basis
-    yields a uniformly random outcome s, multiplies each branch by
+    The contract is checked exhaustively by partition refinement: the
+    branches are split into classes by each plane outside the register,
+    classes of one branch are dropped, and every class left must be constant
+    on each register plane. Under it, measuring in the X basis yields a
+    uniformly random outcome s, multiplies each branch by
     (-1)^parity(s AND value), and resets the register to zero.
     """
-    reg_mask = 0
-    for q in qubits:
-        reg_mask |= 1 << q
-    seen: dict[int, int] = {}
-    for key in state.branches:
-        rest, value = key & ~reg_mask, key & reg_mask
-        if seen.setdefault(rest, value) != value:
-            raise ContractViolation(
-                f"measured register is not a function of the other registers (slot {slot})"
-            )
+    p, ones = state.planes, state.ones
+    measured = set(qubits)
+    classes = [ones] if ones & (ones - 1) else []
+    for q, plane in enumerate(p):
+        if not classes:
+            break
+        if q in measured or plane == 0 or plane == ones:
+            continue
+        split = []
+        for members in classes:
+            inside = members & plane
+            if inside & (inside - 1):
+                split.append(inside)
+            outside = members ^ inside
+            if outside & (outside - 1):
+                split.append(outside)
+        classes = split
+    for members in classes:
+        for q in qubits:
+            if p[q] & members not in (0, members):
+                raise ContractViolation(
+                    f"measured register is not a function of the other registers (slot {slot})"
+                )
     outcome = state.rng.getrandbits(len(qubits)) if qubits else 0
-    updated: dict[int, int] = {}
-    for key, phase in state.branches.items():
-        value = extract(key, qubits)
-        if (outcome & value).bit_count() & 1:
-            phase = -phase
-        updated[key & ~reg_mask] = phase
-    state.branches = updated
+    for pos, q in enumerate(qubits):
+        if outcome >> pos & 1:
+            state.phase ^= p[q]
+        p[q] = 0
     state.transcript[slot] = outcome
+    state._view = None
     return state, outcome
 
 

@@ -159,6 +159,30 @@ class TestDumpFormat:
         ]
         assert len(gate_lines) == len(circuit.gates)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("register w\n", "line 1: register is missing its role"),
+            ("register\n", "line 1: register is missing its name"),
+            ("register w ancilla 0 1\nresult\n", "line 2: result is missing its register name"),
+            (
+                "register w ancilla 0 1\nModAddOracle 0 1 dest=1\n",
+                "line 2: ModAddOracle is missing mod=",
+            ),
+            (
+                "register w ancilla 0 1\n\nModAddOracle 0 1 dest=1 mod=3\n",
+                "line 3: ModAddOracle is missing sign=",
+            ),
+            (
+                "register w ancilla 0 1\nModAddOracle 0 1 mod=3 sign=+1\n",
+                "line 2: ModAddOracle is missing dest=",
+            ),
+        ],
+    )
+    def test_truncated_text_names_line_and_field(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_circuit(text)
+
 
 class TestBuilderHelpers:
     def test_invert_gates(self):

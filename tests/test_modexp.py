@@ -1,6 +1,8 @@
 """End-to-end windowed modular exponentiation, under every flag combination."""
 
 import itertools
+import math
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -16,6 +18,7 @@ from wmodexp.builders import (
     modexp_input_state,
 )
 from wmodexp.circuit import tally
+from wmodexp.costs import VARIANT_TABLE
 from wmodexp.numerics import (
     ProblemInstance,
     WindowParams,
@@ -71,6 +74,28 @@ def test_other_moduli():
             ModexpOptions(True, True, 3, False),
         )
     )
+
+
+def test_wide_oracle_sweep():
+    """24 seeded circuits of 256 branches: odd moduli in 129-255 with a
+    coprime base, n_e = 8, windows from {2, 3, 4}, the six circuit variants
+    in turn."""
+    variants = [variant for variant in VARIANT_TABLE.values() if variant.has_circuit]
+    assert len(variants) == 6
+    rng = random.Random(0x8A5E)
+    for index in range(24):
+        modulus = rng.randrange(129, 256, 2)
+        base = rng.randrange(2, modulus)
+        while math.gcd(base, modulus) != 1:
+            base = rng.randrange(2, modulus)
+        inst = ProblemInstance(modulus, base, 8)
+        wp = WindowParams(rng.choice((2, 3, 4)), rng.choice((2, 3, 4)))
+        cfg = ModexpConfig(inst, wp, variants[index % 6].options(rng.randint(1, 4)))
+        circuit = build_windowed_modexp(cfg)
+        state = run(circuit, modexp_input_state(circuit, seed=index))
+        assert check_modexp_output(circuit, inst, state) == [], cfg
+        exponents = circuit.register("exponent").qubits
+        assert sorted(extract(key, exponents) for key in state.branches) == list(range(256))
 
 
 def test_single_exponent_value():

@@ -30,8 +30,21 @@ class TestModInverse:
         assert mod_inverse(1, 21) == 1
 
     def test_shared_factor(self):
-        with pytest.raises(NotInvertible):
+        with pytest.raises(NotInvertible, match=r"^5 has no inverse mod 15 \(gcd 5\)$"):
             mod_inverse(5, 15)
+
+    def test_large_modulus_message_is_short(self):
+        # A 3,072-bit modulus has 925 decimal digits; the message names its
+        # bit length and leading hex digits instead.
+        modulus = 3 * 2**3070
+        assert modulus.bit_length() == 3072
+        with pytest.raises(NotInvertible) as caught:
+            mod_inverse(6, modulus)
+        message = str(caught.value)
+        assert len(message) < 80
+        assert "3072 bits" in message and "0xc0000000" in message
+        with pytest.raises(NotInvertible, match="3072 bits"):
+            ProblemInstance(modulus + 3, 3, 8)
 
     @given(st.integers(min_value=2, max_value=300), st.integers(min_value=1, max_value=299))
     def test_product_is_one(self, modulus, value):

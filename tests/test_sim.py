@@ -207,10 +207,10 @@ class TestRun:
 # Differential test: sim.run against a per-branch reference interpreter.
 
 WIDTH = 6
-WORK = (Register("work", tuple(range(WIDTH)), "ancilla"),)
+WIDE = 12
 
 
-def reference_run(gates, branches, outcomes):
+def reference_run(gates, branches, outcomes, width=WIDTH):
     """Run gates one branch at a time, bits as lists. Returns the branches,
     the transcript and the index of the gate whose contract broke (None if
     none did); on a break the state is the one before that gate."""
@@ -220,7 +220,7 @@ def reference_run(gates, branches, outcomes):
         if name == MEASURE_X:
             seen = {}
             for key in state:
-                rest = tuple(key >> q & 1 for q in range(WIDTH) if q not in qs)
+                rest = tuple(key >> q & 1 for q in range(width) if q not in qs)
                 value = [key >> q & 1 for q in qs]
                 if seen.setdefault(rest, value) != value:
                     return state, transcript, index
@@ -238,7 +238,7 @@ def reference_run(gates, branches, outcomes):
                 continue
         updated = {}
         for key, phase in state.items():
-            b = [key >> q & 1 for q in range(WIDTH)]
+            b = [key >> q & 1 for q in range(width)]
             if name == X:
                 b[qs[0]] ^= 1
             elif name in (CNOT, TOFFOLI):
@@ -267,16 +267,17 @@ def reference_run(gates, branches, outcomes):
     return state, transcript, None
 
 
-def engine_run(gates, branches, outcomes):
+def engine_run(gates, branches, outcomes, width=WIDTH):
     """sim.run on the circuit, with measurement outcomes forced. On a
     ContractViolation, the failing gate is the shortest prefix that raises."""
+    work = (Register("work", tuple(range(width)), "ancilla"),)
 
     def attempt(count):
-        state = state_of(WIDTH, branches)
+        state = state_of(width, branches)
         draws = iter(outcomes)
         state.rng = SimpleNamespace(getrandbits=lambda bits: next(draws))
         try:
-            run(Circuit(tuple(gates[:count]), WORK), state)
+            run(Circuit(tuple(gates[:count]), work), state)
         except ContractViolation:
             return state, True
         return state, False
@@ -287,11 +288,13 @@ def engine_run(gates, branches, outcomes):
 
 
 @st.composite
-def random_circuits(draw):
-    """A valid gate list over all nine kinds and one forced outcome per
-    measurement. TempAnd pairs may break their contracts on purpose, and a
-    conditioned phase may name a slot that is never measured."""
-    qubits = st.permutations(range(WIDTH))
+def random_circuits(draw, width=WIDTH, value_bits=WIDTH // 2, branch_range=(1, 6)):
+    """A valid gate list over all nine kinds on width qubits, one forced
+    outcome per measurement, and a branch count in branch_range, each below
+    2**value_bits; by default the high half starts at |0>, like the ancillas
+    of a built circuit. TempAnd pairs may break their contracts on purpose,
+    and a conditioned phase may name a slot that is never measured."""
+    qubits = st.permutations(range(width))
     gates, outcomes = [], []
     for _ in range(draw(st.integers(0, 14))):
         kind = draw(st.sampled_from([*GATE_ARITY, "pair", MEASURE_X, PHASE_Z, MOD_ADD]))
@@ -318,13 +321,14 @@ def random_circuits(draw):
             gates.append(Gate(PHASE_Z, tuple(order[: draw(st.integers(1, 3))]), slot, mask))
         else:
             dest_len = draw(st.integers(1, 3))
-            src_len = draw(st.integers(1, WIDTH - dest_len))
+            src_len = draw(st.integers(1, width - dest_len))
             modulus = draw(st.integers(2, 9))
             sign = draw(st.sampled_from([1, -1]))
             gates.append(mod_add_gate(order[:dest_len], order[dest_len:][:src_len], modulus, sign))
-    # The high half starts at |0>, like the ancillas of a built circuit.
-    values = st.integers(0, (1 << WIDTH // 2) - 1)
-    branches = draw(st.dictionaries(values, st.sampled_from([1, -1]), min_size=1, max_size=6))
+    values = st.integers(0, (1 << value_bits) - 1)
+    phases = st.sampled_from([1, -1])
+    fewest, most = branch_range
+    branches = draw(st.dictionaries(values, phases, min_size=fewest, max_size=most))
     return gates, branches, outcomes
 
 
@@ -334,3 +338,14 @@ class TestDifferential:
     def test_engine_matches_reference(self, case):
         gates, branches, outcomes = case
         assert engine_run(gates, branches, outcomes) == reference_run(gates, branches, outcomes)
+
+    # 16 to 64 branches over all WIDE qubits: planes span several int digits,
+    # measurements refine into many classes and often break the contract,
+    # and ModAddOracle sources run far above the modulus.
+    @given(random_circuits(WIDE, WIDE, (16, 64)))
+    @settings(max_examples=100, deadline=None)
+    def test_engine_matches_reference_on_wide_states(self, case):
+        gates, branches, outcomes = case
+        assert engine_run(gates, branches, outcomes, WIDE) == reference_run(
+            gates, branches, outcomes, WIDE
+        )
