@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 from .circuit import (
     CNOT,
-    CSWAP,
     MEASURE_X,
     PHASE_Z,
     TEMP_AND,
@@ -228,26 +227,6 @@ def unary_forward_gates(
     return gates
 
 
-def unary_cswap_gates(bits_lsb: tuple[int, ...], out: tuple[int, ...]) -> list[Gate]:
-    """One-hot conversion by controlled swaps: the marker starting at out[0]
-    is routed to index value(bits_lsb). 2^w - 1 CSwaps, depth 2^w - 1.
-
-    Levels alternate sweep direction so that each level's first swap shares an
-    output line with the previous level's last one; the whole ladder is then a
-    single serial chain, which is the honest schedule for marker routing.
-    """
-    width = len(bits_lsb)
-    if len(out) < 1 << width:
-        raise SizeMismatch(f"unary register needs {1 << width} qubits")
-    gates = []
-    for level, bit in enumerate(bits_lsb):
-        block = 1 << level
-        order = range(block) if level % 2 == 0 else reversed(range(block))
-        for j in order:
-            gates.append(Gate(CSWAP, (bit, out[j], out[j + block])))
-    return gates
-
-
 def cuccaro_gates(
     src: tuple[int, ...], dest: tuple[int, ...], carry: int
 ) -> list[Gate]:
@@ -323,12 +302,13 @@ def unlookup_gates(
 
 
 def build_unary(width: int) -> Circuit:
-    """Binary-to-unary converter over `width` input bits, marker-routing
-    style. Pre: the output register's qubit 0 is |1>."""
+    """Binary-to-unary converter over `width` input bits by temp-AND
+    doubling, as the unlookups build it. Pre: the output register's qubit 0
+    is |1>."""
     cb = CircuitBuilder()
     value = cb.add_register("input", width, "exponent")
     out = cb.add_register("unary_out", 1 << width, "unary")
-    cb.emit(*unary_cswap_gates(value, out))
+    cb.emit(*unary_forward_gates(value, out))
     cb.result_register = "unary_out"
     return cb.build()
 
@@ -616,15 +596,13 @@ def build_lookup_add(cfg: ModexpConfig, exp_index: int, mul_index: int) -> Circu
 # Verification helpers.
 
 
-def modexp_input_state(circuit: Circuit, exponents=None, seed: int = 0):
+def modexp_input_state(circuit: Circuit, seed: int = 0):
     """All-zero workspace with the exponent register in a uniform positive
-    superposition over `exponents` (default: every value)."""
+    superposition over every value."""
     from .sim import SparseState, deposit
 
     exp = circuit.register("exponent").qubits
-    if exponents is None:
-        exponents = range(1 << len(exp))
-    branches = {deposit(0, exp, x): 1 for x in exponents}
+    branches = {deposit(0, exp, x): 1 for x in range(1 << len(exp))}
     return SparseState.superposition(circuit.num_qubits, branches, seed)
 
 

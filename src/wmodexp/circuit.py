@@ -1,10 +1,9 @@
 """Gate-level intermediate representation with Toffoli cost tallies.
 
 Gates act on globally numbered qubits grouped into named registers. The cost
-accounting follows the temp-AND convention: TempAndCompute and Toffoli (and
-CSwap, which hides one Toffoli) each count 1; TempAndUncompute is free because
-it is realized by measurement and classical feedforward. Depth is ASAP
-layering over the counted gates only.
+accounting follows the temp-AND convention: TempAndCompute and Toffoli each
+count 1; TempAndUncompute is free because it is realized by measurement and
+classical feedforward. Depth is ASAP layering over the counted gates only.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ CNOT = "CNOT"
 TOFFOLI = "Toffoli"
 TEMP_AND = "TempAndCompute"
 TEMP_AND_UNDO = "TempAndUncompute"
-CSWAP = "CSwap"
 MEASURE_X = "MeasureXRegister"
 PHASE_Z = "ClassicalPhaseZ"
 # Gate-set extension: an oracle gate permuting dest -> (dest +/- src) mod N
@@ -26,8 +24,8 @@ PHASE_Z = "ClassicalPhaseZ"
 # functional adder backend; it books zero Toffolis.
 MOD_ADD = "ModAddOracle"
 
-GATE_ARITY = {X: 1, CNOT: 2, TOFFOLI: 3, TEMP_AND: 3, TEMP_AND_UNDO: 3, CSWAP: 3}
-COUNTED = frozenset({TOFFOLI, TEMP_AND, CSWAP})
+GATE_ARITY = {X: 1, CNOT: 2, TOFFOLI: 3, TEMP_AND: 3, TEMP_AND_UNDO: 3}
+COUNTED = frozenset({TOFFOLI, TEMP_AND})
 ROLES = ("exponent", "multiplicand", "lookup", "target", "unary", "ancilla", "pad")
 
 
@@ -37,8 +35,8 @@ class UnknownQubit(KeyError):
 
 class Gate(NamedTuple):
     """One gate. qubits are (controls..., target) for X/CNOT/Toffoli/TempAnd,
-    (control, a, b) for CSwap, the measured register (low bit first) for
-    MeasureXRegister, and the conditioned-on-1 qubits for ClassicalPhaseZ.
+    the measured register (low bit first) for MeasureXRegister, and the
+    conditioned-on-1 qubits for ClassicalPhaseZ.
 
     slot names a transcript entry: the outcome destination for a measurement,
     or with mask the parity condition parity(transcript[slot] & mask) gating a
@@ -120,6 +118,8 @@ class Circuit:
                     raise ValueError("ModAddOracle needs dest and source qubits")
                 if modulus < 2 or sign not in (1, -1):
                     raise ValueError("ModAddOracle needs modulus >= 2 and sign +/-1")
+                if modulus > 1 << dest_len:
+                    raise ValueError(f"ModAddOracle modulus {modulus} exceeds 2**{dest_len}")
             else:
                 raise ValueError(f"unknown gate kind {name!r}")
             if not owned.issuperset(qubits):
@@ -144,7 +144,7 @@ class Circuit:
 def tally(circuit: Circuit) -> Tally:
     """Cost tally of a circuit.
 
-    toffoli_count sums the counted gates (Toffoli, TempAndCompute, CSwap).
+    toffoli_count sums the counted gates (Toffoli, TempAndCompute).
     toffoli_depth is ASAP layering: each counted gate lands one layer after
     the deepest prior counted gate sharing any qubit; uncounted gates are
     invisible to the layering. qubit_highwater is the total register
@@ -273,7 +273,7 @@ def mod_add_gate(dest: tuple[int, ...], src: tuple[int, ...], modulus: int, sign
 
 
 def invert_gates(gates: list[Gate] | tuple[Gate, ...]) -> list[Gate]:
-    """Reverse a measurement-free gate sequence. X/CNOT/Toffoli/CSwap and
+    """Reverse a measurement-free gate sequence. X/CNOT/Toffoli and
     ClassicalPhaseZ are self-inverse; temp-ANDs swap compute/uncompute roles;
     ModAddOracle flips sign."""
     inverted = []

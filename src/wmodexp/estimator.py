@@ -49,6 +49,11 @@ class BudgetOverflow(RuntimeError):
         return cause if isinstance(cause, str) else f"error budget saturated at {cause}"
 
 
+# HardwareProfile fields that must be > 0: the cost formulas divide by all
+# but q, and the selection metric needs q > 0.
+_POSITIVE = frozenset({"cycle_ns", "reaction_ns", "error_threshold", "t1_depth", "ccz_depth", "q"})
+
+
 @dataclass(frozen=True)
 class HardwareProfile:
     """Device and calibration constants. A config file passed to
@@ -93,12 +98,18 @@ class HardwareProfile:
     routing_height: float = 6.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if f.name in _POSITIVE and value <= 0:
+                raise ValueError(f"{f.name} must be > 0, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{f.name} must be >= 0, got {value!r}")
         if not 0 < self.p_phys < 1:
             raise ValueError("p_phys must lie in (0, 1)")
-        if not self.q > 0:
-            raise ValueError(f"q must be > 0, got {self.q!r}")
-        if not math.isfinite(self.q):
-            raise ValueError(f"q must be finite, got {self.q!r}")
+        if self.postprocess_error >= 1:
+            raise ValueError("postprocess_error must lie in [0, 1)")
         if self.serial_overhead < 1:
             raise ValueError("serial_overhead cannot beat the reaction limit")
 

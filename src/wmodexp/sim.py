@@ -25,7 +25,6 @@ from types import MappingProxyType
 
 from .circuit import (
     CNOT,
-    CSWAP,
     MEASURE_X,
     MOD_ADD,
     PHASE_Z,
@@ -85,10 +84,6 @@ class SparseState:
             self._view = MappingProxyType({k: -1 if s else 1 for k, s in zip(keys, signs)})
         return self._view
 
-    def canonical(self) -> tuple[tuple[int, int], ...]:
-        """Branch list sorted by assignment, for exact state comparison."""
-        return tuple(sorted(self.branches.items()))
-
 
 def _transpose(rows: list[int], width: int) -> list[int]:
     """Transpose a bit matrix: bit j of result[i] is bit i of rows[j]. Every
@@ -139,11 +134,6 @@ def apply(state: SparseState, gate: Gate) -> SparseState:
     elif name == TOFFOLI:
         a, b, t = gate.qubits
         p[t] ^= p[a] & p[b]
-    elif name == CSWAP:
-        c, a, b = gate.qubits
-        swap = p[c] & (p[a] ^ p[b])
-        p[a] ^= swap
-        p[b] ^= swap
     elif name == PHASE_Z:
         if gate.slot is not None:
             outcome = state.transcript.get(gate.slot)
@@ -168,8 +158,7 @@ def apply(state: SparseState, gate: Gate) -> SparseState:
 def _mod_add(p: list[int], ones: int, gate: Gate) -> None:
     """dest <- (dest + sign * (src mod N)) mod N on every branch where
     dest < N, bit-sliced. src is reduced by restoring division, which leaves
-    it unchanged unless src >= N on some branch; sign -1 adds N - src. The
-    result keeps dest's width, as deposit does."""
+    it unchanged unless src >= N on some branch; sign -1 adds N - src."""
     dest_qubits = gate.qubits[: gate.dest_len]
     dest = [p[q] for q in dest_qubits]
     src = [p[q] for q in gate.qubits[gate.dest_len :]]

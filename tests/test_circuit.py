@@ -2,7 +2,6 @@ import pytest
 
 from wmodexp.circuit import (
     CNOT,
-    CSWAP,
     MEASURE_X,
     MOD_ADD,
     PHASE_Z,
@@ -53,10 +52,6 @@ class TestTally:
         assert t.toffoli_count == 1
         assert t.toffoli_depth == 1
 
-    def test_cswap_counts_one(self):
-        t = tally(circuit_over(3, [Gate(CSWAP, (0, 1, 2))]))
-        assert t.toffoli_count == 1
-
     def test_mod_add_books_zero(self):
         gate = Gate(MOD_ADD, (0, 1, 2, 3), modulus=3, sign=1, dest_len=2)
         t = tally(circuit_over(4, [gate]))
@@ -86,7 +81,6 @@ class TestValidation:
             pytest.param([Gate(TOFFOLI, (0, 1))], id="toffoli-arity"),
             pytest.param([Gate(TEMP_AND, (0, 1, 2, 3))], id="temp-and-arity"),
             pytest.param([Gate(TEMP_AND_UNDO, (0,))], id="temp-and-undo-arity"),
-            pytest.param([Gate(CSWAP, (0, 1))], id="cswap-arity"),
             pytest.param([Gate(MEASURE_X, (0,))], id="measure-without-slot"),
             pytest.param([Gate(MEASURE_X, (), slot="m")], id="measure-without-qubits"),
             pytest.param([Gate(PHASE_Z, ())], id="empty-phase-z"),
@@ -94,6 +88,9 @@ class TestValidation:
             pytest.param([Gate(MOD_ADD, (0, 1), modulus=3, dest_len=2)], id="mod-add-no-src"),
             pytest.param([Gate(MOD_ADD, (0, 1), modulus=1, dest_len=1)], id="mod-add-modulus"),
             pytest.param([Gate(MOD_ADD, (0, 1), modulus=3, sign=0, dest_len=1)], id="mod-add-sign"),
+            pytest.param(
+                [Gate(MOD_ADD, (0, 1, 2), modulus=5, dest_len=2)], id="mod-add-too-wide"
+            ),
             pytest.param([Gate("Tofoli", (0, 1, 2))], id="unknown-kind"),
             pytest.param(
                 [Gate(MEASURE_X, (0,), slot="m"), Gate(MEASURE_X, (1,), slot="m")],

@@ -513,6 +513,26 @@ def test_estimate_bad_budget_is_bad_input(capsys, budget):
     assert "--budget-mqb must be finite and > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "cycle_ns = 0",
+        "reaction_ns = 0",
+        "error_threshold = 0",
+        "t1_depth = 0",
+        "ccz_depth = 0",
+        "serial_overhead = nan",
+        "postprocess_error = 1.5",
+    ],
+    ids=lambda line: line.split()[0],
+)
+def test_estimate_bad_calibration_names_the_field(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["estimate", "--config", str(cfg), *PUBLISHED_POINT]) == 2
+    assert f"error: {line.split()[0]} must" in capsys.readouterr().err
+
+
 def test_estimate_overflowing_setting_is_bad_input(capsys):
     assert main(["estimate", "--n", "4096", "--ne", "6101", *PUBLISHED_POINT]) == 2
     assert "error: no grid point stays under the error budget" in capsys.readouterr().err

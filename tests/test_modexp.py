@@ -101,11 +101,31 @@ def test_wide_oracle_sweep():
 def test_single_exponent_value():
     cfg = ModexpConfig(INST15, WindowParams(2, 2))
     circuit = build_windowed_modexp(cfg)
-    state = run(circuit, modexp_input_state(circuit, exponents=[0]))
+    state = run(circuit, SparseState.superposition(circuit.num_qubits, {0: 1}))
     (key,) = state.branches
     result = circuit.register(circuit.result_register).qubits
     assert extract(key, result) == 1
     assert key == deposit(0, result, 1)  # exponent 0, workspace clear
+
+
+@pytest.mark.parametrize(
+    ("register", "phase", "message"),
+    [
+        ("multiplicand", 0, "x=0: result 0 (want 1)"),
+        ("walk", 0, "x=0: workspace not cleared (assignment 0x"),
+        (None, 1, "x=0: phase -1 (want +1)"),
+    ],
+    ids=["result", "workspace", "phase"],
+)
+def test_check_reports_a_corrupted_branch(register, phase, message):
+    # Branch 0 holds x = 0, whose result 7**0 mod 15 = 1 ends in multiplicand.
+    circuit, state = assert_exact(ModexpConfig(INST15, WindowParams(2, 2)))
+    planes = list(state.planes)
+    if register is not None:
+        planes[circuit.register(register).qubits[0]] ^= 1
+    bad = SparseState(state.num_qubits, planes, state.phase ^ phase, state.ones)
+    (error,) = check_modexp_output(circuit, INST15, bad)
+    assert error.startswith(message)
 
 
 def test_deferred_output_independent_of_measurement_seed():
@@ -115,8 +135,8 @@ def test_deferred_output_independent_of_measurement_seed():
     for seed in range(10):
         state = run(circuit, modexp_input_state(circuit, seed=seed))
         if reference is None:
-            reference = state.canonical()
-        assert state.canonical() == reference
+            reference = tuple(sorted(state.branches.items()))
+        assert tuple(sorted(state.branches.items())) == reference
 
 
 def test_forced_zero_outcomes_disable_every_fixup():

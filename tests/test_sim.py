@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from wmodexp.circuit import (
     CNOT,
-    CSWAP,
     GATE_ARITY,
     MEASURE_X,
     MOD_ADD,
@@ -44,16 +43,6 @@ class TestGateSemantics:
         s = state_of(3, {0b001: 1})
         apply(s, Gate(TOFFOLI, (0, 1, 2)))
         assert s.branches == {0b001: 1}
-
-    def test_cswap_control_zero(self):
-        s = state_of(3, {0b010: 1})
-        apply(s, Gate(CSWAP, (0, 1, 2)))
-        assert s.branches == {0b010: 1}
-
-    def test_cswap_control_one(self):
-        s = state_of(3, {0b011: 1})
-        apply(s, Gate(CSWAP, (0, 1, 2)))
-        assert s.branches == {0b101: 1}
 
     def test_temp_and_contract(self):
         s = state_of(3, {0b111: 1})
@@ -102,7 +91,7 @@ class TestGateSemantics:
 def random_reversible_gates(rng, width, count):
     gates = []
     for _ in range(count):
-        kind = rng.choice([X, CNOT, TOFFOLI, CSWAP])
+        kind = rng.choice([X, CNOT, TOFFOLI])
         qubits = tuple(rng.sample(range(width), {X: 1, CNOT: 2}.get(kind, 3)))
         gates.append(Gate(kind, qubits))
     return gates
@@ -195,7 +184,7 @@ class TestRun:
         # outcome 1 phases the a=1 branch; the fixup phase undoes it exactly.
         s = forcing(state_of(2, {0: 1, 1: 1}), 1)
         run(circuit, s)
-        assert s.canonical() == ((0, 1), (1, 1))
+        assert s.branches == {0: 1, 1: 1}
 
     def test_unknown_gate_rejected(self):
         s = state_of(1, {0: 1})
@@ -251,8 +240,6 @@ def reference_run(gates, branches, outcomes, width=WIDTH):
                 if b[qs[2]] != b[qs[0]] & b[qs[1]]:
                     return state, transcript, index
                 b[qs[2]] = 0
-            elif name == CSWAP and b[qs[0]]:
-                b[qs[1]], b[qs[2]] = b[qs[2]], b[qs[1]]
             elif name == PHASE_Z and all(b[q] for q in qs):
                 phase = -phase
             elif name == MOD_ADD:
@@ -289,7 +276,7 @@ def engine_run(gates, branches, outcomes, width=WIDTH):
 
 @st.composite
 def random_circuits(draw, width=WIDTH, value_bits=WIDTH // 2, branch_range=(1, 6)):
-    """A valid gate list over all nine kinds on width qubits, one forced
+    """A valid gate list over all eight kinds on width qubits, one forced
     outcome per measurement, and a branch count in branch_range, each below
     2**value_bits; by default the high half starts at |0>, like the ancillas
     of a built circuit. TempAnd pairs may break their contracts on purpose,
@@ -322,7 +309,7 @@ def random_circuits(draw, width=WIDTH, value_bits=WIDTH // 2, branch_range=(1, 6
         else:
             dest_len = draw(st.integers(1, 3))
             src_len = draw(st.integers(1, width - dest_len))
-            modulus = draw(st.integers(2, 9))
+            modulus = draw(st.integers(2, 1 << dest_len))
             sign = draw(st.sampled_from([1, -1]))
             gates.append(mod_add_gate(order[:dest_len], order[dest_len:][:src_len], modulus, sign))
     values = st.integers(0, (1 << value_bits) - 1)
