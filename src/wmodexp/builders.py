@@ -464,7 +464,6 @@ class _ModexpEmitter:
         )
         self.spine = cb.add_register("walk", plan.walk_bits + 1, "ancilla")
         self.carry = cb.add_register("carry", 1, "ancilla") if plan.carry else ()
-        self.swaps = 0
 
         # Classical bases for the windowed part. When an initial lookup eats
         # nep bits, the windowed recursion continues from base**(2**nep).
@@ -485,10 +484,6 @@ class _ModexpEmitter:
     def acc_window_qubits(self, index: int) -> tuple[int, ...]:
         start = index * self.cfg.wp.mul_window
         return self.acc[start : start + self.mul_windows[index]]
-
-    def swap_value_registers(self) -> None:
-        self.acc, self.tgt = self.tgt, self.acc
-        self.swaps += 1
 
     # -- emission -----------------------------------------------------------
 
@@ -555,9 +550,9 @@ class _ModexpEmitter:
         self.emit_initialization()
         for exp_index in range(len(self.exp_windows)):
             self.emit_sweep(exp_index, forward=True)
-            self.swap_value_registers()
+            self.acc, self.tgt = self.tgt, self.acc
             self.emit_sweep(exp_index, forward=False)
-        self.cb.result_register = "multiplicand" if self.swaps % 2 == 0 else "target"
+        self.cb.result_register = ("multiplicand", "target")[len(self.exp_windows) % 2]
         return self.cb.build()
 
 

@@ -3,7 +3,8 @@
 Gates act on globally numbered qubits grouped into named registers. The cost
 accounting follows the temp-AND convention: TempAndCompute and Toffoli each
 count 1; TempAndUncompute is free because it is realized by measurement and
-classical feedforward. Depth is ASAP layering over the counted gates only.
+classical feedforward. Depth is ASAP layering along data dependencies, in
+which only the counted gates take a layer.
 """
 
 from __future__ import annotations
@@ -145,32 +146,38 @@ def tally(circuit: Circuit) -> Tally:
     """Cost tally of a circuit.
 
     toffoli_count sums the counted gates (Toffoli, TempAndCompute).
-    toffoli_depth is ASAP layering: each counted gate lands one layer after
-    the deepest prior counted gate sharing any qubit; uncounted gates are
-    invisible to the layering. qubit_highwater is the total register
-    allocation (all registers live for the whole circuit). measurement_depth
-    counts measurement events, which are inherently serial here: each
-    feeds classical corrections consumed before the next.
+    toffoli_depth is ASAP layering along data dependencies: every gate
+    starts at the deepest layer reached on any of its qubits and passes that
+    layer on to all of them, and only counted gates add a layer. So a
+    Toffoli that reads a register lands after the uncounted gates (CNOT,
+    measurement, ModAddOracle, ...) that wrote it. qubit_highwater is the
+    total register allocation (all registers live for the whole circuit).
+    measurement_depth counts measurement events, which are inherently serial
+    here: each feeds classical corrections consumed before the next.
     """
     count = 0
-    depth = 0
-    measurements = 0
-    layer: dict[int, int] = {}
-    for gate in circuit.gates:
-        if gate.name in COUNTED:
-            count += 1
-            at = 1 + max((layer.get(q, 0) for q in gate.qubits), default=0)
-            for q in gate.qubits:
+    layer = [0] * (1 + max((q for reg in circuit.registers for q in reg.qubits), default=-1))
+    deepest = layer.__getitem__
+    for name, qubits, _, _, _, _, _ in circuit.gates:
+        if name == CNOT:  # the commonest gate, unrolled
+            c, t = qubits
+            if layer[c] > layer[t]:
+                layer[t] = layer[c]
+            else:
+                layer[c] = layer[t]
+        elif name != X:  # an X leaves every layer as it is
+            at = max(map(deepest, qubits))
+            if name in COUNTED:
+                count += 1
+                at += 1
+            for q in qubits:
                 layer[q] = at
-            depth = max(depth, at)
-        elif gate.name == MEASURE_X:
-            measurements += 1
-    return Tally(count, depth, circuit.num_qubits, measurements)
+    return Tally(count, max(layer, default=0), circuit.num_qubits, len(circuit.slots))
 
 
 def dump_circuit(circuit: Circuit) -> str:
     """One line per gate: `Variant q1 q2 ... [key=value ...]`, preceded by
-    register header lines. Round-trips through load_circuit."""
+    register header lines."""
     lines = []
     for reg in circuit.registers:
         ids = " ".join(str(q) for q in reg.qubits)
@@ -189,54 +196,6 @@ def dump_circuit(circuit: Circuit) -> str:
             parts.append(f"sign={gate.sign:+d}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
-
-
-def load_circuit(text: str) -> Circuit:
-    """Parse the dump_circuit format."""
-    registers: list[Register] = []
-    gates: list[Gate] = []
-    result = None
-    for number, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "register":
-            if len(parts) < 3:
-                missing = ("name", "role")[len(parts) - 1]
-                raise ValueError(f"line {number}: register is missing its {missing}")
-            registers.append(Register(parts[1], tuple(int(q) for q in parts[3:]), parts[2]))
-            continue
-        if parts[0] == "result":
-            if len(parts) < 2:
-                raise ValueError(f"line {number}: result is missing its register name")
-            result = parts[1]
-            continue
-        name = parts[0]
-        qubits: list[int] = []
-        extras: dict[str, str] = {}
-        for token in parts[1:]:
-            if "=" in token:
-                key, value = token.split("=", 1)
-                extras[key] = value
-            else:
-                qubits.append(int(token))
-        kwargs: dict = {}
-        if "slot" in extras:
-            kwargs["slot"] = extras["slot"]
-        if "cond" in extras:
-            slot, mask = extras["cond"].split(":")
-            kwargs["slot"] = slot
-            kwargs["mask"] = int(mask, 16)
-        if name == MOD_ADD:
-            for key in ("dest", "mod", "sign"):
-                if key not in extras:
-                    raise ValueError(f"line {number}: {MOD_ADD} is missing {key}=")
-            kwargs["dest_len"] = int(extras["dest"])
-            kwargs["modulus"] = int(extras["mod"])
-            kwargs["sign"] = int(extras["sign"])
-        gates.append(Gate(name, tuple(qubits), **kwargs))
-    return Circuit(tuple(gates), tuple(registers), result)
 
 
 class CircuitBuilder:

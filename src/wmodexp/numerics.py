@@ -238,23 +238,3 @@ def dump_table(table: LookupTable) -> str:
     lines.extend(format(value, "x") for value in table.entries)
     return "\n".join(lines) + "\n"
 
-
-def load_table(text: str) -> LookupTable:
-    """Parse the dump_table format back into an identical LookupTable.
-
-    Blank lines and `#` comment lines are skipped, so dumped files may
-    carry provenance headers.
-    """
-    lines = [
-        line
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    if not lines:
-        raise ValueError("empty table text")
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != "table":
-        raise ValueError(f"bad table header: {lines[0]!r}")
-    kind, addr_bits, word_bits = header[1], int(header[2]), int(header[3])
-    entries = tuple(int(line, 16) for line in lines[1:])
-    return LookupTable(kind, addr_bits, word_bits, entries)

@@ -17,7 +17,6 @@ from wmodexp.circuit import (
     UnknownQubit,
     dump_circuit,
     invert_gates,
-    load_circuit,
     mod_add_gate,
     tally,
 )
@@ -56,6 +55,19 @@ class TestTally:
         gate = Gate(MOD_ADD, (0, 1, 2, 3), modulus=3, sign=1, dest_len=2)
         t = tally(circuit_over(4, [gate]))
         assert t.toffoli_count == 0
+
+    def test_uncounted_gates_carry_layers(self):
+        # The second Toffoli reads what the first wrote, through a CNOT and a
+        # ModAddOracle; an X between them changes nothing.
+        gates = [
+            Gate(TOFFOLI, (0, 1, 2)),
+            Gate(CNOT, (2, 3)),
+            mod_add_gate((4, 5), (3,), 3, 1),
+            Gate(X, (5,)),
+            Gate(TOFFOLI, (5, 6, 7)),
+        ]
+        t = tally(circuit_over(8, gates))
+        assert (t.toffoli_count, t.toffoli_depth) == (2, 2)
 
     def test_depth_never_exceeds_count(self):
         gates = [Gate(TOFFOLI, (0, 1, 2)), Gate(TOFFOLI, (3, 4, 5)), Gate(TOFFOLI, (0, 3, 6))]
@@ -102,10 +114,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             circuit_over(4, gates)
 
-    def test_unknown_kind_rejected_on_load(self):
-        with pytest.raises(ValueError, match="Tofoli"):
-            load_circuit("register w ancilla 0 1 2\nTofoli 0 1 2\nToffoli 0 1 2\n")
-
     def test_slots_follow_the_measurements(self):
         gates = [Gate(MEASURE_X, (1,), slot="b"), Gate(X, (0,)), Gate(MEASURE_X, (0,), slot="a")]
         assert circuit_over(2, gates).slots == ("b", "a")
@@ -141,11 +149,18 @@ class TestDumpFormat:
         return cb.build()
 
     def test_round_trip(self):
-        circuit = self.build_sample()
-        text = dump_circuit(circuit)
-        again = load_circuit(text)
-        assert again == circuit
-        assert dump_circuit(again) == text
+        assert dump_circuit(self.build_sample()) == (
+            "register addr exponent 0 1\n"
+            "register data lookup 2 3 4\n"
+            "result data\n"
+            "X 0\n"
+            "Toffoli 0 1 2\n"
+            "TempAndCompute 0 1 3\n"
+            "MeasureXRegister 2 3 4 slot=m.0\n"
+            "ClassicalPhaseZ 0 cond=m.0:5\n"
+            "ClassicalPhaseZ 1\n"
+            "ModAddOracle 2 3 0 1 dest=2 mod=3 sign=-1\n"
+        )
 
     def test_one_gate_per_line(self):
         circuit = self.build_sample()
@@ -155,30 +170,6 @@ class TestDumpFormat:
             if line and not line.startswith(("register", "result"))
         ]
         assert len(gate_lines) == len(circuit.gates)
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("register w\n", "line 1: register is missing its role"),
-            ("register\n", "line 1: register is missing its name"),
-            ("register w ancilla 0 1\nresult\n", "line 2: result is missing its register name"),
-            (
-                "register w ancilla 0 1\nModAddOracle 0 1 dest=1\n",
-                "line 2: ModAddOracle is missing mod=",
-            ),
-            (
-                "register w ancilla 0 1\n\nModAddOracle 0 1 dest=1 mod=3\n",
-                "line 3: ModAddOracle is missing sign=",
-            ),
-            (
-                "register w ancilla 0 1\nModAddOracle 0 1 mod=3 sign=+1\n",
-                "line 2: ModAddOracle is missing dest=",
-            ),
-        ],
-    )
-    def test_truncated_text_names_line_and_field(self, text, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            load_circuit(text)
 
 
 class TestBuilderHelpers:

@@ -17,7 +17,7 @@ from wmodexp.numerics import (
     build_mul_table,
     build_phase_fixup_table,
     build_pruned_table,
-    load_table,
+    dump_table,
 )
 
 INST15 = ProblemInstance(15, 7, 4)
@@ -30,6 +30,11 @@ def data_lines(text):
 
 def comment_lines(text):
     return [line for line in text.splitlines() if line.startswith("#")]
+
+
+def table_body(text):
+    """A tables file without its `#` manifest lines: the dumped table."""
+    return "".join(line for line in text.splitlines(True) if not line.startswith("#"))
 
 
 def cells(line):
@@ -112,18 +117,18 @@ def test_tables_round_trip_matches_in_memory(tmp_path, capsys):
     files = run_tables(tmp_path, ["--outcome", "5", "--low-bits", "2"])
     capsys.readouterr()
     mul = build_mul_table(INST15, WP22, 0, 0)
-    assert load_table(files["multiply"]) == mul
-    assert load_table(files["pruned"]) == build_pruned_table(INST15, WP22, 0, 0)
-    assert load_table(files["phase_fixup"]) == build_phase_fixup_table(mul, 5, 2)
-    assert load_table(files["direct_exp"]) == build_direct_exp_table(INST15, 2)
+    assert table_body(files["multiply"]) == dump_table(mul)
+    assert table_body(files["pruned"]) == dump_table(build_pruned_table(INST15, WP22, 0, 0))
+    assert table_body(files["phase_fixup"]) == dump_table(build_phase_fixup_table(mul, 5, 2))
+    assert table_body(files["direct_exp"]) == dump_table(build_direct_exp_table(INST15, 2))
 
 
 def test_tables_zero_width_initial_round_trips(tmp_path, capsys):
     files = run_tables(tmp_path, ["--initial-bits", "0"])
     capsys.readouterr()
-    table = load_table(files["direct_exp"])
-    assert table == build_direct_exp_table(INST15, 0)
+    table = build_direct_exp_table(INST15, 0)
     assert table.entries == (1,)
+    assert table_body(files["direct_exp"]) == dump_table(table) == "table direct_exp 0 4\n1\n"
 
 
 def test_tables_pruned_xor_copy_equals_plain(tmp_path, capsys):
@@ -131,13 +136,16 @@ def test_tables_pruned_xor_copy_equals_plain(tmp_path, capsys):
     # XOR correction is visible in the dumped entries.
     files = run_tables(tmp_path, ["--mul-index", "1"])
     capsys.readouterr()
-    plain = load_table(files["multiply"])
-    pruned = load_table(files["pruned"])
+    plain = build_mul_table(INST15, WP22, 0, 1)
+    pruned = build_pruned_table(INST15, WP22, 0, 1)
+    assert table_body(files["multiply"]) == dump_table(plain)
+    assert table_body(files["pruned"]) == dump_table(pruned)
     exp_width = WP22.exp_window
     offset = WP22.mul_window
     for addr, entry in enumerate(pruned.entries):
         mult = addr >> exp_width
         assert entry ^ (mult << offset) == plain.entries[addr]
+    assert pruned.entries != plain.entries
 
 
 def test_tables_reruns_are_byte_identical(tmp_path, capsys):
@@ -181,6 +189,8 @@ def test_tables_bad_index_or_outcome_is_bad_input(tmp_path, capsys, flags, reaso
         ("simulate --ne 40", "MAX_ENTRIES"),
         ("simulate --ne 1000000000000", "MAX_ENTRIES"),
         ("simulate --modulus 1000003 --base 3 --ne 8 --we 8 --wm 8", "MAX_WALK_ENTRIES"),
+        # MAX_ENTRIES and MAX_WALK_ENTRIES admit this; it would build ~4e7 gates.
+        (f"simulate --modulus {2**2047 + 3} --base 3 --ne 16 --we 1 --wm 1", "MAX_GATES"),
         ("tables --ne 40 --we 40", "MAX_ENTRIES"),
         ("tables --ne 1000000000000 --we 1000000000000", "MAX_ENTRIES"),
         ("tables --ne 40 --initial-bits 40", "MAX_ENTRIES"),

@@ -188,6 +188,19 @@ def test_frozen_toffoli_counts_mod15():
         assert tally(circuit).toffoli_count == expected, opts
 
 
+@pytest.mark.parametrize(
+    "variant, initial_bits, toffolis, depth",
+    [("original", 0, 3232, 2413), ("opt4", 0, 3232, 2409), ("combined", 3, 2137, 1944)],
+)
+def test_metered_depth_at_n4093(variant, initial_bits, toffolis, depth):
+    # Table payloads are CNOTs, which carry layers, so the depth depends on
+    # the table values and hence on the base: base 7 gives 2417 / 2417 / 1947.
+    opts = VARIANT_TABLE[variant].options(initial_bits)
+    cfg = ModexpConfig(ProblemInstance(4093, 2, 12), WindowParams(3, 3), opts, adder=COSET)
+    counts = tally(build_windowed_modexp(cfg))
+    assert (counts.toffoli_count, counts.toffoli_depth) == (toffolis, depth)
+
+
 def test_coset_backend_books_ripple_adders():
     plain = ModexpConfig(INST15, WindowParams(2, 2))
     coset = ModexpConfig(INST15, WindowParams(2, 2), adder=COSET, coset_pad=2)
