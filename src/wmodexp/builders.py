@@ -1,5 +1,6 @@
 """Circuit synthesis: unary conversion, table lookup, measurement-based
-unlookup, ripple adders, and the windowed modular exponentiation family.
+unlookup, and the windowed modular exponentiation circuit, whose one
+lookup-addition adds through cuccaro_gates or circuit.mod_add_gate.
 
 The lookup engine is a serial select walk: a binary tree of temp-AND gates
 descends the address bits most-significant first, keeping one "this prefix
@@ -354,33 +355,6 @@ def build_unlookup(table: LookupTable, lowdepth_unary: bool = False) -> Circuit:
     return cb.build()
 
 
-def build_adder(mode: str, modulus: int, pad: int = 0, subtract: bool = False) -> Circuit:
-    """Standalone adder: dest += src (or -=).
-
-    exact_modular: a single oracle gate with modular semantics over
-    modulus-width registers, booked at zero Toffolis (functional backend).
-    coset: a Cuccaro ripple over modulus-width + pad registers, 2(n+pad)
-    Toffolis (cost-booking backend).
-    """
-    cb = CircuitBuilder()
-    n = modulus.bit_length()
-    if mode == EXACT_MODULAR:
-        dest = cb.add_register("dest", n, "target")
-        src = cb.add_register("src", n, "lookup")
-        cb.emit(mod_add_gate(dest, src, modulus, -1 if subtract else 1))
-    elif mode == COSET:
-        width = n + pad
-        dest = cb.add_register("dest", width, "target")
-        src = cb.add_register("src", width, "lookup")
-        carry = cb.add_register("carry", 1, "ancilla")
-        gates = cuccaro_gates(src, dest, carry[0])
-        cb.emit(*(invert_gates(gates) if subtract else gates))
-    else:
-        raise ValueError(f"unknown adder mode {mode!r}")
-    cb.result_register = "dest"
-    return cb.build()
-
-
 # ---------------------------------------------------------------------------
 # Windowed modular exponentiation.
 
@@ -434,128 +408,6 @@ def plan_modexp(cfg: ModexpConfig) -> ModexpPlan:
     return ModexpPlan(exp_windows, mul_windows, walk_bits, unary_bits, fanout, cfg.adder == COSET)
 
 
-class _ModexpEmitter:
-    """Stateful assembler shared by the modexp builders and build_lookup_add.
-
-    Registers follow the ModexpPlan. The multiplicand/target registers trade
-    logical roles after each exponent window (a free renaming); self.acc and
-    self.tgt track the current assignment and result_register records where
-    the output ends up.
-    """
-
-    def __init__(self, cfg: ModexpConfig):
-        self.cfg = cfg
-        inst = cfg.inst
-        plan = plan_modexp(cfg)
-        self.modulus = inst.modulus
-        width = cfg.value_width
-        nep = cfg.opts.initial_lookup_bits
-        self.exp_windows, self.mul_windows = plan.exp_windows, plan.mul_windows
-
-        cb = CircuitBuilder()
-        self.cb = cb
-        self.exp = cb.add_register("exponent", inst.exp_bits, "exponent")
-        self.acc = cb.add_register("multiplicand", width, "multiplicand")
-        self.tgt = cb.add_register("target", width, "target")
-        self.look = cb.add_register("lookup", width, "lookup")
-        self.unary = cb.add_register("unary", plan.unary_size, "unary") if plan.unary_size else ()
-        self.copies: tuple[int, ...] | None = (
-            cb.add_register("fanout", plan.fanout, "ancilla") if plan.fanout else None
-        )
-        self.spine = cb.add_register("walk", plan.walk_bits + 1, "ancilla")
-        self.carry = cb.add_register("carry", 1, "ancilla") if plan.carry else ()
-
-        # Classical bases for the windowed part. When an initial lookup eats
-        # nep bits, the windowed recursion continues from base**(2**nep).
-        self.window_base = pow(inst.base, 1 << nep, self.modulus)
-        self.window_base_inv = mod_inverse(self.window_base, self.modulus)
-        self.reduced_inst = (
-            ProblemInstance(self.modulus, self.window_base, sum(self.exp_windows))
-            if self.exp_windows
-            else None
-        )
-
-    # -- small helpers ------------------------------------------------------
-
-    def exp_window_qubits(self, index: int) -> tuple[int, ...]:
-        start = self.cfg.opts.initial_lookup_bits + index * self.cfg.wp.exp_window
-        return self.exp[start : start + self.exp_windows[index]]
-
-    def acc_window_qubits(self, index: int) -> tuple[int, ...]:
-        start = index * self.cfg.wp.mul_window
-        return self.acc[start : start + self.mul_windows[index]]
-
-    # -- emission -----------------------------------------------------------
-
-    def emit_initialization(self) -> None:
-        """Seed the accumulator: |1>, or the direct-exp table entry for the
-        low initial_lookup_bits exponent bits."""
-        nep = self.cfg.opts.initial_lookup_bits
-        if nep == 0:
-            self.cb.emit(Gate(X, (self.acc[0],)))
-            return
-        table = build_direct_exp_table(self.cfg.inst, nep)
-        self.cb.emit(*select_walk_gates(self.exp[:nep], self.spine, xor_payload(table, self.acc)))
-
-    def emit_lookup_add(
-        self, exp_index: int, mul_index: int, forward: bool
-    ) -> tuple[tuple[int, ...], LookupTable, str]:
-        """One lookup-addition: table lookup into the lookup register, add or
-        subtract into the target, then uncompute (immediately, or by deferred
-        measurement). Returns the phase walk a deferred fixup needs: the
-        multiplicand window qubits, the plain table and the measurement slot."""
-        cfg = self.cfg
-        base = self.window_base if forward else self.window_base_inv
-        table = build_mul_table(self.reduced_inst, cfg.wp, exp_index, mul_index, base)
-        addr = self.exp_window_qubits(exp_index) + self.acc_window_qubits(mul_index)
-
-        if cfg.opts.selective_lookup:
-            pruned = build_pruned_table(self.reduced_inst, cfg.wp, exp_index, mul_index, base)
-            offset = mul_index * cfg.wp.mul_window
-            for t, q in enumerate(self.acc_window_qubits(mul_index)):
-                self.cb.emit(Gate(CNOT, (q, self.look[offset + t])))
-            skip = 1 << self.exp_windows[exp_index]
-            self.cb.emit(*select_walk_gates(addr, self.spine, xor_payload(pruned, self.look), skip))
-        else:
-            self.cb.emit(*select_walk_gates(addr, self.spine, xor_payload(table, self.look)))
-
-        if cfg.adder == EXACT_MODULAR:
-            self.cb.emit(mod_add_gate(self.tgt, self.look, self.modulus, 1 if forward else -1))
-        else:
-            gates = cuccaro_gates(self.look, self.tgt, self.carry[0])
-            self.cb.emit(*(gates if forward else invert_gates(gates)))
-
-        slot = self.cb.new_slot("m")
-        if cfg.opts.deferred_unlookup:
-            self.cb.emit(Gate(MEASURE_X, self.look, slot=slot))
-        else:
-            self.cb.emit(
-                *unlookup_gates(addr, table, self.look, self.unary, self.spine, slot, self.copies)
-            )
-        return self.acc_window_qubits(mul_index), table, slot
-
-    def emit_sweep(self, exp_index: int, forward: bool) -> None:
-        """One sweep of lookup-additions. With deferred_unlookup it ends in
-        one shared fixup block: a single unary conversion of the exponent
-        window, one phase walk per multiplication window, teardown."""
-        walks = [
-            self.emit_lookup_add(exp_index, mul_index, forward)
-            for mul_index in range(len(self.mul_windows))
-        ]
-        if self.cfg.opts.deferred_unlookup:
-            exp_qubits = self.exp_window_qubits(exp_index)
-            self.cb.emit(*phase_fixup_gates(exp_qubits, self.unary, self.spine, self.copies, walks))
-
-    def build(self) -> Circuit:
-        self.emit_initialization()
-        for exp_index in range(len(self.exp_windows)):
-            self.emit_sweep(exp_index, forward=True)
-            self.acc, self.tgt = self.tgt, self.acc
-            self.emit_sweep(exp_index, forward=False)
-        self.cb.result_register = ("multiplicand", "target")[len(self.exp_windows) % 2]
-        return self.cb.build()
-
-
 def build_windowed_modexp(cfg: ModexpConfig) -> Circuit:
     """The full windowed modular exponentiation circuit for cfg, honoring
     every optimization flag.
@@ -567,24 +419,86 @@ def build_windowed_modexp(cfg: ModexpConfig) -> Circuit:
     The coset adder books realistic gate counts instead and only approximates
     modular reduction.
 
-    Per exponent window the accumulator is multiplied in via a forward sweep
-    of lookup-additions, the registers swap roles (free renaming), and an
-    inverse sweep with the inverted base uncomputes the stale value.
+    Registers follow plan_modexp(cfg). Per exponent window the accumulator is
+    multiplied in via a forward sweep of lookup-additions, the multiplicand
+    and target registers swap roles (a free renaming), and an inverse sweep
+    with the inverted base uncomputes the stale value.
     """
-    return _ModexpEmitter(cfg).build()
+    inst, wp, opts = cfg.inst, cfg.wp, cfg.opts
+    plan = plan_modexp(cfg)
+    nep, width = opts.initial_lookup_bits, cfg.value_width
+    cb = CircuitBuilder()
+    exp = cb.add_register("exponent", inst.exp_bits, "exponent")
+    acc = cb.add_register("multiplicand", width, "multiplicand")
+    tgt = cb.add_register("target", width, "target")
+    look = cb.add_register("lookup", width, "lookup")
+    unary = cb.add_register("unary", plan.unary_size, "unary") if plan.unary_size else ()
+    copies = cb.add_register("fanout", plan.fanout, "ancilla") if plan.fanout else None
+    spine = cb.add_register("walk", plan.walk_bits + 1, "ancilla")
+    carry = cb.add_register("carry", 1, "ancilla") if plan.carry else ()
 
+    # Seed the accumulator: |1>, or the direct-exp entry of the nep low bits.
+    if nep:
+        table = build_direct_exp_table(inst, nep)
+        cb.emit(*select_walk_gates(exp[:nep], spine, xor_payload(table, acc)))
+    else:
+        cb.emit(Gate(X, (acc[0],)))
+    cb.result_register = ("multiplicand", "target")[len(plan.exp_windows) % 2]
+    if not plan.exp_windows:
+        return cb.build()
 
-def build_lookup_add(cfg: ModexpConfig, exp_index: int, mul_index: int) -> Circuit:
-    """A single lookup-addition at window (exp_index, mul_index) over the full
-    modexp register plan. With deferred_unlookup the lookup register is
-    measured and left to a later fixup block, otherwise it is uncomputed in
-    place."""
-    emitter = _ModexpEmitter(cfg)
-    if not emitter.exp_windows:
-        raise ValueError("no exponent windows: every bit is initial-lookup")
-    emitter.emit_lookup_add(exp_index, mul_index, forward=True)
-    emitter.cb.result_register = "target"
-    return emitter.cb.build()
+    # The windowed recursion continues from base**(2**nep): the forward
+    # sweeps' tables are powers of it, the inverse sweeps' of its inverse.
+    step = pow(inst.base, 1 << nep, inst.modulus)
+    windowed_bits = sum(plan.exp_windows)
+    sweeps = (
+        (ProblemInstance(inst.modulus, step, windowed_bits), True),
+        (ProblemInstance(inst.modulus, mod_inverse(step, inst.modulus), windowed_bits), False),
+    )
+
+    def lookup_add(sweep, forward, i, j, exp_qubits, acc, tgt):
+        """Lookup-addition of the table at window pair (i, j): look up into
+        the lookup register, add or subtract it into tgt, then uncompute it
+        in place or measure it for the sweep's deferred fixup. Returns the
+        phase walk that fixup needs."""
+        offset = j * wp.mul_window
+        mul_qubits = acc[offset : offset + plan.mul_windows[j]]
+        addr = exp_qubits + mul_qubits
+        table = build_mul_table(sweep, wp, i, j)
+        if opts.selective_lookup:
+            pruned = build_pruned_table(sweep, wp, i, j)
+            cb.emit(*(Gate(CNOT, (q, look[offset + t])) for t, q in enumerate(mul_qubits)))
+            skip = 1 << len(exp_qubits)
+            cb.emit(*select_walk_gates(addr, spine, xor_payload(pruned, look), skip))
+        else:
+            cb.emit(*select_walk_gates(addr, spine, xor_payload(table, look)))
+        if cfg.adder == EXACT_MODULAR:
+            cb.emit(mod_add_gate(tgt, look, inst.modulus, 1 if forward else -1))
+        else:
+            gates = cuccaro_gates(look, tgt, carry[0])
+            cb.emit(*(gates if forward else invert_gates(gates)))
+        slot = cb.new_slot("m")
+        if opts.deferred_unlookup:
+            cb.emit(Gate(MEASURE_X, look, slot=slot))
+        else:
+            cb.emit(*unlookup_gates(addr, table, look, unary, spine, slot, copies))
+        return mul_qubits, table, slot
+
+    for i, exp_width in enumerate(plan.exp_windows):
+        start = nep + i * wp.exp_window
+        exp_qubits = exp[start : start + exp_width]
+        for sweep, forward in sweeps:
+            walks = [
+                lookup_add(sweep, forward, i, j, exp_qubits, acc, tgt)
+                for j in range(len(plan.mul_windows))
+            ]
+            # Deferred unlookup: one fixup block per sweep, a single unary of
+            # the exponent window and one phase walk per multiplication window.
+            if opts.deferred_unlookup:
+                cb.emit(*phase_fixup_gates(exp_qubits, unary, spine, copies, walks))
+            if forward:
+                acc, tgt = tgt, acc
+    return cb.build()
 
 
 # ---------------------------------------------------------------------------

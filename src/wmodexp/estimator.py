@@ -231,18 +231,20 @@ class EstimateRow:
 
 
 def audit_row(row: EstimateRow, rel: float = 1e-9) -> None:
-    """Assert the EstimateRow identities; raises AssertionError on drift."""
+    """Check the EstimateRow identities; raises AssertionError on drift,
+    also under python -O."""
 
     def close(a: float, b: float) -> bool:
         return abs(a - b) <= rel * max(abs(a), abs(b), 1e-300)
 
-    assert 0 <= row.retry_risk < 1, row
-    assert close(row.expected_hours, row.hours / (1 - row.retry_risk)), row
-    assert close(row.expected_vol, row.vol_per_run / (1 - row.retry_risk)), row
-    assert close(row.vol_per_run, row.mqb * row.hours / 24), row
-    assert close(
-        row.log_skewed_volume, row.q * math.log(row.mqb) + math.log(row.expected_hours)
-    ), row
+    if not (
+        0 <= row.retry_risk < 1
+        and close(row.expected_hours, row.hours / (1 - row.retry_risk))
+        and close(row.expected_vol, row.vol_per_run / (1 - row.retry_risk))
+        and close(row.vol_per_run, row.mqb * row.hours / 24)
+        and close(row.log_skewed_volume, row.q * math.log(row.mqb) + math.log(row.expected_hours))
+    ):
+        raise AssertionError(row)
 
 
 # ---------------------------------------------------------------------------
@@ -331,24 +333,19 @@ def padding_bits(reps: int, pieces: int, d_off: int) -> int:
 # Core estimate.
 
 
-def estimate(
-    n: int,
-    n_e: int,
-    profile: HardwareProfile,
-    point: LayoutPoint,
-    cost_row: CostBreakdown,
-) -> EstimateRow:
+def estimate(profile: HardwareProfile, point: LayoutPoint, cost_row: CostBreakdown) -> EstimateRow:
     """Evaluate one operating point.
 
-    The per-repetition costs and the register count come from the
-    supplied CostBreakdown, so the variant choice lives there. The adder's
-    plain 2n Toffolis and steps are recharged against the padded register
-    and piece lengths, keeping the variant's difference from 2n, and
-    repetition counts use ceiling window counts. Raises BudgetOverflow when
-    the accumulated error probability reaches 1.
+    The problem size (n, n_e), the per-repetition costs and the register
+    count come from the supplied CostBreakdown, so the variant choice lives
+    there. The adder's plain 2n Toffolis and steps are recharged against
+    the padded register and piece lengths, keeping the variant's difference
+    from 2n, and repetition counts use ceiling window counts. Raises
+    BudgetOverflow when the accumulated error probability reaches 1.
     """
     if point.g_exp != cost_row.w_e or point.g_mul != cost_row.w_m:
         raise ValueError("cost_row windows disagree with the layout point")
+    n, n_e = cost_row.n, cost_row.n_e
     pieces = math.ceil(n / point.g_sep)
     windowed_bits = n_e - cost_row.initial_bits
     reps = 2 * math.ceil(windowed_bits / point.g_exp) * math.ceil(n / point.g_mul)
@@ -516,9 +513,7 @@ def grid_search(
                                 continue
                             point = LayoutPoint(l1, l2, d_off, g_mul, g_exp, g_sep)
                             try:
-                                rows.append(
-                                    estimate(n, n_e, profile, point, cost_cache[g_exp, g_mul])
-                                )
+                                rows.append(estimate(profile, point, cost_cache[g_exp, g_mul]))
                             except BudgetOverflow:
                                 continue
     if not rows:

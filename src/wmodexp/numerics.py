@@ -141,31 +141,23 @@ def window_width(total_bits: int, window: int, index: int) -> int:
 
 
 def build_mul_table(
-    inst: ProblemInstance,
-    wp: WindowParams,
-    exp_index: int,
-    mul_index: int,
-    base: int | None = None,
+    inst: ProblemInstance, wp: WindowParams, exp_index: int, mul_index: int
 ) -> LookupTable:
     """Windowed multiplication table for one (exponent, multiplicand) window pair.
 
     The address is the concatenation mult || expn with the exponent window in
-    the low bits. Entry value:
+    the low bits. Entry value, with base and N taken from inst:
 
         base**(expn * 2**(exp_index * exp_window)) * 2**(mul_index * mul_window) * mult  (mod N)
 
-    Boundary windows are shorter when the window size does not divide the
-    register, so the table shrinks accordingly.
+    Boundary windows are shorter when the window size does not divide
+    inst.exp_bits or the modulus width, so the table shrinks accordingly.
     """
-    if base is None:
-        base = inst.base
     modulus = inst.modulus
-    if math.gcd(base, modulus) != 1:
-        raise NotInvertible(f"table base {_brief(base)} not coprime to {_brief(modulus)}")
     exp_width = window_width(inst.exp_bits, wp.exp_window, exp_index)
     mul_width = window_width(inst.mod_bits, wp.mul_window, mul_index)
     # base**(2**offset) by repeated squaring, which never builds 2**offset.
-    step = base
+    step = inst.base
     for _ in range(exp_index * wp.exp_window):
         step = step * step % modulus
     shift = (1 << (mul_index * wp.mul_window)) % modulus
@@ -178,11 +170,7 @@ def build_mul_table(
 
 
 def build_pruned_table(
-    inst: ProblemInstance,
-    wp: WindowParams,
-    exp_index: int,
-    mul_index: int,
-    base: int | None = None,
+    inst: ProblemInstance, wp: WindowParams, exp_index: int, mul_index: int
 ) -> LookupTable:
     """Multiplication table with the plain copy pattern XORed out.
 
@@ -192,7 +180,7 @@ def build_pruned_table(
 
         pruned[mult || expn] XOR (mult << mul_index*mul_window) == plain[mult || expn]
     """
-    plain = build_mul_table(inst, wp, exp_index, mul_index, base)
+    plain = build_mul_table(inst, wp, exp_index, mul_index)
     exp_width = plain.addr_bits - window_width(inst.mod_bits, wp.mul_window, mul_index)
     offset = mul_index * wp.mul_window
     entries = []

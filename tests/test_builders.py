@@ -1,4 +1,4 @@
-"""Unary converters, table lookup, unlookup, and adders."""
+"""Unary converters, table lookup, unlookup, and the adder gate producers."""
 
 import hashlib
 import random
@@ -13,17 +13,23 @@ from wmodexp.builders import (
     ModexpConfig,
     ModexpOptions,
     SizeMismatch,
-    build_adder,
-    build_lookup_add,
     build_qrom_lookup,
     build_unary,
     build_unary_lowdepth,
     build_unlookup,
     build_windowed_modexp,
+    cuccaro_gates,
     select_walk_gates,
     unary_forward_gates,
 )
-from wmodexp.circuit import COUNTED, CircuitBuilder, dump_circuit, invert_gates, tally
+from wmodexp.circuit import (
+    COUNTED,
+    CircuitBuilder,
+    dump_circuit,
+    invert_gates,
+    mod_add_gate,
+    tally,
+)
 from wmodexp.numerics import (
     LookupTable,
     ProblemInstance,
@@ -243,8 +249,25 @@ def test_unlookup_rejects_tampered_dest():
 # -- adders -----------------------------------------------------------------
 
 
+def adder_circuit(mode, modulus, pad=0, subtract=False):
+    """dest += src (or -=) from the gates build_windowed_modexp emits: one
+    modular oracle gate for EXACT_MODULAR, a Cuccaro ripple over
+    modulus-width + pad registers with a carry ancilla for COSET."""
+    cb = CircuitBuilder()
+    width = modulus.bit_length() + (pad if mode == COSET else 0)
+    dest = cb.add_register("dest", width, "target")
+    src = cb.add_register("src", width, "lookup")
+    if mode == EXACT_MODULAR:
+        cb.emit(mod_add_gate(dest, src, modulus, -1 if subtract else 1))
+    else:
+        carry = cb.add_register("carry", 1, "ancilla")
+        gates = cuccaro_gates(src, dest, carry[0])
+        cb.emit(*(invert_gates(gates) if subtract else gates))
+    return cb.build()
+
+
 def test_exact_adder_full_table():
-    circuit = build_adder(EXACT_MODULAR, 13)
+    circuit = adder_circuit(EXACT_MODULAR, 13)
     dest = circuit.register("dest").qubits
     for a in range(13):
         for b in range(13):
@@ -254,7 +277,7 @@ def test_exact_adder_full_table():
 
 
 def test_exact_adder_subtract():
-    circuit = build_adder(EXACT_MODULAR, 13, subtract=True)
+    circuit = adder_circuit(EXACT_MODULAR, 13, subtract=True)
     dest = circuit.register("dest").qubits
     state = run(circuit, single_branch(circuit, {"dest": 3, "src": 9}))
     assert extract(only_branch(state), dest) == (3 - 9) % 13
@@ -270,7 +293,7 @@ def test_exact_adder_subtract():
 def test_coset_adder_wraps_power_of_two(pad, a, b, subtract):
     width = 3 + pad
     a, b = a % (1 << width), b % (1 << width)
-    circuit = build_adder(COSET, 5, pad=pad, subtract=subtract)
+    circuit = adder_circuit(COSET, 5, pad=pad, subtract=subtract)
     dest = circuit.register("dest").qubits
     state = run(circuit, single_branch(circuit, {"dest": a, "src": b}))
     key = only_branch(state)
@@ -282,15 +305,11 @@ def test_coset_adder_wraps_power_of_two(pad, a, b, subtract):
 
 @pytest.mark.parametrize("pad", [0, 2])
 def test_coset_adder_cost(pad):
-    counts = tally(build_adder(COSET, 5, pad=pad))
+    circuit = adder_circuit(COSET, 5, pad=pad)
+    counts = tally(circuit)
     assert counts.toffoli_count == 2 * (3 + pad)
     assert counts.toffoli_depth == 2 * (3 + pad)
-    assert all(g.name in ("CNOT", "Toffoli") for g in build_adder(COSET, 5, pad=pad).gates)
-
-
-def test_adder_unknown_mode():
-    with pytest.raises(ValueError):
-        build_adder("carry_save", 13)
+    assert all(g.name in ("CNOT", "Toffoli") for g in circuit.gates)
 
 
 def test_counted_gate_set_is_what_costing_assumes():
@@ -321,6 +340,14 @@ def _pinned_circuits():
             )
             cfg = ModexpConfig(inst, wp, opts)
             circuits.append((f"modexp{tag}.flags{bits}", lambda c=cfg: build_windowed_modexp(c)))
+    coset = ModexpConfig(
+        ProblemInstance(21, 2, 6),
+        WindowParams(3, 2),
+        ModexpOptions(True, True, 0, True),
+        adder=COSET,
+        coset_pad=1,
+    )
+    circuits.append(("modexp21.coset", lambda: build_windowed_modexp(coset)))
     for w in range(1, 5):
         circuits.append((f"unary{w}", lambda w=w: build_unary(w)))
         circuits.append((f"unary_lowdepth{w}", lambda w=w: build_unary_lowdepth(w)))
@@ -333,20 +360,6 @@ def _pinned_circuits():
         ("unlookup", lambda: build_unlookup(table)),
         ("unlookup_lowdepth", lambda: build_unlookup(table, lowdepth_unary=True)),
     ]
-    for mode in (EXACT_MODULAR, COSET):
-        for subtract in (False, True):
-            name = f"adder.{mode}.{'sub' if subtract else 'add'}"
-            circuits.append((name, lambda m=mode, s=subtract: build_adder(m, 15, 2, s)))
-    plain = ModexpConfig(ProblemInstance(21, 2, 6), WindowParams(3, 2))
-    flagged = ModexpConfig(
-        ProblemInstance(21, 2, 6),
-        WindowParams(3, 2),
-        ModexpOptions(True, True, 0, True),
-        adder=COSET,
-        coset_pad=1,
-    )
-    circuits.append(("lookup_add.plain", lambda: build_lookup_add(plain, 1, 2)))
-    circuits.append(("lookup_add.flagged", lambda: build_lookup_add(flagged, 0, 1)))
     return circuits
 
 
@@ -383,6 +396,7 @@ PINNED_DIGESTS = {
     "modexp21.flags13": "5c642de0993d22a9",
     "modexp21.flags14": "04d3856dcb9b68cb",
     "modexp21.flags15": "8d1bc8282377e4bc",
+    "modexp21.coset": "913ef54bf3bcf757",
     "unary1": "bc9fc900c5982572",
     "unary_lowdepth1": "3f14560b16b125f6",
     "unary2": "ae6c16d2bb9a8b04",
@@ -395,12 +409,6 @@ PINNED_DIGESTS = {
     "qrom_skip": "fd5ec5627bf3b61f",
     "unlookup": "0cbd2dccade5ad74",
     "unlookup_lowdepth": "ba85263f30f876ea",
-    "adder.exact_modular.add": "5afda18e2dcf434b",
-    "adder.exact_modular.sub": "11516b8500be074a",
-    "adder.coset.add": "f32bf3e3e6ecd131",
-    "adder.coset.sub": "39846fab5f9374e0",
-    "lookup_add.plain": "7b5b4068b3d64544",
-    "lookup_add.flagged": "5292a7f711ce0a2c",
 }
 
 

@@ -3,11 +3,13 @@ row identities, and the parameter grid search."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 from wmodexp.estimator import (
-    DEFAULT_MQB_BUDGETS,
     BudgetOverflow,
     EstimateRow,
     GridRanges,
@@ -16,7 +18,6 @@ from wmodexp.estimator import (
     audit_row,
     best_under_budget,
     board_layout,
-    error_budget,
     estimate,
     factory_dimensions,
     grid_search,
@@ -44,7 +45,7 @@ def profile():
 
 @pytest.fixture(scope="module")
 def ge_row(profile):
-    row = estimate(N, NE, profile, GE_POINT, _variant_cost("original", N, NE, 5, 5))
+    row = estimate(profile, GE_POINT, _variant_cost("original", N, NE, 5, 5))
     return row
 
 
@@ -180,6 +181,25 @@ def test_audit_rejects_tampered_row(ge_row):
         audit_row(broken)
 
 
+def test_audit_rejects_tampered_row_under_optimize():
+    # python -O strips assert statements; the audit must still fire there.
+    child = (
+        "import dataclasses\n"
+        "from wmodexp.estimator import LayoutPoint, _variant_cost, audit_row, estimate, load_profile\n"
+        f"cost = _variant_cost('original', {N}, {NE}, 5, 5)\n"
+        f"row = estimate(load_profile(), {GE_POINT!r}, cost)\n"
+        "audit_row(dataclasses.replace(row, expected_hours=2 * row.expected_hours))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith("AssertionError: EstimateRow(")
+
+
 def test_published_row_arithmetic():
     # The published-row relations hold on the reported figures themselves.
     assert 5.046 / (1 - 0.31) == pytest.approx(7.313, abs=5e-4)
@@ -194,7 +214,7 @@ def test_zero_risk_limit(profile):
         profile, p_phys=1e-9, error_coeff=0.0, postprocess_error=0.0
     )
     point = dataclasses.replace(GE_POINT, d_off=40)
-    row = estimate(N, NE, quiet, point, _variant_cost("original", N, NE, 5, 5))
+    row = estimate(quiet, point, _variant_cost("original", N, NE, 5, 5))
     assert row.retry_risk < 1e-6
     assert row.expected_hours == pytest.approx(row.hours, rel=1e-5)
     assert row.expected_vol == pytest.approx(row.vol_per_run, rel=1e-5)
@@ -202,20 +222,20 @@ def test_zero_risk_limit(profile):
 
 def test_estimate_rejects_mismatched_windows(profile):
     with pytest.raises(ValueError, match="windows"):
-        estimate(N, NE, profile, GE_POINT, _variant_cost("original", N, NE, 6, 5))
+        estimate(profile, GE_POINT, _variant_cost("original", N, NE, 6, 5))
 
 
 def test_budget_overflow_on_undersized_factories(profile):
     # A 4096-bit run through 15/27 factories exhausts the error budget.
     with pytest.raises(BudgetOverflow) as info:
-        estimate(4096, 6101, profile, GE_POINT, _variant_cost("original", 4096, 6101, 5, 5))
+        estimate(profile, GE_POINT, _variant_cost("original", 4096, 6101, 5, 5))
     assert info.value.args == (GE_POINT,)
     assert str(info.value) == f"error budget saturated at {GE_POINT}"
 
 
 def test_q_override_changes_skew_only(profile):
     flat_profile = dataclasses.replace(profile, q=1.0)
-    flat = estimate(N, NE, flat_profile, GE_POINT, _variant_cost("original", N, NE, 5, 5))
+    flat = estimate(flat_profile, GE_POINT, _variant_cost("original", N, NE, 5, 5))
     assert flat.log_skewed_volume == pytest.approx(
         math.log(flat.mqb * flat.expected_hours), rel=1e-9
     )
@@ -227,8 +247,8 @@ def test_sliced_variants_priced_from_their_cost_rows(profile, ge_row):
     # repetition; sliced_B saves n/2 adder Toffolis per repetition.
     reps = 2 * math.ceil(NE / 5) * math.ceil(N / 5)
     assert reps == 496920
-    a = estimate(N, NE, profile, GE_POINT, _variant_cost("sliced_A", N, NE, 5, 5))
-    b = estimate(N, NE, profile, GE_POINT, _variant_cost("sliced_B", N, NE, 5, 5))
+    a = estimate(profile, GE_POINT, _variant_cost("sliced_A", N, NE, 5, 5))
+    b = estimate(profile, GE_POINT, _variant_cost("sliced_B", N, NE, 5, 5))
     assert b.b_tofs == pytest.approx(ge_row.b_tofs - reps * N / 2 / 1e9, rel=1e-12)
     assert b.b_tofs == pytest.approx(2.13079, abs=5e-6)
     assert (b.mqb, b.hours) == (ge_row.mqb, ge_row.hours)
@@ -254,8 +274,8 @@ def test_error_budget_components(profile, ge_row):
 
 def test_deviation_error_halves_per_pad_bit(profile):
     deeper = dataclasses.replace(GE_POINT, d_off=5)
-    base = estimate(N, NE, profile, GE_POINT, _variant_cost("original", N, NE, 5, 5))
-    deep = estimate(N, NE, profile, deeper, _variant_cost("original", N, NE, 5, 5))
+    base = estimate(profile, GE_POINT, _variant_cost("original", N, NE, 5, 5))
+    deep = estimate(profile, deeper, _variant_cost("original", N, NE, 5, 5))
     assert deep.budget.coset_error == pytest.approx(base.budget.coset_error / 2, rel=1e-9)
     assert deep.budget.runway_error == pytest.approx(base.budget.runway_error / 2, rel=1e-9)
 
@@ -377,8 +397,8 @@ PUBLISHED_NE = {1024: 1493, 2048: 3029, 3072: 4565, 4096: 6101}
 def test_combined_never_beats_original_by_much(profile, n):
     n_e = PUBLISHED_NE[n]
     point = ORDERING_POINTS[n]
-    orig = estimate(n, n_e, profile, point, _variant_cost("original", n, n_e, 5, 5))
-    comb = estimate(n, n_e, profile, point, _variant_cost("combined", n, n_e, 5, 5))
+    orig = estimate(profile, point, _variant_cost("original", n, n_e, 5, 5))
+    comb = estimate(profile, point, _variant_cost("combined", n, n_e, 5, 5))
     assert comb.b_tofs <= orig.b_tofs
     reduction = (orig.b_tofs - comb.b_tofs) / orig.b_tofs
     if n == 1024:
@@ -391,7 +411,7 @@ def test_combined_cheaper_across_grid_sample(profile):
     for g_sep in (512, 1024, 2048):
         for d_off in (2, 6, 9):
             point = LayoutPoint(L1=15, L2=27, d_off=d_off, g_mul=5, g_exp=5, g_sep=g_sep)
-            orig = estimate(N, NE, profile, point, _variant_cost("original", N, NE, 5, 5))
-            comb = estimate(N, NE, profile, point, _variant_cost("combined", N, NE, 5, 5))
+            orig = estimate(profile, point, _variant_cost("original", N, NE, 5, 5))
+            comb = estimate(profile, point, _variant_cost("combined", N, NE, 5, 5))
             assert comb.b_tofs < orig.b_tofs
             assert comb.hours < orig.hours

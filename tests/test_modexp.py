@@ -9,21 +9,15 @@ import pytest
 
 from wmodexp.builders import (
     COSET,
-    EXACT_MODULAR,
     ModexpConfig,
     ModexpOptions,
-    build_lookup_add,
     build_windowed_modexp,
     check_modexp_output,
     modexp_input_state,
 )
 from wmodexp.circuit import tally
 from wmodexp.costs import VARIANT_TABLE
-from wmodexp.numerics import (
-    ProblemInstance,
-    WindowParams,
-    build_mul_table,
-)
+from wmodexp.numerics import ProblemInstance, WindowParams
 from wmodexp.sim import SparseState, deposit, extract, run
 
 INST15 = ProblemInstance(15, 7, 4)
@@ -221,62 +215,6 @@ def test_coset_backend_simulates_without_contract_breaks():
     circuit = build_windowed_modexp(cfg)
     state = run(circuit, modexp_input_state(circuit, seed=9))
     assert len(state.branches) == 16
-
-
-def test_lookup_add_matches_table():
-    cfg = ModexpConfig(INST15, WindowParams(2, 2))
-    circuit = build_lookup_add(cfg, 0, 1)
-    table = build_mul_table(INST15, WindowParams(2, 2), 0, 1)
-    exp = circuit.register("exponent").qubits
-    acc = circuit.register("multiplicand").qubits
-    tgt = circuit.register("target").qubits
-    for e in range(4):
-        for m in range(4):
-            key = deposit(deposit(0, exp, e), acc, m << 2)
-            state = run(circuit, SparseState.superposition(circuit.num_qubits, {key: 1}))
-            (out,) = state.branches
-            assert extract(out, tgt) == table[(m << 2) | e]
-            assert extract(out, circuit.register("lookup").qubits) == 0
-
-
-def test_lookup_add_zero_mult_window_adds_nothing():
-    for selective in (False, True):
-        cfg = ModexpConfig(
-            INST15, WindowParams(2, 2), ModexpOptions(selective_lookup=selective)
-        )
-        circuit = build_lookup_add(cfg, 0, 0)
-        exp = circuit.register("exponent").qubits
-        tgt = circuit.register("target").qubits
-        state = run(
-            circuit,
-            SparseState.superposition(
-                circuit.num_qubits, {deposit(0, exp, e): 1 for e in range(4)}
-            ),
-        )
-        assert all(extract(k, tgt) == 0 for k in state.branches)
-
-
-def test_lookup_add_selective_zero_exponent_is_shifted_copy():
-    # with exponent window 0 the table entry is just mult * 2^(j*wm) mod N
-    cfg = ModexpConfig(INST15, WindowParams(2, 2), ModexpOptions(selective_lookup=True))
-    circuit = build_lookup_add(cfg, 0, 1)
-    acc = circuit.register("multiplicand").qubits
-    tgt = circuit.register("target").qubits
-    for m in range(1, 4):
-        state = run(
-            circuit,
-            SparseState.superposition(
-                circuit.num_qubits, {deposit(0, acc, m << 2): 1}
-            ),
-        )
-        (out,) = state.branches
-        assert extract(out, tgt) == (m << 2) % 15
-
-
-def test_lookup_add_rejects_all_initial():
-    cfg = ModexpConfig(INST15, WindowParams(2, 2), ModexpOptions(initial_lookup_bits=4))
-    with pytest.raises(ValueError):
-        build_lookup_add(cfg, 0, 0)
 
 
 def test_bad_adder_name():

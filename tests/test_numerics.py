@@ -134,10 +134,6 @@ class TestMulTable:
             mult, expn = addr >> 5, addr & 31
             assert table[addr] == pow(3, expn << 3020, 1021) * mult % 1021
 
-    def test_invalid_base(self):
-        with pytest.raises(NotInvertible):
-            build_mul_table(self.inst, self.wp, 0, 0, base=5)
-
 
 class TestPrunedTable:
     @given(st.data())
