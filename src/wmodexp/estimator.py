@@ -41,8 +41,13 @@ class BudgetOverflow(RuntimeError):
 
     The argument is the overflowing LayoutPoint or a message. A point is
     rendered only when the error is shown, since the grid search raises and
-    swallows one per overflowing point.
+    swallows one per overflowing point. `component` names the error term
+    that reached 1, or "total" for their composition; None for a message.
     """
+
+    def __init__(self, cause: object, component: str | None = None) -> None:
+        super().__init__(cause)
+        self.component = component
 
     def __str__(self) -> str:
         (cause,) = self.args
@@ -341,7 +346,8 @@ def estimate(profile: HardwareProfile, point: LayoutPoint, cost_row: CostBreakdo
     there. The adder's plain 2n Toffolis and steps are recharged against
     the padded register and piece lengths, keeping the variant's difference
     from 2n, and repetition counts use ceiling window counts. Raises
-    BudgetOverflow when the accumulated error probability reaches 1.
+    BudgetOverflow when the accumulated error probability reaches 1; the
+    factory error is checked first, before the schedule and board are priced.
     """
     if point.g_exp != cost_row.w_e or point.g_mul != cost_row.w_m:
         raise ValueError("cost_row windows disagree with the layout point")
@@ -357,6 +363,9 @@ def estimate(profile: HardwareProfile, point: LayoutPoint, cost_row: CostBreakdo
     tofs = cost_row.adt_factor + reps * (
         cost_row.lookup_tofs + add_tofs + cost_row.unlookup_tofs
     )
+    ccz_error = ccz_state_error(profile, point)
+    if tofs * ccz_error >= 1:
+        raise BudgetOverflow(point, "factory")
 
     # Serial reaction-limited schedule. Lookup and unlookup contribute
     # their analytic per-addition depths (walk uncompute legs pipeline into
@@ -378,10 +387,13 @@ def estimate(profile: HardwareProfile, point: LayoutPoint, cost_row: CostBreakdo
     binding = "depth" if depth_s >= factory_s else "factory"
     hours = runtime_s / 3600.0
 
-    budget = error_budget(profile, point, tofs, reps, pieces, pad, board, runtime_s)
+    budget = error_budget(profile, point, tofs * ccz_error, reps, pieces, pad, board, runtime_s)
+    for f in fields(budget):
+        if getattr(budget, f.name) >= 1:
+            raise BudgetOverflow(point, f.name.removesuffix("_error"))
     risk = budget.total
-    if risk >= 1 or any(part >= 1 for part in budget.components()):
-        raise BudgetOverflow(point)
+    if risk >= 1:
+        raise BudgetOverflow(point, "total")
 
     vol_per_run = mqb * hours / 24.0
     expected_hours = hours / (1 - risk)
@@ -408,28 +420,30 @@ def estimate(profile: HardwareProfile, point: LayoutPoint, cost_row: CostBreakdo
     return row
 
 
+def ccz_state_error(profile: HardwareProfile, point: LayoutPoint) -> float:
+    """Failure probability of one CCZ state out of the two-level factory:
+    injection at distance L1 // 2, then level-1 and level-2 distillation."""
+    l0 = profile.p_phys + profile.l0_injection_cells * profile.unit_cell_error(point.L1 // 2)
+    l1 = profile.l1_distill_coeff * l0**3 + profile.l1_factory_cells * profile.unit_cell_error(
+        point.L1
+    )
+    return profile.l2_distill_coeff * l1**2 + profile.l2_factory_cells * profile.unit_cell_error(
+        point.L2
+    )
+
+
 def error_budget(
     profile: HardwareProfile,
     point: LayoutPoint,
-    tofs: float,
+    factory: float,
     reps: int,
     pieces: int,
     pad: int,
     board: BoardLayout,
     runtime_s: float,
 ) -> ErrorBudget:
-    """Failure probability per component for one run."""
+    """Failure probability per component; `factory` is tofs * ccz_state_error."""
     d = point.L2
-    l0_d = point.L1 // 2
-    l0 = profile.p_phys + profile.l0_injection_cells * profile.unit_cell_error(l0_d)
-    l1 = profile.l1_distill_coeff * l0**3 + profile.l1_factory_cells * profile.unit_cell_error(
-        point.L1
-    )
-    l2 = profile.l2_distill_coeff * l1**2 + profile.l2_factory_cells * profile.unit_cell_error(
-        point.L2
-    )
-    factory = tofs * l2
-
     unit_cell_rounds = runtime_s / (profile.cycle_s * d)
     data = board.storage_tiles * unit_cell_rounds * profile.unit_cell_error(d)
 

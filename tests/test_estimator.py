@@ -1,6 +1,7 @@
 """Physical estimator: profile loading, board geometry, error budget,
 row identities, and the parameter grid search."""
 
+import collections
 import dataclasses
 import math
 import os
@@ -9,6 +10,7 @@ import sys
 
 import pytest
 
+from wmodexp import estimator
 from wmodexp.estimator import (
     BudgetOverflow,
     EstimateRow,
@@ -231,6 +233,7 @@ def test_budget_overflow_on_undersized_factories(profile):
         estimate(profile, GE_POINT, _variant_cost("original", 4096, 6101, 5, 5))
     assert info.value.args == (GE_POINT,)
     assert str(info.value) == f"error budget saturated at {GE_POINT}"
+    assert info.value.component == "factory"
 
 
 def test_q_override_changes_skew_only(profile):
@@ -360,6 +363,34 @@ def test_grid_search_is_deterministic(profile, grid_original):
     again = grid_search(N, NE, profile, variant="original")
     assert again.best == grid_original.best
     assert again.frontier == grid_original.frontier
+
+
+def test_grid_overflow_set_is_pinned(profile, monkeypatch):
+    # These counts are what pricing every point in full (schedule, board and
+    # whole budget) gives: the early factory check must refuse exactly the
+    # same points, with the same exception.
+    real_estimate = estimator.estimate
+    evaluated = rows = 0
+    overflows = collections.Counter()
+
+    def counting(profile, point, cost_row):
+        nonlocal evaluated, rows
+        evaluated += 1
+        try:
+            row = real_estimate(profile, point, cost_row)
+        except BudgetOverflow as exc:
+            assert exc.args == (point,)
+            assert str(exc) == f"error budget saturated at {point}"
+            overflows[exc.component] += 1
+            raise
+        rows += 1
+        return row
+
+    monkeypatch.setattr(estimator, "estimate", counting)
+    grid_search(N, NE, profile, variant="original")
+    assert evaluated == 21312
+    assert overflows == {"factory": 17856, "data": 334}
+    assert rows == 3122
 
 
 def test_pareto_frontier_helper():
