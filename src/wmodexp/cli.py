@@ -53,7 +53,7 @@ from .numerics import (
     dump_table,
     window_width,
 )
-from .sim import extract, run
+from .sim import run
 
 ESTIMATE_HEADER = (
     "n, n_e, gate err, L1, L2, d_off, g_mul, g_exp, g_sep, "
@@ -268,12 +268,9 @@ def cmd_simulate(args) -> int:
         lines.append(f"variant {variant}")
         exp_qubits = circuit.register("exponent").qubits
         result_qubits = circuit.register(circuit.result_register).qubits
-        outputs = []
-        for key, phase in final.branches.items():
-            x = extract(key, exp_qubits)
-            value = extract(key, result_qubits)
-            outputs.append((x, value, phase))
-        outputs.sort()
+        outputs = sorted(
+            zip(final.values(exp_qubits), final.values(result_qubits), final.signs())
+        )
         for x, value, phase in outputs:
             want = pow(inst.base, x, inst.modulus)
             verdict = "ok" if value == want and phase == 1 else "MISMATCH"

@@ -12,7 +12,8 @@ X-basis register measurement is the one probabilistic element: outcomes are
 drawn from a seeded RNG (uniform over bitstrings, which is exact because the
 measured register is always a deterministic function of the others), each
 branch picks up (-1)^parity(outcome AND register value), and the register is
-cleared.
+cleared. A state keeps the planes that last told all its branches apart,
+and needs no new check of that contract while they stay unchanged.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ class SparseState:
     rng: random.Random = field(default_factory=lambda: random.Random(0))
     transcript: dict[str, int] = field(default_factory=dict)
     _view: Mapping[int, int] | None = field(default=None, init=False, repr=False, compare=False)
+    _separating: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def superposition(
@@ -78,11 +80,17 @@ class SparseState:
         in branch order. Built from the planes on the first read after a
         gate."""
         if self._view is None:
-            count = self.ones.bit_length()
-            keys = _transpose(self.planes, count)
-            signs = _transpose([self.phase], count)
-            self._view = MappingProxyType({k: -1 if s else 1 for k, s in zip(keys, signs)})
+            keys = _transpose(self.planes, self.ones.bit_length())
+            self._view = MappingProxyType(dict(zip(keys, self.signs())))
         return self._view
+
+    def values(self, qubits: tuple[int, ...]) -> list[int]:
+        """Value of the given qubits (low bit first) on each branch, in order."""
+        return _transpose([self.planes[q] for q in qubits], self.ones.bit_length())
+
+    def signs(self) -> list[int]:
+        """Phase (+1 or -1) of each branch, in order."""
+        return [-1 if s else 1 for s in _transpose([self.phase], self.ones.bit_length())]
 
 
 def _transpose(rows: list[int], width: int) -> list[int]:
@@ -208,18 +216,27 @@ def measure_x(state: SparseState, qubits: tuple[int, ...], slot: str) -> tuple[S
     The contract is checked exhaustively by partition refinement: the
     branches are split into classes by each plane outside the register,
     classes of one branch are dropped, and every class left must be constant
-    on each register plane. Under it, measuring in the X basis yields a
-    uniformly random outcome s, multiplies each branch by
+    on each register plane. When no class is left, the planes that split
+    them are kept as a separating set, and a later measurement outside it
+    skips the refinement while each of those planes is unchanged: they still
+    tell every branch apart. Under the contract, measuring in the X basis
+    yields a uniformly random outcome s, multiplies each branch by
     (-1)^parity(s AND value), and resets the register to zero.
     """
     p, ones = state.planes, state.ones
     measured = set(qubits)
-    classes = [ones] if ones & (ones - 1) else []
+    known = state._separating
+    holds = bool(known) and measured.isdisjoint(known) and all(
+        p[q] == plane for q, plane in known.items()
+    )
+    classes = [ones] if ones & (ones - 1) and not holds else []
+    separating = {}
     for q, plane in enumerate(p):
         if not classes:
             break
         if q in measured or plane == 0 or plane == ones:
             continue
+        separating[q] = plane
         split = []
         for members in classes:
             inside = members & plane
@@ -235,6 +252,8 @@ def measure_x(state: SparseState, qubits: tuple[int, ...], slot: str) -> tuple[S
                 raise ContractViolation(
                     f"measured register is not a function of the other registers (slot {slot})"
                 )
+    if not holds:
+        state._separating = {} if classes else separating
     outcome = state.rng.getrandbits(len(qubits)) if qubits else 0
     for pos, q in enumerate(qubits):
         if outcome >> pos & 1:

@@ -574,6 +574,8 @@ PINNED_OUTPUTS = {
     "tables pruned.tbl": "2e036c245b31098d",
     "tables phase_fixup.tbl": "761e23a2aca5b472",
     "tables direct_exp.tbl": "a8b775e35a98ef6c",
+    # 2^14 branches: the widest state a tier-1 test simulates.
+    "simulate --modulus 1021 --base 3 --ne 14 --we 3 --wm 3 --variant combined": "b2ac0dac5dcc1f24",
 }
 
 

@@ -70,13 +70,14 @@ def test_other_moduli():
     )
 
 
-def test_wide_oracle_sweep():
-    """24 seeded circuits of 256 branches: odd moduli in 129-255 with a
+def wide_sweep_configs():
+    """24 seeded configs of 256 branches: odd moduli in 129-255 with a
     coprime base, n_e = 8, windows from {2, 3, 4}, the six circuit variants
     in turn."""
     variants = [variant for variant in VARIANT_TABLE.values() if variant.has_circuit]
     assert len(variants) == 6
     rng = random.Random(0x8A5E)
+    configs = []
     for index in range(24):
         modulus = rng.randrange(129, 256, 2)
         base = rng.randrange(2, modulus)
@@ -84,12 +85,41 @@ def test_wide_oracle_sweep():
             base = rng.randrange(2, modulus)
         inst = ProblemInstance(modulus, base, 8)
         wp = WindowParams(rng.choice((2, 3, 4)), rng.choice((2, 3, 4)))
-        cfg = ModexpConfig(inst, wp, variants[index % 6].options(rng.randint(1, 4)))
+        configs.append(ModexpConfig(inst, wp, variants[index % 6].options(rng.randint(1, 4))))
+    return configs
+
+
+def test_wide_oracle_sweep():
+    for index, cfg in enumerate(wide_sweep_configs()):
         circuit = build_windowed_modexp(cfg)
         state = run(circuit, modexp_input_state(circuit, seed=index))
-        assert check_modexp_output(circuit, inst, state) == [], cfg
+        assert check_modexp_output(circuit, cfg.inst, state) == [], cfg
         exponents = circuit.register("exponent").qubits
         assert sorted(extract(key, exponents) for key in state.branches) == list(range(256))
+
+
+def test_input_state_matches_the_branch_superposition():
+    # The exponent planes are written directly as counting patterns; they
+    # must give the state that depositing every x into its own branch gives.
+    configs = wide_sweep_configs() + [
+        ModexpConfig(ProblemInstance(1021, 3, n_e), WindowParams(3, 3)) for n_e in range(1, 13)
+    ]
+    for seed, cfg in enumerate(configs):
+        circuit = build_windowed_modexp(cfg)
+        exp = circuit.register("exponent").qubits
+        got = modexp_input_state(circuit, seed)
+        want = SparseState.superposition(
+            circuit.num_qubits, {deposit(0, exp, x): 1 for x in range(1 << len(exp))}, seed
+        )
+        assert (got.num_qubits, got.planes, got.phase, got.ones) == (
+            want.num_qubits,
+            want.planes,
+            want.phase,
+            want.ones,
+        ), cfg
+        assert got.rng.getstate() == want.rng.getstate()
+        assert got.branches == want.branches
+        assert got.values(exp) == list(range(1 << len(exp)))
 
 
 def test_single_exponent_value():
@@ -120,6 +150,49 @@ def test_check_reports_a_corrupted_branch(register, phase, message):
     bad = SparseState(state.num_qubits, planes, state.phase ^ phase, state.ones)
     (error,) = check_modexp_output(circuit, INST15, bad)
     assert error.startswith(message)
+
+
+def reference_check(circuit, inst, state):
+    """check_modexp_output's messages, read branch by branch."""
+    exp = circuit.register("exponent").qubits
+    result = circuit.register(circuit.result_register).qubits
+    errors = []
+    for key, phase in sorted(state.branches.items()):
+        x = extract(key, exp)
+        want = pow(inst.base, x, inst.modulus)
+        if key != deposit(deposit(0, exp, x), result, want):
+            got = extract(key, result)
+            if got != want:
+                errors.append(f"x={x}: result {got} (want {want})")
+            else:
+                errors.append(f"x={x}: workspace not cleared (assignment {key:#x})")
+        if phase != 1:
+            errors.append(f"x={x}: phase {phase:+d} (want +1)")
+    return errors
+
+
+def test_check_reports_faults_on_a_wide_state():
+    # 1,024 branches with faults planted on several of them at once: every
+    # message, and their order, must be the per-branch reading's.
+    inst = ProblemInstance(1021, 3, 10)
+    cfg = ModexpConfig(inst, WindowParams(3, 3), VARIANT_TABLE["combined"].options(3))
+    circuit, state = assert_exact(cfg)
+    planes = list(state.planes)
+    faults = {
+        circuit.register(circuit.result_register).qubits[4]: (3, 517, 1000),
+        circuit.register("walk").qubits[2]: (64, 517),
+        circuit.register("fanout").qubits[1]: (200, 1023),
+        circuit.register("lookup").qubits[0]: (0,),
+    }
+    for q, branches in faults.items():
+        for branch in branches:
+            planes[q] ^= 1 << branch
+    phase = state.phase ^ (1 << 3 | 1 << 64 | 1 << 777)
+    bad = SparseState(state.num_qubits, planes, phase, state.ones)
+    errors = check_modexp_output(circuit, inst, bad)
+    assert errors == reference_check(circuit, inst, bad)
+    kinds = [error.split(": ")[1].split()[0] for error in errors]
+    assert sorted(kinds) == ["phase"] * 3 + ["result"] * 3 + ["workspace"] * 4
 
 
 def test_deferred_output_independent_of_measurement_seed():

@@ -156,6 +156,24 @@ class TestMeasureX:
         with pytest.raises(ContractViolation):
             measure_x(s, (2,), "m")
 
+    @pytest.mark.parametrize(
+        "gates, qubits",
+        [((Gate(CNOT, (0, 2)), Gate(CNOT, (2, 0))), (2,)), ((), (0,))],
+        ids=["planes-changed", "register-overlaps"],
+    )
+    def test_stale_separating_set_is_rechecked(self, gates, qubits):
+        # Planes 0 and 1 tell the four branches apart, so the first
+        # measurement keeps them. Rewriting plane 0, or measuring it, must
+        # send the next measurement back through the full check.
+        s = state_of(3, {0b000: 1, 0b101: 1, 0b010: 1, 0b111: 1})
+        measure_x(s, (2,), "m.0")
+        for gate in gates:
+            apply(s, gate)
+        before = (list(s.planes), s.phase, dict(s.transcript), s.rng.getstate())
+        with pytest.raises(ContractViolation):
+            measure_x(s, qubits, "m.1")
+        assert (s.planes, s.phase, s.transcript, s.rng.getstate()) == before
+
     def test_transcript_recorded(self):
         s = forcing(state_of(2, {0b00: 1}), 2)
         _, outcome = measure_x(s, (0, 1), "m")
