@@ -363,16 +363,17 @@ def build_unlookup(table: LookupTable, lowdepth_unary: bool = False) -> Circuit:
 @dataclass(frozen=True)
 class ModexpPlan:
     """Window and workspace sizing of one modexp circuit, read by the
-    circuit builder and by costs.exact_cost.
+    circuit builder, by costs.exact_cost and by the simulate gate cap.
 
     Register order: exponent | multiplicand | target | lookup | unary |
-    fanout | walk spine | carry. exp_windows and mul_windows hold the actual
-    window widths, ragged boundary windows included; walk_bits and
-    unary_bits are the widest walk and unary zone used anywhere in the
-    circuit, and fanout is the width of the low-depth unary's control
-    copies (0 when absent).
+    fanout | walk spine | carry. initial_bits is the initial lookup's width
+    (0 when absent); exp_windows and mul_windows hold the actual window
+    widths, ragged boundary windows included; walk_bits and unary_bits are
+    the widest walk and unary zone used anywhere in the circuit, and fanout
+    is the width of the low-depth unary's control copies (0 when absent).
     """
 
+    initial_bits: int
     exp_windows: tuple[int, ...]
     mul_windows: tuple[int, ...]
     walk_bits: int
@@ -385,6 +386,13 @@ class ModexpPlan:
         """Width of the unary register; there is none without exponent
         windows."""
         return 1 << self.unary_bits if self.exp_windows else 0
+
+    @property
+    def lookup_entries(self) -> int:
+        """Table entries the lookups address: 2^initial_bits (2^0 stands for the X
+        seeding the accumulator) plus 2^(exp + mul width) per window pair and sweep."""
+        pairs = sum(1 << w for w in self.exp_windows) * sum(1 << w for w in self.mul_windows)
+        return (1 << self.initial_bits) + 2 * pairs
 
 
 def plan_modexp(cfg: ModexpConfig) -> ModexpPlan:
@@ -406,7 +414,8 @@ def plan_modexp(cfg: ModexpConfig) -> ModexpPlan:
         walk_bits = max(nep, we + wm)
         unary_bits = we if opts.deferred_unlookup else (we + wm) // 2
     fanout = (1 << (unary_bits - 1)) - 1 if opts.lowdepth_unary and unary_bits >= 2 else 0
-    return ModexpPlan(exp_windows, mul_windows, walk_bits, unary_bits, fanout, cfg.adder == COSET)
+    coset = cfg.adder == COSET
+    return ModexpPlan(nep, exp_windows, mul_windows, walk_bits, unary_bits, fanout, coset)
 
 
 def build_windowed_modexp(cfg: ModexpConfig) -> Circuit:

@@ -62,18 +62,13 @@ ESTIMATE_HEADER = (
 
 COST_FIELDS = tuple(f.name for f in fields(CostBreakdown))
 
-# Allocation caps, both powers of two. simulate and tables refuse an input
-# above one before building anything, so no input can allocate without
-# bound. MAX_ENTRIES bounds what a command enumerates: the 2^n_e branches
-# that simulate holds and each table that tables dumps (2^16 entries dump
-# in about 0.3 s). A circuit holds tens of gates per entry of its widest
-# lookup walk (2^12 entries build 92k gates in 32 MB), so simulate bounds
-# that walk by the tighter MAX_WALK_ENTRIES. The gate count also grows with
-# the modulus width, so simulate bounds it too, by MAX_GATES: each lookup
-# (the initial one and the 2 x exponent x multiplicand windows of
-# lookup-additions) writes under 2^walk_bits x (value width + 8) gates.
+# Allocation caps, both powers of two: simulate and tables refuse an input
+# above one before building anything. MAX_ENTRIES bounds what a command
+# enumerates: simulate's 2^n_e branches and each table that tables dumps
+# (2^16 entries dump in about 0.3 s). MAX_GATES bounds a simulated circuit
+# at (modulus bits + 8) gates per table entry that its lookups address, which
+# also keeps every walk within 2^16 entries.
 MAX_ENTRIES = 1 << 16
-MAX_WALK_ENTRIES = 1 << 12
 MAX_GATES = 1 << 20
 
 
@@ -242,12 +237,7 @@ def cmd_simulate(args) -> int:
     _check_cap(inst.exp_bits, MAX_ENTRIES, "MAX_ENTRIES", "simulated branches")
     cfgs = [ModexpConfig(inst, wp, VARIANT_TABLE[v].options(args.nep)) for v in variants]
     plans = [plan_modexp(cfg) for cfg in cfgs]
-    bits = max(plan.walk_bits for plan in plans)
-    _check_cap(bits, MAX_WALK_ENTRIES, "MAX_WALK_ENTRIES", "entries of the widest walk")
-    gates = max(
-        (1 + 2 * len(plan.exp_windows) * len(plan.mul_windows)) << plan.walk_bits
-        for plan in plans
-    ) * (inst.mod_bits + 8)
+    gates = max(plan.lookup_entries for plan in plans) * (inst.mod_bits + 8)
     # (gates - 1).bit_length() is the least bits with 2^bits >= gates.
     _check_cap((gates - 1).bit_length(), MAX_GATES, "MAX_GATES", "gates of the largest circuit")
 

@@ -397,6 +397,9 @@ def estimate(profile: HardwareProfile, point: LayoutPoint, cost_row: CostBreakdo
 
     vol_per_run = mqb * hours / 24.0
     expected_hours = hours / (1 - risk)
+    log_skewed_volume = profile.q * math.log(mqb) + math.log(expected_hours)
+    if not math.isfinite(log_skewed_volume):
+        raise ValueError(f"q = {profile.q!r} overflows the log skewed volume")
     row = EstimateRow(
         n=n,
         n_e=n_e,
@@ -412,7 +415,7 @@ def estimate(profile: HardwareProfile, point: LayoutPoint, cost_row: CostBreakdo
         hours=hours,
         expected_hours=expected_hours,
         b_tofs=tofs / 1e9,
-        log_skewed_volume=profile.q * math.log(mqb) + math.log(expected_hours),
+        log_skewed_volume=log_skewed_volume,
         budget=budget,
         binding=binding,
     )

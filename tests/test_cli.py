@@ -188,8 +188,8 @@ def test_tables_bad_index_or_outcome_is_bad_input(tmp_path, capsys, flags, reaso
     [
         ("simulate --ne 40", "MAX_ENTRIES"),
         ("simulate --ne 1000000000000", "MAX_ENTRIES"),
-        ("simulate --modulus 1000003 --base 3 --ne 8 --we 8 --wm 8", "MAX_WALK_ENTRIES"),
-        # MAX_ENTRIES and MAX_WALK_ENTRIES admit this; it would build ~4e7 gates.
+        ("simulate --modulus 1000003 --base 3 --ne 8 --we 8 --wm 8", "MAX_GATES"),
+        # MAX_ENTRIES admits this; it would build ~4e7 gates.
         (f"simulate --modulus {2**2047 + 3} --base 3 --ne 16 --we 1 --wm 1", "MAX_GATES"),
         ("tables --ne 40 --we 40", "MAX_ENTRIES"),
         ("tables --ne 1000000000000 --we 1000000000000", "MAX_ENTRIES"),
@@ -226,6 +226,12 @@ def test_allocation_caps_refuse_before_building(monkeypatch, capsys, tmp_path, a
         # benchmark simulates.
         ("simulate --modulus 1021 --base 3 --ne 10 --we 3 --wm 3 --variant all",
          "build_windowed_modexp"),
+        # A 2^13-entry initial lookup, and ragged windows (exponent 7 + 1
+        # bits, multiplicand 5 + 5 + 2): both run in seconds.
+        ("simulate --modulus 15 --base 7 --ne 13 --nep 13 --variant opt3",
+         "build_windowed_modexp"),
+        ("simulate --modulus 4093 --base 3 --ne 8 --we 7 --wm 5 --variant all",
+         "build_windowed_modexp"),
         # Tables of 2^16 entries, which dump in well under a second.
         ("tables --ne 16 --initial-bits 16", "build_mul_table"),
         ("tables --modulus 251 --base 3 --ne 8 --we 8 --wm 8", "build_mul_table"),
@@ -243,6 +249,36 @@ def test_allocation_caps_admit_working_shapes(monkeypatch, argv, builder):
     monkeypatch.setattr(cli, builder, reached)
     with pytest.raises(Reached):
         main(argv.split())
+
+
+def test_gate_cap_bounds_built_circuits():
+    # MAX_GATES charges (modulus bits + 8) gates per table entry that the
+    # plan looks up. That must hold for the exact adder that simulate builds,
+    # and must never exceed the earlier bound, which charged every lookup
+    # the widest walk.
+    import itertools
+
+    from wmodexp.builders import (
+        ModexpConfig,
+        ModexpOptions,
+        build_windowed_modexp,
+        plan_modexp,
+    )
+
+    flags = list(itertools.product((False, True), repeat=3))
+    for modulus, (we, wm) in itertools.product((21, 1021), ((2, 3), (3, 4), (1, 4))):
+        inst = ProblemInstance(modulus, 2, 5)
+        # All 16 flag subsets, the initial lookup taking every width 1..5.
+        for k, (deferred, selective, lowdepth) in enumerate(flags):
+            for initial in (0, 1 + k % inst.exp_bits):
+                opts = ModexpOptions(deferred, selective, initial, lowdepth)
+                cfg = ModexpConfig(inst, WindowParams(we, wm), opts)
+                plan = plan_modexp(cfg)
+                per_entry = cfg.inst.mod_bits + 8
+                bound = plan.lookup_entries * per_entry
+                assert len(build_windowed_modexp(cfg).gates) <= bound, cfg
+                pairs = len(plan.exp_windows) * len(plan.mul_windows)
+                assert bound <= ((1 + 2 * pairs) << plan.walk_bits) * per_entry, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +527,9 @@ def test_estimate_nonpositive_q_is_bad_input(capsys, q):
 
 
 @pytest.mark.parametrize(
-    ("q", "reason"), [("inf", "q must be finite, got inf")], ids=["inf"]
+    ("q", "reason"),
+    [("inf", "q must be finite, got inf"), ("1e308", "overflows the log skewed volume")],
+    ids=["inf", "1e308"],
 )
 def test_estimate_unbounded_q_is_bad_input(capsys, q, reason):
     assert main(["estimate", *PUBLISHED_POINT, "--q", q]) == 2
