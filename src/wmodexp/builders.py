@@ -476,7 +476,7 @@ def build_windowed_modexp(cfg: ModexpConfig) -> Circuit:
         addr = exp_qubits + mul_qubits
         table = build_mul_table(sweep, wp, i, j)
         if opts.selective_lookup:
-            pruned = build_pruned_table(sweep, wp, i, j)
+            pruned = build_pruned_table(table, len(exp_qubits), offset)
             cb.emit(*(Gate(CNOT, (q, look[offset + t])) for t, q in enumerate(mul_qubits)))
             skip = 1 << len(exp_qubits)
             cb.emit(*select_walk_gates(addr, spine, xor_payload(pruned, look), skip))
@@ -517,17 +517,23 @@ def build_windowed_modexp(cfg: ModexpConfig) -> Circuit:
 
 def modexp_input_state(circuit: Circuit, seed: int = 0):
     """All-zero workspace with the exponent register in a uniform positive
-    superposition over every value."""
+    superposition over every value. Branch i holds x = i, so the exponent
+    planes tell every branch apart and are declared the separating set."""
     from .sim import SparseState
 
-    # Branch i holds x = i: exponent bit pos repeats 2^pos clear, 2^pos set.
+    # Exponent bit pos repeats 2^pos clear, 2^pos set: one block, doubled.
     exp = circuit.register("exponent").qubits
-    ones = (1 << (1 << len(exp))) - 1
+    branches = 1 << len(exp)
     planes = [0] * circuit.num_qubits
     for pos, q in enumerate(exp):
         half = 1 << pos
-        planes[q] = ones // ((1 << 2 * half) - 1) * ((1 << half) - 1 << half)
-    return SparseState(circuit.num_qubits, planes, 0, ones, random.Random(seed))
+        plane, width = (1 << half) - 1 << half, 2 * half
+        while width < branches:
+            plane, width = plane | plane << width, 2 * width
+        planes[q] = plane
+    ones, rng = (1 << branches) - 1, random.Random(seed)
+    separating = {q: planes[q] for q in exp}
+    return SparseState(circuit.num_qubits, planes, 0, ones, rng, separating=separating)
 
 
 def check_modexp_output(circuit: Circuit, inst: ProblemInstance, state) -> list[str]:

@@ -114,6 +114,8 @@ class RunManifest:
 
 
 def _render_flag(value) -> str:
+    """Full-fidelity rendering of a manifest flag or a cost cell: ints
+    verbatim, floats via repr, None as "-", sequences comma-joined."""
     if value is None:
         return "-"
     if isinstance(value, float):
@@ -165,13 +167,6 @@ def _check_cap(bits: int, cap: int, name: str, what: str) -> None:
         raise UsageError(f"{what}: 2^{bits} exceeds the cap {name} = {cap}")
 
 
-def _num(value) -> str:
-    """Full-fidelity cell rendering: ints verbatim, floats via repr."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 # ---------------------------------------------------------------------------
 # tables
 
@@ -179,8 +174,8 @@ def _num(value) -> str:
 def cmd_tables(args) -> int:
     inst = ProblemInstance(args.modulus, args.base, args.ne)
     wp = WindowParams(args.we, args.wm)
-    addr_bits = window_width(inst.exp_bits, wp.exp_window, args.exp_index)
-    addr_bits += window_width(inst.mod_bits, wp.mul_window, args.mul_index)
+    exp_width = window_width(inst.exp_bits, wp.exp_window, args.exp_index)
+    addr_bits = exp_width + window_width(inst.mod_bits, wp.mul_window, args.mul_index)
     bits = max(addr_bits, args.initial_bits)
     _check_cap(bits, MAX_ENTRIES, "MAX_ENTRIES", "entries of the widest table")
     if args.outcome is not None and not 0 <= args.outcome < 1 << inst.mod_bits:
@@ -188,7 +183,7 @@ def cmd_tables(args) -> int:
             f"--outcome {args.outcome} is not a {inst.mod_bits}-bit measurement outcome"
         )
     mul = build_mul_table(inst, wp, args.exp_index, args.mul_index)
-    pruned = build_pruned_table(inst, wp, args.exp_index, args.mul_index)
+    pruned = build_pruned_table(mul, exp_width, args.mul_index * wp.mul_window)
     low_bits = mul.addr_bits // 2 if args.low_bits is None else args.low_bits
     outcome = args.outcome
     if outcome is None:
@@ -319,7 +314,7 @@ def cmd_cost(args) -> int:
     lines = _manifest(args).lines()
     lines.append(", ".join(COST_FIELDS))
     for row in rows:
-        lines.append(", ".join(_num(getattr(row, field)) for field in COST_FIELDS))
+        lines.append(", ".join(_render_flag(getattr(row, field)) for field in COST_FIELDS))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -169,20 +169,17 @@ def build_mul_table(
     return LookupTable("multiply", exp_width + mul_width, inst.mod_bits, tuple(entries))
 
 
-def build_pruned_table(
-    inst: ProblemInstance, wp: WindowParams, exp_index: int, mul_index: int
-) -> LookupTable:
+def build_pruned_table(plain: LookupTable, exp_width: int, offset: int) -> LookupTable:
     """Multiplication table with the plain copy pattern XORed out.
 
-    A CNOT fan copies mult (shifted into its window position) into the lookup
-    register first; looking up this pruned table on top of that copy
-    reconstructs the plain table value, entry by entry:
+    plain is a build_mul_table table whose exponent window has exp_width
+    bits and whose multiplicand window starts at bit offset. A CNOT fan
+    copies mult (shifted into its window position) into the lookup register
+    first; looking up this pruned table on top of that copy reconstructs the
+    plain table value, entry by entry:
 
-        pruned[mult || expn] XOR (mult << mul_index*mul_window) == plain[mult || expn]
+        pruned[mult || expn] XOR (mult << offset) == plain[mult || expn]
     """
-    plain = build_mul_table(inst, wp, exp_index, mul_index)
-    exp_width = plain.addr_bits - window_width(inst.mod_bits, wp.mul_window, mul_index)
-    offset = mul_index * wp.mul_window
     entries = []
     for addr, value in enumerate(plain.entries):
         mult = addr >> exp_width

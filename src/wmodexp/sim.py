@@ -12,8 +12,8 @@ X-basis register measurement is the one probabilistic element: outcomes are
 drawn from a seeded RNG (uniform over bitstrings, which is exact because the
 measured register is always a deterministic function of the others), each
 branch picks up (-1)^parity(outcome AND register value), and the register is
-cleared. A state keeps the planes that last told all its branches apart,
-and needs no new check of that contract while they stay unchanged.
+cleared. A state may declare planes that tell all its branches apart, and
+needs no new check of that contract while they stay unchanged.
 """
 
 from __future__ import annotations
@@ -48,7 +48,9 @@ class ContractViolation(AssertionError):
 class SparseState:
     """planes[q] holds qubit q with bit i for branch i; bit i of phase is set
     when branch i has phase -1; ones has one bit per branch. transcript
-    records measurement outcomes by slot name."""
+    records measurement outcomes by slot name. separating, declared by the
+    state's maker, maps qubits to planes that tell every branch apart;
+    measure_x trusts it while those qubits still hold those planes."""
 
     num_qubits: int
     planes: list[int]
@@ -57,7 +59,7 @@ class SparseState:
     rng: random.Random = field(default_factory=lambda: random.Random(0))
     transcript: dict[str, int] = field(default_factory=dict)
     _view: Mapping[int, int] | None = field(default=None, init=False, repr=False, compare=False)
-    _separating: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    separating: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def superposition(
@@ -213,47 +215,31 @@ def measure_x(state: SparseState, qubits: tuple[int, ...], slot: str) -> tuple[S
     """X-basis measurement of a register holding a deterministic function of
     the remaining qubits.
 
-    The contract is checked exhaustively by partition refinement: the
-    branches are split into classes by each plane outside the register,
-    classes of one branch are dropped, and every class left must be constant
-    on each register plane. When no class is left, the planes that split
-    them are kept as a separating set, and a later measurement outside it
-    skips the refinement while each of those planes is unchanged: they still
-    tell every branch apart. Under the contract, measuring in the X basis
-    yields a uniformly random outcome s, multiplies each branch by
+    The contract is checked exhaustively in one linear pass: each branch's
+    non-constant planes outside the register form its key, and no key may
+    come with two register values. The check is skipped while the state's
+    declared separating planes are all unchanged and none is measured: they
+    still tell every branch apart. measure_x never declares planes itself,
+    so a state whose maker declared none pays the full check on every
+    measurement (a 2^14-branch modexp circuit runs about 50 times slower
+    that way). Under the contract, measuring in the X basis yields a
+    uniformly random outcome s, multiplies each branch by
     (-1)^parity(s AND value), and resets the register to zero.
     """
     p, ones = state.planes, state.ones
     measured = set(qubits)
-    known = state._separating
+    known = state.separating
     holds = bool(known) and measured.isdisjoint(known) and all(
         p[q] == plane for q, plane in known.items()
     )
-    classes = [ones] if ones & (ones - 1) and not holds else []
-    separating = {}
-    for q, plane in enumerate(p):
-        if not classes:
-            break
-        if q in measured or plane == 0 or plane == ones:
-            continue
-        separating[q] = plane
-        split = []
-        for members in classes:
-            inside = members & plane
-            if inside & (inside - 1):
-                split.append(inside)
-            outside = members ^ inside
-            if outside & (outside - 1):
-                split.append(outside)
-        classes = split
-    for members in classes:
-        for q in qubits:
-            if p[q] & members not in (0, members):
+    if not holds:
+        rest = [plane for q, plane in enumerate(p) if q not in measured and plane not in (0, ones)]
+        seen: dict[int, int] = {}
+        for key, value in zip(_transpose(rest, ones.bit_length()), state.values(qubits)):
+            if seen.setdefault(key, value) != value:
                 raise ContractViolation(
                     f"measured register is not a function of the other registers (slot {slot})"
                 )
-    if not holds:
-        state._separating = {} if classes else separating
     outcome = state.rng.getrandbits(len(qubits)) if qubits else 0
     for pos, q in enumerate(qubits):
         if outcome >> pos & 1:

@@ -353,7 +353,7 @@ def _pinned_circuits():
         circuits.append((f"unary_lowdepth{w}", lambda w=w: build_unary_lowdepth(w)))
     inst, wp = ProblemInstance(15, 7, 4), WindowParams(2, 2)
     table = build_mul_table(inst, wp, 0, 1)
-    pruned = build_pruned_table(inst, wp, 0, 1)
+    pruned = build_pruned_table(table, wp.exp_window, wp.mul_window)
     circuits += [
         ("qrom", lambda: build_qrom_lookup(table)),
         ("qrom_skip", lambda: build_qrom_lookup(pruned, 1 << wp.exp_window)),

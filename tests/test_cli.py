@@ -118,7 +118,7 @@ def test_tables_round_trip_matches_in_memory(tmp_path, capsys):
     capsys.readouterr()
     mul = build_mul_table(INST15, WP22, 0, 0)
     assert table_body(files["multiply"]) == dump_table(mul)
-    assert table_body(files["pruned"]) == dump_table(build_pruned_table(INST15, WP22, 0, 0))
+    assert table_body(files["pruned"]) == dump_table(build_pruned_table(mul, WP22.exp_window, 0))
     assert table_body(files["phase_fixup"]) == dump_table(build_phase_fixup_table(mul, 5, 2))
     assert table_body(files["direct_exp"]) == dump_table(build_direct_exp_table(INST15, 2))
 
@@ -137,7 +137,7 @@ def test_tables_pruned_xor_copy_equals_plain(tmp_path, capsys):
     files = run_tables(tmp_path, ["--mul-index", "1"])
     capsys.readouterr()
     plain = build_mul_table(INST15, WP22, 0, 1)
-    pruned = build_pruned_table(INST15, WP22, 0, 1)
+    pruned = build_pruned_table(plain, WP22.exp_window, WP22.mul_window)
     assert table_body(files["multiply"]) == dump_table(plain)
     assert table_body(files["pruned"]) == dump_table(pruned)
     exp_width = WP22.exp_window

@@ -100,7 +100,8 @@ def test_wide_oracle_sweep():
 
 def test_input_state_matches_the_branch_superposition():
     # The exponent planes are written directly as counting patterns; they
-    # must give the state that depositing every x into its own branch gives.
+    # must give the state that depositing every x into its own branch gives,
+    # and they are declared as the planes that tell the branches apart.
     configs = wide_sweep_configs() + [
         ModexpConfig(ProblemInstance(1021, 3, n_e), WindowParams(3, 3)) for n_e in range(1, 13)
     ]
@@ -120,6 +121,8 @@ def test_input_state_matches_the_branch_superposition():
         assert got.rng.getstate() == want.rng.getstate()
         assert got.branches == want.branches
         assert got.values(exp) == list(range(1 << len(exp)))
+        assert got.separating == {q: got.planes[q] for q in exp}
+        assert len(set(got.values(tuple(got.separating)))) == 1 << len(exp)
 
 
 def test_single_exponent_value():

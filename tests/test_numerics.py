@@ -147,15 +147,15 @@ class TestPrunedTable:
         i = data.draw(st.integers(0, window_count(inst.exp_bits, wp.exp_window) - 1))
         j = data.draw(st.integers(0, window_count(inst.mod_bits, wp.mul_window) - 1))
         plain = build_mul_table(inst, wp, i, j)
-        pruned = build_pruned_table(inst, wp, i, j)
         exp_width = plain.addr_bits - window_width(inst.mod_bits, wp.mul_window, j)
+        pruned = build_pruned_table(plain, exp_width, j * wp.mul_window)
         for addr in range(len(plain)):
             mult = addr >> exp_width
             assert pruned[addr] ^ (mult << (j * wp.mul_window)) == plain[addr]
 
     def test_mult_zero_rows(self):
         inst = ProblemInstance(15, 7, 4)
-        pruned = build_pruned_table(inst, WindowParams(2, 2), 0, 0)
+        pruned = build_pruned_table(build_mul_table(inst, WindowParams(2, 2), 0, 0), 2, 0)
         for expn in range(4):
             assert pruned[expn] == 0
 

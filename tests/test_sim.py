@@ -162,10 +162,11 @@ class TestMeasureX:
         ids=["planes-changed", "register-overlaps"],
     )
     def test_stale_separating_set_is_rechecked(self, gates, qubits):
-        # Planes 0 and 1 tell the four branches apart, so the first
-        # measurement keeps them. Rewriting plane 0, or measuring it, must
-        # send the next measurement back through the full check.
+        # Planes 0 and 1 tell the four branches apart, and the state declares
+        # them, so the first measurement skips the check. Rewriting plane 0,
+        # or measuring it, must send the next measurement through the check.
         s = state_of(3, {0b000: 1, 0b101: 1, 0b010: 1, 0b111: 1})
+        s.separating = {0: s.planes[0], 1: s.planes[1]}
         measure_x(s, (2,), "m.0")
         for gate in gates:
             apply(s, gate)
@@ -345,8 +346,8 @@ class TestDifferential:
         assert engine_run(gates, branches, outcomes) == reference_run(gates, branches, outcomes)
 
     # 16 to 64 branches over all WIDE qubits: planes span several int digits,
-    # measurements refine into many classes and often break the contract,
-    # and ModAddOracle sources run far above the modulus.
+    # measurement keys span many planes and often collide with two register
+    # values, and ModAddOracle sources run far above the modulus.
     @given(random_circuits(WIDE, WIDE, (16, 64)))
     @settings(max_examples=100, deadline=None)
     def test_engine_matches_reference_on_wide_states(self, case):
