@@ -515,23 +515,30 @@ def build_windowed_modexp(cfg: ModexpConfig) -> Circuit:
 # Verification helpers.
 
 
+def _counting_planes(bits: int) -> list[int]:
+    """Plane of each counter bit over 2^bits branches such that branch i
+    holds i: bit pos repeats 2^pos clear, 2^pos set (one block, doubled)."""
+    planes = []
+    for pos in range(bits):
+        half = 1 << pos
+        plane, width = (1 << half) - 1 << half, 2 * half
+        while width < 1 << bits:
+            plane, width = plane | plane << width, 2 * width
+        planes.append(plane)
+    return planes
+
+
 def modexp_input_state(circuit: Circuit, seed: int = 0):
     """All-zero workspace with the exponent register in a uniform positive
     superposition over every value. Branch i holds x = i, so the exponent
     planes tell every branch apart and are declared the separating set."""
     from .sim import SparseState
 
-    # Exponent bit pos repeats 2^pos clear, 2^pos set: one block, doubled.
     exp = circuit.register("exponent").qubits
-    branches = 1 << len(exp)
     planes = [0] * circuit.num_qubits
-    for pos, q in enumerate(exp):
-        half = 1 << pos
-        plane, width = (1 << half) - 1 << half, 2 * half
-        while width < branches:
-            plane, width = plane | plane << width, 2 * width
+    for q, plane in zip(exp, _counting_planes(len(exp))):
         planes[q] = plane
-    ones, rng = (1 << branches) - 1, random.Random(seed)
+    ones, rng = (1 << (1 << len(exp))) - 1, random.Random(seed)
     separating = {q: planes[q] for q in exp}
     return SparseState(circuit.num_qubits, planes, 0, ones, rng, separating=separating)
 
@@ -539,13 +546,21 @@ def modexp_input_state(circuit: Circuit, seed: int = 0):
 def check_modexp_output(circuit: Circuit, inst: ProblemInstance, state) -> list[str]:
     """Compare a final simulator state against {(x, base**x mod N)} with all
     phases +1. Returns human-readable mismatch lines; empty means exact.
-    Only meaningful for circuits built with the exact_modular adder. Reads
-    branch by branch only to describe a mismatch of the planes."""
+    Only meaningful for circuits built with the exact_modular adder. Reads x
+    per branch only once the exponent planes stop counting (branch i holding
+    x = i), and branch by branch only to describe a mismatch of the planes."""
     from .sim import deposit, extract
 
     exp = circuit.register("exponent").qubits
     result = circuit.register(circuit.result_register).qubits
-    want = [pow(inst.base, x, inst.modulus) for x in state.values(exp)]
+    counting = [state.planes[q] for q in exp] == _counting_planes(len(exp))
+    if counting and state.ones == (1 << (1 << len(exp))) - 1:
+        want, power = [], 1 % inst.modulus
+        for _ in range(1 << len(exp)):
+            want.append(power)
+            power = power * inst.base % inst.modulus
+    else:
+        want = [pow(inst.base, x, inst.modulus) for x in state.values(exp)]
     workspace = set(range(len(state.planes))) - set(exp) - set(result)
     if state.values(result) == want and not state.phase and not any(
         state.planes[q] for q in workspace

@@ -421,7 +421,7 @@ def cmd_estimate(args) -> int:
         return 0
 
     best = result.best
-    point = " ".join(f"{f.name}={getattr(best.point, f.name)}" for f in fields(LayoutPoint))
+    point = " ".join(f"{name}={value}" for name, value in zip(LayoutPoint._fields, best.point))
     lines = manifest.lines()
     lines.append(
         f"# best: {point} E[hrs]={best.expected_hours:.6g} Mqb={best.mqb:.6g} "

@@ -14,6 +14,7 @@ file may overlay; none is written into the formulas.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 
 from .costs import CostBreakdown, cost, crossover_initial_lookup, variant_flags
@@ -117,6 +118,8 @@ class HardwareProfile:
             raise ValueError("postprocess_error must lie in [0, 1)")
         if self.serial_overhead < 1:
             raise ValueError("serial_overhead cannot beat the reaction limit")
+        # Not a field: ==, hash, repr and the config keys ignore the memo.
+        object.__setattr__(self, "_factories", {})
 
     @property
     def cycle_s(self) -> float:
@@ -131,6 +134,18 @@ class HardwareProfile:
         round block."""
         ratio = self.p_phys / self.error_threshold
         return self.error_coeff * ratio ** ((code_distance + 1) / 2)
+
+    def factory(self, point: LayoutPoint) -> Factory:
+        """The CCZ factory at point's (L1, L2), priced once per profile."""
+        key = point.L1, point.L2
+        record = self._factories.get(key)
+        if record is None:
+            width, height, depth = factory_dimensions(self, point)
+            ccz_time = depth * self.cycle_s * point.L2
+            pairs = math.ceil(ccz_time / self.reaction_s / 2)
+            error = ccz_state_error(self, point)
+            record = self._factories[key] = Factory(error, width, height, ccz_time, pairs)
+        return record
 
 
 def parse_config(text: str) -> dict[str, float]:
@@ -162,27 +177,33 @@ def load_profile(path: str | None = None) -> HardwareProfile:
     return HardwareProfile(**values)
 
 
-@dataclass(frozen=True, order=True)
-class LayoutPoint:
+class LayoutPoint(namedtuple("LayoutPoint", "L1 L2 d_off g_mul g_exp g_sep")):
     """One operating point of the machine: factory distances, padding
     deviation, window sizes, and the runway separation. The data code
-    distance is L2, the level-2 factory distance. Points order
-    lexicographically by field, which breaks ties between equal rows."""
+    distance is L2, the level-2 factory distance. A tuple checked on every
+    construction, _replace included; points order lexicographically by
+    field, which breaks ties between equal rows."""
 
-    L1: int
-    L2: int
-    d_off: int
-    g_mul: int
-    g_exp: int
-    g_sep: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.L1, self.L2, self.g_mul, self.g_exp, self.g_sep) < 1:
+    def __new__(cls, L1: int, L2: int, d_off: int, g_mul: int, g_exp: int, g_sep: int):
+        if min(L1, L2, g_mul, g_exp, g_sep) < 1:
             raise ValueError("layout dimensions must be positive")
-        if self.d_off < 0:
+        if d_off < 0:
             raise ValueError("d_off must be >= 0")
-        if self.L1 >= self.L2:
+        if L1 >= L2:
             raise ValueError("L1 must be smaller than L2")
+        return super().__new__(cls, L1, L2, d_off, g_mul, g_exp, g_sep)
+
+    @classmethod
+    def _make(cls, iterable) -> LayoutPoint:
+        return cls(*iterable)
+
+
+# One CCZ factory at distances (L1, L2): its state error, its footprint in
+# logical tiles at the data code distance, the time per CCZ state, and the
+# factory pairs a strip needs for one CCZ per reaction time.
+Factory = namedtuple("Factory", "ccz_error width height ccz_time_s pairs")
 
 
 @dataclass(frozen=True)
@@ -210,6 +231,10 @@ class ErrorBudget:
         for part in self.components():
             survival *= 1.0 - part
         return 1.0 - survival
+
+
+# BudgetOverflow.component of each ErrorBudget.components() term.
+_COMPONENTS = tuple(f.name.removesuffix("_error") for f in fields(ErrorBudget))
 
 
 @dataclass(frozen=True)
@@ -300,27 +325,25 @@ def board_layout(
 ) -> BoardLayout:
     """Board of `pieces` strips, each holding `registers` data registers of
     piece_len qubits below its factory rows."""
-    fac_w, fac_h, fac_d = factory_dimensions(profile, point)
-    ccz_time = fac_d * profile.cycle_s * point.L2
-    pair_count = math.ceil(ccz_time / profile.reaction_s / 2)
-    width = (fac_w + 1) * pair_count + 1
+    fac = profile.factory(point)
+    width = (fac.width + 1) * fac.pairs + 1
     reg_rows = math.ceil(piece_len / (width - 2))
     height = math.ceil(
-        fac_h * 2
+        fac.height * 2
         + profile.cz_fixup_height * 2
         + profile.adder_height
         + profile.routing_height
         + reg_rows * registers
     )
-    distillation = fac_h * fac_w * pair_count * 2
+    distillation = fac.height * fac.width * fac.pairs * 2
     return BoardLayout(
         pieces=pieces,
         width=width,
         height=height,
         distillation_tiles=int(distillation),
         tiles=pieces * width * height,
-        ccz_pairs=pair_count,
-        ccz_time_s=ccz_time,
+        ccz_pairs=fac.pairs,
+        ccz_time_s=fac.ccz_time_s,
     )
 
 
@@ -363,7 +386,7 @@ def estimate(profile: HardwareProfile, point: LayoutPoint, cost_row: CostBreakdo
     tofs = cost_row.adt_factor + reps * (
         cost_row.lookup_tofs + add_tofs + cost_row.unlookup_tofs
     )
-    ccz_error = ccz_state_error(profile, point)
+    ccz_error = profile.factory(point).ccz_error
     if tofs * ccz_error >= 1:
         raise BudgetOverflow(point, "factory")
 
@@ -388,9 +411,9 @@ def estimate(profile: HardwareProfile, point: LayoutPoint, cost_row: CostBreakdo
     hours = runtime_s / 3600.0
 
     budget = error_budget(profile, point, tofs * ccz_error, reps, pieces, pad, board, runtime_s)
-    for f in fields(budget):
-        if getattr(budget, f.name) >= 1:
-            raise BudgetOverflow(point, f.name.removesuffix("_error"))
+    for name, part in zip(_COMPONENTS, budget.components()):
+        if part >= 1:
+            raise BudgetOverflow(point, name)
     risk = budget.total
     if risk >= 1:
         raise BudgetOverflow(point, "total")
@@ -514,25 +537,22 @@ def grid_search(
             "so no grid point can be evaluated"
         )
     rows: list[EstimateRow] = []
-    cost_cache: dict[tuple[int, int], CostBreakdown] = {}
+    shapes: list[tuple[int, int, int, CostBreakdown]] = []
     for g_exp in ranges.g_exp:
         for g_mul in ranges.g_mul:
-            cost_cache[g_exp, g_mul] = _variant_cost(variant, n, n_e, g_exp, g_mul)
+            cost_row = _variant_cost(variant, n, n_e, g_exp, g_mul)
+            shapes += [(g_mul, g_exp, g_sep, cost_row) for g_sep in ranges.g_sep if g_sep <= n]
     for l1 in ranges.l1:
         for l2 in ranges.l2:
             if l1 >= l2:
                 continue
             for d_off in ranges.d_off:
-                for g_exp in ranges.g_exp:
-                    for g_mul in ranges.g_mul:
-                        for g_sep in ranges.g_sep:
-                            if g_sep > n:
-                                continue
-                            point = LayoutPoint(l1, l2, d_off, g_mul, g_exp, g_sep)
-                            try:
-                                rows.append(estimate(profile, point, cost_cache[g_exp, g_mul]))
-                            except BudgetOverflow:
-                                continue
+                for g_mul, g_exp, g_sep, cost_row in shapes:
+                    point = LayoutPoint(l1, l2, d_off, g_mul, g_exp, g_sep)
+                    try:
+                        rows.append(estimate(profile, point, cost_row))
+                    except BudgetOverflow:
+                        continue
     if not rows:
         raise BudgetOverflow("no grid point stays under the error budget")
     best = min(rows, key=lambda r: (r.log_skewed_volume, r.point))

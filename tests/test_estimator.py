@@ -5,6 +5,7 @@ import collections
 import dataclasses
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -20,6 +21,7 @@ from wmodexp.estimator import (
     audit_row,
     best_under_budget,
     board_layout,
+    ccz_state_error,
     estimate,
     factory_dimensions,
     grid_search,
@@ -119,6 +121,68 @@ def test_layout_point_validation():
         LayoutPoint(L1=15, L2=27, d_off=4, g_mul=0, g_exp=5, g_sep=1024)
 
 
+def test_layout_point_replace_is_validated():
+    assert GE_POINT._replace(d_off=5) == LayoutPoint(15, 27, 5, 5, 5, 1024)
+    with pytest.raises(ValueError, match="L1 must be smaller than L2"):
+        GE_POINT._replace(L1=27)
+    with pytest.raises(ValueError, match="d_off must be >= 0"):
+        GE_POINT._replace(d_off=-1)
+
+
+def test_layout_points_sort_by_field_tuple():
+    ranges = GridRanges()
+    rng = random.Random(17)
+    points = []
+    while len(points) < 500:
+        l1, l2 = rng.choice(ranges.l1), rng.choice(ranges.l2)
+        if l1 < l2:
+            shape = (ranges.d_off, ranges.g_mul, ranges.g_exp, ranges.g_sep)
+            points.append(LayoutPoint(l1, l2, *map(rng.choice, shape)))
+    by_fields = sorted(points, key=lambda p: (p.L1, p.L2, p.d_off, p.g_mul, p.g_exp, p.g_sep))
+    assert sorted(points) == by_fields
+    assert repr(GE_POINT) == "LayoutPoint(L1=15, L2=27, d_off=4, g_mul=5, g_exp=5, g_sep=1024)"
+
+
+# ---------------------------------------------------------------------------
+# Factory memo: one record per (L1, L2) on each profile, invisible to
+# equality, hashing and the config keys.
+
+
+def test_factory_memo_equals_fresh_computation():
+    profile = HardwareProfile()
+    ranges = GridRanges()
+    pairs = [(l1, l2) for l1 in ranges.l1 for l2 in ranges.l2 if l1 < l2]
+    assert len(pairs) == 74
+    for l1, l2 in pairs:
+        point = LayoutPoint(l1, l2, 2, 4, 4, 256)
+        width, height, depth = factory_dimensions(profile, point)
+        ccz_time = depth * profile.cycle_s * l2
+        pairs_needed = math.ceil(ccz_time / profile.reaction_s / 2)
+        fresh = (ccz_state_error(profile, point), width, height, ccz_time, pairs_needed)
+        assert profile.factory(point) == fresh
+        assert profile.factory(point._replace(d_off=9, g_sep=2048)) is profile.factory(point)
+
+
+def test_factory_memo_is_per_profile(profile):
+    base = profile.factory(GE_POINT).ccz_error
+    noisy = dataclasses.replace(profile, p_phys=2e-3)
+    assert noisy.factory(GE_POINT).ccz_error == ccz_state_error(noisy, GE_POINT)
+    assert noisy.factory(GE_POINT).ccz_error != base
+    assert profile.factory(GE_POINT).ccz_error == base
+
+
+def test_factory_memo_is_not_part_of_the_profile(profile, tmp_path):
+    profile.factory(GE_POINT)
+    assert profile == HardwareProfile()
+    assert hash(profile) == hash(HardwareProfile())
+    assert repr(profile) == repr(HardwareProfile())
+    assert "_factories" not in {f.name for f in dataclasses.fields(HardwareProfile)}
+    bad = tmp_path / "memo.cfg"
+    bad.write_text("_factories = 1\n")
+    with pytest.raises(ValueError, match=r"unknown config keys: \['_factories'\]"):
+        load_profile(str(bad))
+
+
 # ---------------------------------------------------------------------------
 # Board geometry. The dimensions below are frozen regression values for
 # the default profile; mqb at the published point is checked against the
@@ -215,7 +279,7 @@ def test_zero_risk_limit(profile):
     quiet = dataclasses.replace(
         profile, p_phys=1e-9, error_coeff=0.0, postprocess_error=0.0
     )
-    point = dataclasses.replace(GE_POINT, d_off=40)
+    point = GE_POINT._replace(d_off=40)
     row = estimate(quiet, point, _variant_cost("original", N, NE, 5, 5))
     assert row.retry_risk < 1e-6
     assert row.expected_hours == pytest.approx(row.hours, rel=1e-5)
@@ -276,7 +340,7 @@ def test_error_budget_components(profile, ge_row):
 
 
 def test_deviation_error_halves_per_pad_bit(profile):
-    deeper = dataclasses.replace(GE_POINT, d_off=5)
+    deeper = GE_POINT._replace(d_off=5)
     base = estimate(profile, GE_POINT, _variant_cost("original", N, NE, 5, 5))
     deep = estimate(profile, deeper, _variant_cost("original", N, NE, 5, 5))
     assert deep.budget.coset_error == pytest.approx(base.budget.coset_error / 2, rel=1e-9)

@@ -296,3 +296,21 @@ def test_coset_backend_simulates_without_contract_breaks():
 def test_bad_adder_name():
     with pytest.raises(ValueError):
         ModexpConfig(INST15, WindowParams(2, 2), adder="lookup")
+
+
+def test_check_reads_each_x_once_the_exponent_planes_stop_counting():
+    # Swapping two exponent planes of a correct final state relabels the
+    # branches' x, so the running-product shortcut no longer applies: the
+    # check must read x per branch and report every branch whose result
+    # then disagrees.
+    inst = ProblemInstance(1021, 3, 10)
+    cfg = ModexpConfig(inst, WindowParams(3, 3), VARIANT_TABLE["combined"].options(3))
+    circuit, state = assert_exact(cfg)
+    exp = circuit.register("exponent").qubits
+    planes = list(state.planes)
+    planes[exp[0]], planes[exp[3]] = planes[exp[3]], planes[exp[0]]
+    bad = SparseState(state.num_qubits, planes, state.phase, state.ones)
+    errors = check_modexp_output(circuit, inst, bad)
+    assert errors == reference_check(circuit, inst, bad)
+    assert len(errors) == 512
+    assert all(": result " in error for error in errors)
