@@ -8,7 +8,11 @@ matches" line per level. Each internal node costs exactly one counted
 temp-AND (the uncompute leg is free), so a full walk over L addresses costs
 L - 1 Toffolis. Leaves either XOR a table entry into a destination register
 or apply classically conditioned phase flips; subtrees whose addresses are
-known never to matter can be skipped entirely.
+known never to matter can be skipped entirely. A node at depth d only ever
+emits one of four gates on its address bit and spine lines, so each walk
+builds those 4 per depth once and lays them out from a walk shape, cached
+per (address width, skip bound), instead of recursing per lookup; the XOR
+leaves likewise reuse one CNOT fan.
 
 Uncomputing a lookup is measurement-based: the destination is measured in the
 X basis, which trades its contents for address-dependent phases, and a
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .circuit import (
     CNOT,
@@ -118,58 +123,83 @@ def select_walk_gates(
     spine provides len(addr_lsb) + 1 zeroed ancillas; spine[d] carries the
     "prefix matches" flag at depth d and every ancilla is returned to zero.
     payload(address, line) must return the gates to run at that leaf,
-    controlled on `line`. Addresses below skip_below are pruned: any subtree
-    lying entirely under the bound is skipped at zero gate cost, which removes
-    one temp-AND per skipped internal node.
+    controlled on `line`, which is spine[len(addr_lsb)] at every leaf.
+    Addresses below skip_below are pruned: any subtree lying entirely under
+    the bound is skipped at zero gate cost, which removes one temp-AND per
+    skipped internal node. The gates come from this walk's per-depth gates
+    laid out by the cached _walk_shape.
     """
-    depth_total = len(addr_lsb)
-    if len(spine) < depth_total + 1:
+    width = len(addr_lsb)
+    if len(spine) < width + 1:
         raise SizeMismatch("walk spine too short for the address width")
-    addr_msb = addr_lsb[::-1]
-    gates: list[Gate] = [Gate(X, (spine[0],))]
-
-    def descend(depth: int, prefix: int, parent: int) -> None:
-        span = 1 << (depth_total - depth)
-        if (prefix + 1) * span <= skip_below:
-            return
-        if depth == depth_total:
-            gates.extend(payload(prefix, parent))
-            return
-        bit = addr_msb[depth]
-        child = spine[depth + 1]
-        left_pruned = prefix * span + span // 2 <= skip_below
-        if left_pruned:
-            gates.append(Gate(TEMP_AND, (parent, bit, child)))
-            descend(depth + 1, 2 * prefix + 1, child)
-            gates.append(Gate(TEMP_AND_UNDO, (parent, bit, child)))
+    per_depth = [Gate(X, (spine[0],))]
+    for depth, bit in enumerate(reversed(addr_lsb)):
+        parent, child = spine[depth], spine[depth + 1]
+        per_depth += (
+            Gate(X, (bit,)),
+            Gate(TEMP_AND, (parent, bit, child)),
+            Gate(CNOT, (parent, child)),
+            Gate(TEMP_AND_UNDO, (parent, bit, child)),
+        )
+    gates: list[Gate] = []
+    line, address = spine[width], max(skip_below, 0)
+    for code in _walk_shape(width, skip_below):
+        if code < 0:
+            gates += payload(address, line)
+            address += 1
         else:
-            gates.append(Gate(X, (bit,)))
-            gates.append(Gate(TEMP_AND, (parent, bit, child)))
-            gates.append(Gate(X, (bit,)))
-            descend(depth + 1, 2 * prefix, child)
-            gates.append(Gate(CNOT, (parent, child)))
-            descend(depth + 1, 2 * prefix + 1, child)
-            gates.append(Gate(TEMP_AND_UNDO, (parent, bit, child)))
-
-    descend(0, 0, spine[0])
-    gates.append(Gate(X, (spine[0],)))
+            gates.append(per_depth[code])
     return gates
 
 
+@lru_cache(maxsize=64)
+def _walk_shape(width: int, skip_below: int) -> tuple[int, ...]:
+    """Layout of a select walk over width address bits, as codes into the
+    walk's gates: 0 is X on spine[0], 4d + 1 .. 4d + 4 are X(bit), TempAnd,
+    CNOT and TempAndUndo at depth d, and -1 marks each visited leaf (the
+    addresses from skip_below up, in order)."""
+    codes = [0]
+
+    def descend(depth: int, prefix: int) -> None:
+        span = 1 << (width - depth)
+        if (prefix + 1) * span <= skip_below:
+            return
+        if depth == width:
+            codes.append(-1)
+            return
+        x, temp_and, cnot, undo = range(4 * depth + 1, 4 * depth + 5)
+        if prefix * span + span // 2 <= skip_below:  # left subtree pruned
+            codes.append(temp_and)
+            descend(depth + 1, 2 * prefix + 1)
+        else:
+            codes.extend((x, temp_and, x))
+            descend(depth + 1, 2 * prefix)
+            codes.append(cnot)
+            descend(depth + 1, 2 * prefix + 1)
+        codes.append(undo)
+
+    descend(0, 0)
+    codes.append(0)
+    return tuple(codes)
+
+
 def xor_payload(table: LookupTable, dest: tuple[int, ...]):
-    """Leaf payload XOR-ing table entries into dest via CNOT fans."""
+    """Leaf payload XOR-ing table entries into dest via CNOT fans. The fan
+    from each control line is built once and its gates reused."""
     if len(dest) < table.word_bits:
         raise SizeMismatch(
             f"dest has {len(dest)} qubits for {table.word_bits}-bit entries"
         )
+    fans: dict[int, list[Gate]] = {}
 
     def payload(address: int, line: int) -> list[Gate]:
+        fan = fans.get(line) or fans.setdefault(line, [Gate(CNOT, (line, q)) for q in dest])
         entry = table.entries[address]
         out = []
         position = 0
         while entry:
             if entry & 1:
-                out.append(Gate(CNOT, (line, dest[position])))
+                out.append(fan[position])
             entry >>= 1
             position += 1
         return out
@@ -515,28 +545,15 @@ def build_windowed_modexp(cfg: ModexpConfig) -> Circuit:
 # Verification helpers.
 
 
-def _counting_planes(bits: int) -> list[int]:
-    """Plane of each counter bit over 2^bits branches such that branch i
-    holds i: bit pos repeats 2^pos clear, 2^pos set (one block, doubled)."""
-    planes = []
-    for pos in range(bits):
-        half = 1 << pos
-        plane, width = (1 << half) - 1 << half, 2 * half
-        while width < 1 << bits:
-            plane, width = plane | plane << width, 2 * width
-        planes.append(plane)
-    return planes
-
-
 def modexp_input_state(circuit: Circuit, seed: int = 0):
     """All-zero workspace with the exponent register in a uniform positive
     superposition over every value. Branch i holds x = i, so the exponent
     planes tell every branch apart and are declared the separating set."""
-    from .sim import SparseState
+    from .sim import SparseState, counting_planes
 
     exp = circuit.register("exponent").qubits
     planes = [0] * circuit.num_qubits
-    for q, plane in zip(exp, _counting_planes(len(exp))):
+    for q, plane in zip(exp, counting_planes(len(exp))):
         planes[q] = plane
     ones, rng = (1 << (1 << len(exp))) - 1, random.Random(seed)
     separating = {q: planes[q] for q in exp}
@@ -548,12 +565,13 @@ def check_modexp_output(circuit: Circuit, inst: ProblemInstance, state) -> list[
     phases +1. Returns human-readable mismatch lines; empty means exact.
     Only meaningful for circuits built with the exact_modular adder. Reads x
     per branch only once the exponent planes stop counting (branch i holding
-    x = i), and branch by branch only to describe a mismatch of the planes."""
-    from .sim import deposit, extract
+    x = i), and whole branches only where the result, workspace or phase
+    planes show a mismatch."""
+    from .sim import counting_planes, deposit, extract
 
     exp = circuit.register("exponent").qubits
     result = circuit.register(circuit.result_register).qubits
-    counting = [state.planes[q] for q in exp] == _counting_planes(len(exp))
+    counting = [state.planes[q] for q in exp] == counting_planes(len(exp))
     if counting and state.ones == (1 << (1 << len(exp))) - 1:
         want, power = [], 1 % inst.modulus
         for _ in range(1 << len(exp)):
@@ -561,22 +579,22 @@ def check_modexp_output(circuit: Circuit, inst: ProblemInstance, state) -> list[
             power = power * inst.base % inst.modulus
     else:
         want = [pow(inst.base, x, inst.modulus) for x in state.values(exp)]
-    workspace = set(range(len(state.planes))) - set(exp) - set(result)
-    if state.values(result) == want and not state.phase and not any(
-        state.planes[q] for q in workspace
-    ):
+    got = state.values(result)
+    flagged = state.phase
+    for q in set(range(len(state.planes))) - set(exp) - set(result):
+        flagged |= state.planes[q]
+    if got == want and not flagged:
         return []
+    flags = format(flagged, "b")[::-1].ljust(len(got), "0")
+    bad = [i for i, (g, w, f) in enumerate(zip(got, want, flags)) if g != w or f == "1"]
     errors = []
-    for key, phase in sorted(state.branches.items()):
+    for key, phase in sorted(state.branches_at(bad)):
         x = extract(key, exp)
         expected_value = pow(inst.base, x, inst.modulus)
-        expected_key = deposit(deposit(0, exp, x), result, expected_value)
-        if key != expected_key:
-            got = extract(key, result)
-            if got != expected_value:
-                errors.append(f"x={x}: result {got} (want {expected_value})")
-            else:
-                errors.append(f"x={x}: workspace not cleared (assignment {key:#x})")
+        if extract(key, result) != expected_value:
+            errors.append(f"x={x}: result {extract(key, result)} (want {expected_value})")
+        elif key != deposit(deposit(0, exp, x), result, expected_value):
+            errors.append(f"x={x}: workspace not cleared (assignment {key:#x})")
         if phase != 1:
             errors.append(f"x={x}: phase {phase:+d} (want +1)")
     return errors

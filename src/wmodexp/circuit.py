@@ -4,7 +4,8 @@ Gates act on globally numbered qubits grouped into named registers. The cost
 accounting follows the temp-AND convention: TempAndCompute and Toffoli each
 count 1; TempAndUncompute is free because it is realized by measurement and
 classical feedforward. Depth is ASAP layering along data dependencies, in
-which only the counted gates take a layer.
+which only the counted gates take a layer. A Circuit checks its gates and
+takes this meter in one walk, when it is made; tally reads the result.
 """
 
 from __future__ import annotations
@@ -81,9 +82,12 @@ class Tally:
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate sequence over named registers. Every gate is checked
-    here, once, when the circuit is made. result_register, when set, names
-    the register holding the computation's output (builders that rename
-    registers record it here).
+    here, once, when the circuit is made, and the same walk takes the
+    meter that tally returns. Per gate the checks run in a fixed order:
+    distinct operands, then the arity or the kind's own rules, then
+    register ownership; the first gate that breaks a rule raises.
+    result_register, when set, names the register holding the
+    computation's output (builders that rename registers record it here).
     """
 
     gates: tuple[Gate, ...]
@@ -91,40 +95,70 @@ class Circuit:
     result_register: str | None = None
 
     def __post_init__(self) -> None:
-        owned = set()
+        layer: dict[int, int] = {}  # qubit -> deepest counted layer reached
         for reg in self.registers:
             for q in reg.qubits:
-                if q in owned:
+                if q in layer:
                     raise ValueError(f"qubit {q} appears in two registers")
-                owned.add(q)
+                layer[q] = 0
         slots = set()
-        for name, qubits, slot, _, modulus, sign, dest_len in self.gates:
-            if len(set(qubits)) != len(qubits):
-                raise ValueError(f"{name} operands must be distinct: {qubits}")
-            arity = GATE_ARITY.get(name)
-            if arity is not None:
-                if len(qubits) != arity:
+        count = 0
+        try:
+            for gate in self.gates:
+                name, qubits = gate[0], gate[1]
+                arity = GATE_ARITY.get(name)
+                if arity == len(qubits):  # well-formed X, CNOT, Toffoli, temp-ANDs: unrolled
+                    if arity == 2:
+                        c, t = qubits
+                        if c == t:
+                            raise ValueError(f"{name} operands must be distinct: {qubits}")
+                        if layer[c] > layer[t]:
+                            layer[t] = layer[c]
+                        else:
+                            layer[c] = layer[t]
+                    elif arity == 3:
+                        a, b, t = qubits
+                        if a == b or a == t or b == t:
+                            raise ValueError(f"{name} operands must be distinct: {qubits}")
+                        at = max(layer[a], layer[b], layer[t])
+                        if name in COUNTED:
+                            count += 1
+                            at += 1
+                        layer[a] = layer[b] = layer[t] = at
+                    elif qubits[0] not in layer:  # an X leaves every layer as it is
+                        raise UnknownQubit(qubits[0])
+                    continue
+                if len(set(qubits)) != len(qubits):
+                    raise ValueError(f"{name} operands must be distinct: {qubits}")
+                if arity is not None:
                     raise ValueError(f"{name} takes {arity} qubits, got {len(qubits)}")
-            elif name == MEASURE_X:
-                if not qubits or slot is None:
-                    raise ValueError("MeasureXRegister needs qubits and a slot")
-                if slot in slots:
-                    raise ValueError(f"measurement slot {slot} is used twice")
-                slots.add(slot)
-            elif name == PHASE_Z:
-                if not qubits:
-                    raise ValueError("ClassicalPhaseZ needs at least one qubit")
-            elif name == MOD_ADD:
-                if not 0 < dest_len < len(qubits):
-                    raise ValueError("ModAddOracle needs dest and source qubits")
-                if modulus < 2 or sign not in (1, -1):
-                    raise ValueError("ModAddOracle needs modulus >= 2 and sign +/-1")
-                if modulus > 1 << dest_len:
-                    raise ValueError(f"ModAddOracle modulus {modulus} exceeds 2**{dest_len}")
-            else:
-                raise ValueError(f"unknown gate kind {name!r}")
-            if not owned.issuperset(qubits):
-                raise UnknownQubit(next(q for q in qubits if q not in owned))
+                if name == MEASURE_X:
+                    slot = gate[2]
+                    if not qubits or slot is None:
+                        raise ValueError("MeasureXRegister needs qubits and a slot")
+                    if slot in slots:
+                        raise ValueError(f"measurement slot {slot} is used twice")
+                    slots.add(slot)
+                elif name == PHASE_Z:
+                    if not qubits:
+                        raise ValueError("ClassicalPhaseZ needs at least one qubit")
+                elif name == MOD_ADD:
+                    _, _, _, _, modulus, sign, dest_len = gate
+                    if not 0 < dest_len < len(qubits):
+                        raise ValueError("ModAddOracle needs dest and source qubits")
+                    if modulus < 2 or sign not in (1, -1):
+                        raise ValueError("ModAddOracle needs modulus >= 2 and sign +/-1")
+                    if modulus > 1 << dest_len:
+                        raise ValueError(f"ModAddOracle modulus {modulus} exceeds 2**{dest_len}")
+                else:
+                    raise ValueError(f"unknown gate kind {name!r}")
+                at = max(map(layer.__getitem__, qubits))  # none of these is counted
+                for q in qubits:
+                    layer[q] = at
+        except KeyError:
+            raise UnknownQubit(next(q for q in gate.qubits if q not in layer)) from None
+        meter = Tally(count, max(layer.values(), default=0), len(layer), len(slots))
+        object.__setattr__(self, "_meter", meter)
 
     @property
     def slots(self) -> tuple[str, ...]:
@@ -143,7 +177,8 @@ class Circuit:
 
 
 def tally(circuit: Circuit) -> Tally:
-    """Cost tally of a circuit.
+    """Cost tally of a circuit, metered once, in the walk that validates
+    its gates when the circuit is made.
 
     toffoli_count sums the counted gates (Toffoli, TempAndCompute).
     toffoli_depth is ASAP layering along data dependencies: every gate
@@ -155,24 +190,7 @@ def tally(circuit: Circuit) -> Tally:
     measurement_depth counts measurement events, which are inherently serial
     here: each feeds classical corrections consumed before the next.
     """
-    count = 0
-    layer = [0] * (1 + max((q for reg in circuit.registers for q in reg.qubits), default=-1))
-    deepest = layer.__getitem__
-    for name, qubits, _, _, _, _, _ in circuit.gates:
-        if name == CNOT:  # the commonest gate, unrolled
-            c, t = qubits
-            if layer[c] > layer[t]:
-                layer[t] = layer[c]
-            else:
-                layer[c] = layer[t]
-        elif name != X:  # an X leaves every layer as it is
-            at = max(map(deepest, qubits))
-            if name in COUNTED:
-                count += 1
-                at += 1
-            for q in qubits:
-                layer[q] = at
-    return Tally(count, max(layer, default=0), circuit.num_qubits, len(circuit.slots))
+    return circuit._meter
 
 
 def dump_circuit(circuit: Circuit) -> str:

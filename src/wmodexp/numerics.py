@@ -161,11 +161,14 @@ def build_mul_table(
     for _ in range(exp_index * wp.exp_window):
         step = step * step % modulus
     shift = (1 << (mul_index * wp.mul_window)) % modulus
+    # step**expn for every expn, by a running product shared by every row.
+    powers = [1]
+    for _ in range(1, 1 << exp_width):
+        powers.append(powers[-1] * step % modulus)
     entries = []
     for mult in range(1 << mul_width):
         shifted_mult = mult * shift % modulus
-        for expn in range(1 << exp_width):
-            entries.append(pow(step, expn, modulus) * shifted_mult % modulus)
+        entries.extend([power * shifted_mult % modulus for power in powers])
     return LookupTable("multiply", exp_width + mul_width, inst.mod_bits, tuple(entries))
 
 

@@ -86,6 +86,20 @@ class SparseState:
             self._view = MappingProxyType(dict(zip(keys, self.signs())))
         return self._view
 
+    def branches_at(self, indices: list[int]) -> list[tuple[int, int]]:
+        """(basis assignment, phase +/-1) of each given branch, in the order
+        given, read from the planes without building the whole view."""
+        size = -(-self.ones.bit_length() // 8)
+        rows = [0] * len(indices)  # bit q is qubit q; the bit above them, the phase
+        for q, plane in enumerate(self.planes + [self.phase]):
+            if plane:
+                raw = plane.to_bytes(size, "little")
+                for k, i in enumerate(indices):
+                    if raw[i >> 3] >> (i & 7) & 1:
+                        rows[k] |= 1 << q
+        top = 1 << len(self.planes)
+        return [(row & ~top, -1 if row & top else 1) for row in rows]
+
     def values(self, qubits: tuple[int, ...]) -> list[int]:
         """Value of the given qubits (low bit first) on each branch, in order."""
         return _transpose([self.planes[q] for q in qubits], self.ones.bit_length())
@@ -102,6 +116,19 @@ def _transpose(rows: list[int], width: int) -> list[int]:
         return [0] * width
     digits = [format(row, f"0{width}b") for row in reversed(rows)]
     return [int("".join(column), 2) for column in zip(*digits)][::-1]
+
+
+def counting_planes(bits: int) -> list[int]:
+    """Plane of each counter bit over 2^bits branches such that branch i
+    holds i: bit pos repeats 2^pos clear, 2^pos set (one block, doubled)."""
+    planes = []
+    for pos in range(bits):
+        half = 1 << pos
+        plane, width = (1 << half) - 1 << half, 2 * half
+        while width < 1 << bits:
+            plane, width = plane | plane << width, 2 * width
+        planes.append(plane)
+    return planes
 
 
 def extract(key: int, qubits: tuple[int, ...]) -> int:

@@ -18,13 +18,20 @@ from wmodexp.builders import (
     build_unary_lowdepth,
     build_unlookup,
     build_windowed_modexp,
+    _walk_shape,
     cuccaro_gates,
     select_walk_gates,
     unary_forward_gates,
 )
 from wmodexp.circuit import (
+    CNOT,
     COUNTED,
+    PHASE_Z,
+    TEMP_AND,
+    TEMP_AND_UNDO,
+    X,
     CircuitBuilder,
+    Gate,
     dump_circuit,
     invert_gates,
     mod_add_gate,
@@ -186,6 +193,62 @@ def test_walk_count_scales_with_addresses():
 def test_walk_spine_too_short():
     with pytest.raises(SizeMismatch):
         select_walk_gates((0, 1), (2, 3), lambda a, line: [])
+
+
+def reference_walk(addr_lsb, spine, payload, skip_below):
+    """The select walk as a direct recursion over the address tree."""
+    width = len(addr_lsb)
+    addr_msb = addr_lsb[::-1]
+    gates = [Gate(X, (spine[0],))]
+
+    def descend(depth, prefix, parent):
+        span = 1 << (width - depth)
+        if (prefix + 1) * span <= skip_below:
+            return
+        if depth == width:
+            gates.extend(payload(prefix, parent))
+            return
+        bit, child = addr_msb[depth], spine[depth + 1]
+        if prefix * span + span // 2 <= skip_below:
+            gates.append(Gate(TEMP_AND, (parent, bit, child)))
+            descend(depth + 1, 2 * prefix + 1, child)
+        else:
+            gates.extend([Gate(X, (bit,)), Gate(TEMP_AND, (parent, bit, child)), Gate(X, (bit,))])
+            descend(depth + 1, 2 * prefix, child)
+            gates.append(Gate(CNOT, (parent, child)))
+            descend(depth + 1, 2 * prefix + 1, child)
+        gates.append(Gate(TEMP_AND_UNDO, (parent, bit, child)))
+
+    descend(0, 0, spine[0])
+    gates.append(Gate(X, (spine[0],)))
+    return gates
+
+
+def leaf_marker(log):
+    """Payload that logs (address, line) and marks its place in the stream."""
+
+    def payload(address, line):
+        log.append((address, line))
+        return [Gate(PHASE_Z, (line,), mask=address)]
+
+    return payload
+
+
+def test_walk_matches_the_recursive_reference():
+    # Every address width up to 6 under every skip bound (and a negative
+    # one, which skips nothing), with scrambled address and spine qubits and
+    # a spine longer than needed.
+    for width in range(7):
+        qubits = random.Random(width).sample(range(100), 2 * width + 2)
+        addr, spine = tuple(qubits[:width]), tuple(qubits[width:])
+        for skip in range(-1, (1 << width) + 1):
+            got_leaves, want_leaves = [], []
+            got = select_walk_gates(addr, spine, leaf_marker(got_leaves), skip)
+            want = reference_walk(addr, spine, leaf_marker(want_leaves), skip)
+            assert got == want, (width, skip)
+            assert got_leaves == want_leaves, (width, skip)
+    info = _walk_shape.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 # -- measurement-based unlookup --------------------------------------------

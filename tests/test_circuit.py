@@ -1,7 +1,11 @@
+import random
+from dataclasses import replace
+
 import pytest
 
 from wmodexp.circuit import (
     CNOT,
+    COUNTED,
     MEASURE_X,
     MOD_ADD,
     PHASE_Z,
@@ -76,6 +80,70 @@ class TestTally:
         assert t.toffoli_depth == 2
 
 
+def asap_reference(circuit):
+    """The meter by definition: each non-X gate starts at the deepest layer
+    on its qubits and leaves all of them there, one deeper if counted."""
+    layer = {q: 0 for reg in circuit.registers for q in reg.qubits}
+    count = 0
+    for gate in circuit.gates:
+        if gate.name != X:
+            counted = gate.name in COUNTED
+            at = max(layer[q] for q in gate.qubits) + counted
+            count += counted
+            for q in gate.qubits:
+                layer[q] = at
+    measured = sum(gate.name == MEASURE_X for gate in circuit.gates)
+    return Tally(count, max(layer.values(), default=0), len(layer), measured)
+
+
+def random_circuit(rng):
+    """A well-formed circuit drawing every gate kind over two registers."""
+    sizes = (rng.randint(1, 5), rng.randint(3, 6))
+    regs = (
+        Register("a", tuple(range(sizes[0])), "ancilla"),
+        Register("b", tuple(range(sizes[0], sum(sizes))), "target"),
+    )
+    qubits = list(range(sum(sizes)))
+    gates, slots = [], []
+    for _ in range(rng.randint(0, 40)):
+        kind = rng.choice([X, CNOT, TOFFOLI, TEMP_AND, TEMP_AND_UNDO, MEASURE_X, PHASE_Z, MOD_ADD])
+        if kind in (X, CNOT, TOFFOLI, TEMP_AND, TEMP_AND_UNDO):
+            arity = {X: 1, CNOT: 2}.get(kind, 3)
+            gates.append(Gate(kind, tuple(rng.sample(qubits, arity))))
+        elif kind == MEASURE_X:
+            slots.append(f"m.{len(slots)}")
+            picked = tuple(rng.sample(qubits, rng.randint(1, 3)))
+            gates.append(Gate(MEASURE_X, picked, slot=slots[-1]))
+        elif kind == PHASE_Z:
+            slot = rng.choice(slots) if slots and rng.random() < 0.5 else None
+            picked = tuple(rng.sample(qubits, rng.randint(1, 2)))
+            gates.append(Gate(PHASE_Z, picked, slot=slot, mask=rng.randrange(8) if slot else 0))
+        else:
+            a, b, src = rng.sample(qubits, 3)
+            sign = rng.choice((1, -1))
+            gates.append(mod_add_gate((a, b), (src,), rng.randint(2, 4), sign))
+    return Circuit(tuple(gates), regs)
+
+
+class TestMeter:
+    def test_matches_the_asap_reference(self):
+        rng = random.Random(2024)
+        kinds = set()
+        for _ in range(200):
+            circuit = random_circuit(rng)
+            kinds.update(gate.name for gate in circuit.gates)
+            assert tally(circuit) == asap_reference(circuit), dump_circuit(circuit)
+        assert kinds == {X, CNOT, TOFFOLI, TEMP_AND, TEMP_AND_UNDO, MEASURE_X, PHASE_Z, MOD_ADD}
+
+    def test_replaced_circuit_is_metered_afresh(self):
+        circuit = circuit_over(4, [Gate(TOFFOLI, (0, 1, 2))])
+        more = (Gate(MEASURE_X, (2,), slot="m"), Gate(TEMP_AND, (2, 3, 0)))
+        longer = replace(circuit, gates=circuit.gates + more)
+        assert tally(circuit) == Tally(1, 1, 4, 0)
+        assert tally(longer) == Tally(2, 2, 4, 1)
+        assert tally(replace(longer, gates=())) == Tally(0, 0, 4, 0)
+
+
 class TestValidation:
     def test_unknown_qubit(self):
         with pytest.raises(UnknownQubit):
@@ -113,6 +181,63 @@ class TestValidation:
     def test_bad_gate_rejected_at_assembly(self, gates):
         with pytest.raises(ValueError):
             circuit_over(4, gates)
+
+    @pytest.mark.parametrize(
+        ("gates", "error", "message"),
+        [
+            ([Gate(CNOT, (1, 1))], ValueError, "CNOT operands must be distinct: (1, 1)"),
+            ([Gate(TEMP_AND, (0, 2, 2))], ValueError, "TempAndCompute operands must be distinct"),
+            ([Gate(X, (1, 1))], ValueError, "X operands must be distinct: (1, 1)"),
+            ([Gate(TOFFOLI, (0, 0))], ValueError, "Toffoli operands must be distinct: (0, 0)"),
+            ([Gate(CNOT, (3, 3, 9))], ValueError, "CNOT operands must be distinct"),
+            ([Gate(MEASURE_X, (2, 2), slot="m")], ValueError, "MeasureXRegister operands"),
+            ([Gate("Tofoli", (0, 0, 1))], ValueError, "Tofoli operands must be distinct"),
+            ([Gate(X, (0, 9))], ValueError, "X takes 1 qubits, got 2"),
+            ([Gate(CNOT, (9,))], ValueError, "CNOT takes 2 qubits, got 1"),
+            ([Gate(TEMP_AND_UNDO, (0, 1))], ValueError, "TempAndUncompute takes 3 qubits, got 2"),
+            ([Gate(MEASURE_X, (9,))], ValueError, "MeasureXRegister needs qubits and a slot"),
+            ([Gate(PHASE_Z, ())], ValueError, "ClassicalPhaseZ needs at least one qubit"),
+            (
+                [Gate(MOD_ADD, (0, 9), modulus=3, dest_len=2)],
+                ValueError,
+                "ModAddOracle needs dest and source qubits",
+            ),
+            (
+                [Gate(MOD_ADD, (0, 9), modulus=3, sign=2, dest_len=1)],
+                ValueError,
+                "ModAddOracle needs modulus >= 2 and sign +/-1",
+            ),
+            (
+                [Gate(MOD_ADD, (0, 1, 9), modulus=5, dest_len=2)],
+                ValueError,
+                "ModAddOracle modulus 5 exceeds 2**2",
+            ),
+            ([Gate("Tofoli", (9,))], ValueError, "unknown gate kind 'Tofoli'"),
+            (
+                [Gate(MEASURE_X, (0,), slot="m"), Gate(MEASURE_X, (9,), slot="m")],
+                ValueError,
+                "measurement slot m is used twice",
+            ),
+            ([Gate(X, (9,))], UnknownQubit, "9"),
+            ([Gate(X, (-1,))], UnknownQubit, "-1"),
+            ([Gate(CNOT, (0, 7))], UnknownQubit, "7"),
+            ([Gate(CNOT, (8, 7))], UnknownQubit, "8"),
+            ([Gate(TEMP_AND, (0, 6, 5))], UnknownQubit, "6"),
+            ([Gate(PHASE_Z, (1, 8), slot="m", mask=1)], UnknownQubit, "8"),
+            ([Gate(MEASURE_X, (0, 5), slot="m")], UnknownQubit, "5"),
+            ([mod_add_gate((0, 1), (7,), 3, 1)], UnknownQubit, "7"),
+            ([Gate(X, (9,)), Gate(CNOT, (1, 1))], UnknownQubit, "9"),
+            ([Gate(CNOT, (0, 1)), Gate(TOFFOLI, (2, 2, 9))], ValueError, "Toffoli operands"),
+        ],
+    )
+    def test_first_broken_rule_is_reported(self, gates, error, message):
+        # Per gate: distinct operands, then arity or the kind's own rule,
+        # then register ownership; the first bad gate wins.
+        with pytest.raises(error) as caught:
+            circuit_over(4, gates)
+        text = str(caught.value.args[0]) if error is UnknownQubit else str(caught.value)
+        assert type(caught.value) is error
+        assert text.startswith(message)
 
     def test_slots_follow_the_measurements(self):
         gates = [Gate(MEASURE_X, (1,), slot="b"), Gate(X, (0,)), Gate(MEASURE_X, (0,), slot="a")]

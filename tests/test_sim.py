@@ -211,6 +211,19 @@ class TestRun:
             apply(s, Gate("Hadamard", (0,)))
 
 
+class TestReads:
+    def test_branches_at_reads_the_chosen_branches(self):
+        # 70 branches span nine bytes of each plane; the top qubit is clear
+        # on every branch, and indices may repeat and come in any order.
+        rng = random.Random(3)
+        branches = {key: rng.choice((1, -1)) for key in rng.sample(range(1 << 11), 70)}
+        state = state_of(12, branches)
+        items = list(branches.items())
+        picks = [69, 3, 3, 0, 64, 8]
+        assert state.branches_at(picks) == [items[i] for i in picks]
+        assert state.branches_at([]) == []
+
+
 # ---------------------------------------------------------------------------
 # Differential test: sim.run against a per-branch reference interpreter.
 
