@@ -64,8 +64,9 @@ COST_FIELDS = tuple(f.name for f in fields(CostBreakdown))
 
 # Allocation caps, both powers of two: simulate and tables refuse an input
 # above one before building anything. MAX_ENTRIES bounds what a command
-# enumerates: simulate's 2^n_e branches and each table that tables dumps
-# (2^16 entries dump in about 0.3 s). MAX_GATES bounds a simulated circuit
+# enumerates: simulate's 2^n_e branches, each table that tables dumps
+# (2^16 entries dump in about 0.3 s) and the squarings that carry tables'
+# base up to its exponent window. MAX_GATES bounds a simulated circuit
 # at (modulus bits + 8) gates per table entry that its lookups address, which
 # also keeps every walk within 2^16 entries.
 MAX_ENTRIES = 1 << 16
@@ -178,6 +179,14 @@ def cmd_tables(args) -> int:
     addr_bits = exp_width + window_width(inst.mod_bits, wp.mul_window, args.mul_index)
     bits = max(addr_bits, args.initial_bits)
     _check_cap(bits, MAX_ENTRIES, "MAX_ENTRIES", "entries of the widest table")
+    # build_mul_table squares the base once per exponent bit below the window.
+    squarings = args.exp_index * wp.exp_window
+    _check_cap(
+        (squarings - 1).bit_length(),
+        MAX_ENTRIES,
+        "MAX_ENTRIES",
+        f"squarings of the base up to exponent bit {squarings}",
+    )
     if args.outcome is not None and not 0 <= args.outcome < 1 << inst.mod_bits:
         raise UsageError(
             f"--outcome {args.outcome} is not a {inst.mod_bits}-bit measurement outcome"

@@ -9,6 +9,12 @@ depth-limited with a factory-throughput floor; estimate() computes both
 and reports which one bound. All geometry and error-fit constants are
 calibration data living in the HardwareProfile defaults, which a config
 file may overlay; none is written into the formulas.
+
+A point is priced in two halves. schedule() books what the cost row, g_sep
+and d_off fix: pieces, repetitions, padding, Toffolis and serial steps.
+estimate() adds what the factory distances (L1, L2) and the profile decide:
+factory, board, runtime and error budget. The grid search builds one
+Schedule per (cost row, g_sep, d_off) and prices every (L1, L2) against it.
 """
 
 from __future__ import annotations
@@ -40,18 +46,19 @@ DEFAULT_MQB_BUDGETS = (
 class BudgetOverflow(RuntimeError):
     """Accumulated error probability reached 1; the run cannot succeed.
 
-    The argument is the overflowing LayoutPoint or a message. A point is
-    rendered only when the error is shown, since the grid search raises and
-    swallows one per overflowing point. `component` names the error term
-    that reached 1, or "total" for their composition; None for a message.
+    The arguments are the overflowing LayoutPoint and the error term that
+    reached 1 ("total" for their composition), or a message alone. A point
+    is rendered only when the error is shown, since the grid search raises
+    and swallows one per overflowing point.
     """
 
-    def __init__(self, cause: object, component: str | None = None) -> None:
-        super().__init__(cause)
-        self.component = component
+    @property
+    def component(self) -> str | None:
+        """The error term that reached 1; None for a message."""
+        return self.args[1] if len(self.args) > 1 else None
 
     def __str__(self) -> str:
-        (cause,) = self.args
+        cause = self.args[0]
         return cause if isinstance(cause, str) else f"error budget saturated at {cause}"
 
 
@@ -206,73 +213,58 @@ class LayoutPoint(namedtuple("LayoutPoint", "L1 L2 d_off g_mul g_exp g_sep")):
 Factory = namedtuple("Factory", "ccz_error width height ccz_time_s pairs")
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
+class ErrorBudget(
+    namedtuple(
+        "ErrorBudget", "data_error factory_error coset_error runway_error postprocess_error"
+    )
+):
     """Per-component failure probabilities of one run."""
 
-    data_error: float
-    factory_error: float
-    coset_error: float
-    runway_error: float
-    postprocess_error: float
+    __slots__ = ()
 
     def components(self) -> tuple[float, ...]:
-        return (
-            self.data_error,
-            self.factory_error,
-            self.coset_error,
-            self.runway_error,
-            self.postprocess_error,
-        )
+        return tuple(self)
 
     @property
     def total(self) -> float:
         survival = 1.0
-        for part in self.components():
+        for part in self:
             survival *= 1.0 - part
         return 1.0 - survival
 
 
 # BudgetOverflow.component of each ErrorBudget.components() term.
-_COMPONENTS = tuple(f.name.removesuffix("_error") for f in fields(ErrorBudget))
+_COMPONENTS = tuple(name.removesuffix("_error") for name in ErrorBudget._fields)
 
 
-@dataclass(frozen=True)
-class EstimateRow:
+class EstimateRow(
+    namedtuple(
+        "EstimateRow",
+        "n n_e p_phys point variant initial_bits q retry_risk vol_per_run expected_vol "
+        "mqb hours expected_hours b_tofs log_skewed_volume budget binding",
+        defaults=("depth",),
+    )
+):
     """One fully evaluated operating point."""
 
-    n: int
-    n_e: int
-    p_phys: float
-    point: LayoutPoint
-    variant: str
-    initial_bits: int
-    q: float
-    retry_risk: float
-    vol_per_run: float
-    expected_vol: float
-    mqb: float
-    hours: float
-    expected_hours: float
-    b_tofs: float
-    log_skewed_volume: float
-    budget: ErrorBudget
-    binding: str = "depth"
+    __slots__ = ()
+
+
+def _close(a: float, b: float, rel: float) -> bool:
+    return abs(a - b) <= rel * max(abs(a), abs(b), 1e-300)
 
 
 def audit_row(row: EstimateRow, rel: float = 1e-9) -> None:
     """Check the EstimateRow identities; raises AssertionError on drift,
     also under python -O."""
-
-    def close(a: float, b: float) -> bool:
-        return abs(a - b) <= rel * max(abs(a), abs(b), 1e-300)
-
     if not (
         0 <= row.retry_risk < 1
-        and close(row.expected_hours, row.hours / (1 - row.retry_risk))
-        and close(row.expected_vol, row.vol_per_run / (1 - row.retry_risk))
-        and close(row.vol_per_run, row.mqb * row.hours / 24)
-        and close(row.log_skewed_volume, row.q * math.log(row.mqb) + math.log(row.expected_hours))
+        and _close(row.expected_hours, row.hours / (1 - row.retry_risk), rel)
+        and _close(row.expected_vol, row.vol_per_run / (1 - row.retry_risk), rel)
+        and _close(row.vol_per_run, row.mqb * row.hours / 24, rel)
+        and _close(
+            row.log_skewed_volume, row.q * math.log(row.mqb) + math.log(row.expected_hours), rel
+        )
     ):
         raise AssertionError(row)
 
@@ -283,15 +275,12 @@ def audit_row(row: EstimateRow, rel: float = 1e-9) -> None:
 # enough to sustain one CCZ per reaction time.
 
 
-@dataclass(frozen=True)
-class BoardLayout:
-    pieces: int
-    width: int
-    height: int
-    distillation_tiles: int
-    tiles: int
-    ccz_pairs: int
-    ccz_time_s: float
+class BoardLayout(
+    namedtuple(
+        "BoardLayout", "pieces width height distillation_tiles tiles ccz_pairs ccz_time_s"
+    )
+):
+    __slots__ = ()
 
     @property
     def storage_tiles(self) -> int:
@@ -336,15 +325,8 @@ def board_layout(
         + reg_rows * registers
     )
     distillation = fac.height * fac.width * fac.pairs * 2
-    return BoardLayout(
-        pieces=pieces,
-        width=width,
-        height=height,
-        distillation_tiles=int(distillation),
-        tiles=pieces * width * height,
-        ccz_pairs=fac.pairs,
-        ccz_time_s=fac.ccz_time_s,
-    )
+    tiles = pieces * width * height
+    return BoardLayout(pieces, width, height, int(distillation), tiles, fac.pairs, fac.ccz_time_s)
 
 
 def physical_per_logical(code_distance: int) -> int:
@@ -358,60 +340,91 @@ def padding_bits(reps: int, pieces: int, d_off: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Core estimate.
+# Core estimate: the per-shape schedule, then the per-point price.
+
+# The half of a point's price that the factory distances cannot change:
+# the cost row and the runway shape (g_sep, d_off) fix the adder pieces, the
+# repetitions, the padding, the Toffolis and serial steps of the whole run,
+# and the data registers per piece.
+Schedule = namedtuple(
+    "Schedule", "cost_row g_sep d_off pieces reps pad piece_len tofs serial_steps registers"
+)
 
 
-def estimate(profile: HardwareProfile, point: LayoutPoint, cost_row: CostBreakdown) -> EstimateRow:
-    """Evaluate one operating point.
+def schedule(cost_row: CostBreakdown, g_sep: int, d_off: int) -> Schedule:
+    """The Schedule of every point with cost_row's windows, g_sep and d_off.
 
-    The problem size (n, n_e), the per-repetition costs and the register
-    count come from the supplied CostBreakdown, so the variant choice lives
-    there. The adder's plain 2n Toffolis and steps are recharged against
-    the padded register and piece lengths, keeping the variant's difference
-    from 2n, and repetition counts use ceiling window counts. Raises
-    BudgetOverflow when the accumulated error probability reaches 1; the
-    factory error is checked first, before the schedule and board are priced.
+    The adder's plain 2n Toffolis and steps are recharged against the padded
+    register and piece lengths, keeping the variant's difference from 2n,
+    and repetition counts use ceiling window counts. Lookup and unlookup
+    contribute their analytic per-addition depths (walk uncompute legs
+    pipeline into the compute gaps, so depth rather than gate count paces
+    the clock), while the adder depth is recharged against the runway piece
+    length.
     """
-    if point.g_exp != cost_row.w_e or point.g_mul != cost_row.w_m:
-        raise ValueError("cost_row windows disagree with the layout point")
+    if g_sep < 1 or d_off < 0:
+        raise ValueError(f"g_sep must be >= 1 and d_off >= 0, got {g_sep} and {d_off}")
     n, n_e = cost_row.n, cost_row.n_e
-    pieces = math.ceil(n / point.g_sep)
+    pieces = math.ceil(n / g_sep)
     windowed_bits = n_e - cost_row.initial_bits
-    reps = 2 * math.ceil(windowed_bits / point.g_exp) * math.ceil(n / point.g_mul)
-    pad = padding_bits(reps, pieces, point.d_off)
-    piece_len = point.g_sep + pad
+    reps = 2 * math.ceil(windowed_bits / cost_row.w_e) * math.ceil(n / cost_row.w_m)
+    pad = padding_bits(reps, pieces, d_off)
+    piece_len = g_sep + pad
     reg_len = n + pad * pieces
 
     add_tofs = 2 * reg_len + (cost_row.add_tofs - 2 * n)
     tofs = cost_row.adt_factor + reps * (
         cost_row.lookup_tofs + add_tofs + cost_row.unlookup_tofs
     )
-    ccz_error = profile.factory(point).ccz_error
-    if tofs * ccz_error >= 1:
-        raise BudgetOverflow(point, "factory")
-
-    # Serial reaction-limited schedule. Lookup and unlookup contribute
-    # their analytic per-addition depths (walk uncompute legs pipeline into
-    # the compute gaps, so depth rather than gate count paces the clock),
-    # while the adder depth is recharged against the runway piece length.
-    # serial_overhead stretches the bare reaction time for feedforward and
-    # routing stalls. The factories cap the schedule from below: the run
-    # can never finish faster than the board distills its CCZ states.
     add_steps = 2.0 * piece_len + (cost_row.add_depth - 2 * n)
     serial_steps = cost_row.adt_factor + reps * (
         cost_row.lookup_depth + add_steps + cost_row.unlookup_depth
     )
-    depth_s = serial_steps * profile.reaction_s * profile.serial_overhead
+    registers = cost_row.logical_qubits / n
+    return Schedule(
+        cost_row, g_sep, d_off, pieces, reps, pad, piece_len, tofs, serial_steps, registers
+    )
 
-    board = board_layout(profile, point, pieces, piece_len, cost_row.logical_qubits / n)
+
+def estimate(profile: HardwareProfile, point: LayoutPoint, sched: Schedule) -> EstimateRow:
+    """Price one operating point against the Schedule of its shape.
+
+    The problem size (n, n_e), the variant and the run's Toffolis and
+    serial steps come from sched, which must have been built for point's
+    windows, g_sep and d_off (else ValueError). What is left depends on
+    (L1, L2) and the profile: the factory, the board, the runtime and the
+    error budget. Raises BudgetOverflow when the accumulated error
+    probability reaches 1; the factory error is checked first, before the
+    board and budget are priced.
+    """
+    cost_row = sched.cost_row
+    if (
+        point.g_exp != cost_row.w_e
+        or point.g_mul != cost_row.w_m
+        or point.g_sep != sched.g_sep
+        or point.d_off != sched.d_off
+    ):
+        raise ValueError("schedule windows, g_sep or d_off disagree with the layout point")
+    tofs = sched.tofs
+    ccz_error = profile.factory(point).ccz_error
+    if tofs * ccz_error >= 1:
+        raise BudgetOverflow(point, "factory")
+
+    # Serial reaction-limited schedule. serial_overhead stretches the bare
+    # reaction time for feedforward and routing stalls. The factories cap
+    # the schedule from below: the run can never finish faster than the
+    # board distills its CCZ states.
+    depth_s = sched.serial_steps * profile.reaction_s * profile.serial_overhead
+
+    board = board_layout(profile, point, sched.pieces, sched.piece_len, sched.registers)
     mqb = board.tiles * physical_per_logical(point.L2) / 1e6
     factory_s = tofs / board.toffoli_rate
     runtime_s = max(depth_s, factory_s)
     binding = "depth" if depth_s >= factory_s else "factory"
     hours = runtime_s / 3600.0
 
-    budget = error_budget(profile, point, tofs * ccz_error, reps, pieces, pad, board, runtime_s)
-    for name, part in zip(_COMPONENTS, budget.components()):
+    budget = error_budget(profile, point, tofs * ccz_error, sched, board, runtime_s)
+    for name, part in zip(_COMPONENTS, budget):
         if part >= 1:
             raise BudgetOverflow(point, name)
     risk = budget.total
@@ -424,23 +437,23 @@ def estimate(profile: HardwareProfile, point: LayoutPoint, cost_row: CostBreakdo
     if not math.isfinite(log_skewed_volume):
         raise ValueError(f"q = {profile.q!r} overflows the log skewed volume")
     row = EstimateRow(
-        n=n,
-        n_e=n_e,
-        p_phys=profile.p_phys,
-        point=point,
-        variant=cost_row.variant,
-        initial_bits=cost_row.initial_bits,
-        q=profile.q,
-        retry_risk=risk,
-        vol_per_run=vol_per_run,
-        expected_vol=vol_per_run / (1 - risk),
-        mqb=mqb,
-        hours=hours,
-        expected_hours=expected_hours,
-        b_tofs=tofs / 1e9,
-        log_skewed_volume=log_skewed_volume,
-        budget=budget,
-        binding=binding,
+        cost_row.n,
+        cost_row.n_e,
+        profile.p_phys,
+        point,
+        cost_row.variant,
+        cost_row.initial_bits,
+        profile.q,
+        risk,
+        vol_per_run,
+        vol_per_run / (1 - risk),
+        mqb,
+        hours,
+        expected_hours,
+        tofs / 1e9,
+        log_skewed_volume,
+        budget,
+        binding,
     )
     audit_row(row)
     return row
@@ -462,9 +475,7 @@ def error_budget(
     profile: HardwareProfile,
     point: LayoutPoint,
     factory: float,
-    reps: int,
-    pieces: int,
-    pad: int,
+    sched: Schedule,
     board: BoardLayout,
     runtime_s: float,
 ) -> ErrorBudget:
@@ -473,16 +484,16 @@ def error_budget(
     unit_cell_rounds = runtime_s / (profile.cycle_s * d)
     data = board.storage_tiles * unit_cell_rounds * profile.unit_cell_error(d)
 
-    deviation = 2.0**-pad
-    coset = reps * deviation
-    runway = reps * (pieces - 1) * deviation
+    deviation = 2.0**-sched.pad
+    coset = sched.reps * deviation
+    runway = sched.reps * (sched.pieces - 1) * deviation
 
     return ErrorBudget(
-        data_error=min(data, 1.0),
-        factory_error=min(factory, 1.0),
-        coset_error=min(coset, 1.0),
-        runway_error=min(runway, 1.0),
-        postprocess_error=profile.postprocess_error,
+        min(data, 1.0),
+        min(factory, 1.0),
+        min(coset, 1.0),
+        min(runway, 1.0),
+        profile.postprocess_error,
     )
 
 
@@ -524,9 +535,12 @@ def grid_search(
 ) -> GridResult:
     """Exhaustive evaluation over the layout grid.
 
+    Builds one cost row per (g_exp, g_mul) and one Schedule per (cost row,
+    g_sep, d_off), then prices every (L1, L2) pair with L1 < L2 against it.
     Returns the skewed-volume minimizer (ranked by its log, ties broken by
     lexicographic point), the Pareto frontier over (mqb, expected_hours),
-    and the best row under each physical-qubit budget. Raises ValueError
+    and the best row under each physical-qubit budget; all three rank rows
+    by point, so the order of evaluation does not matter. Raises ValueError
     when every g_sep exceeds n, so no point can be evaluated, and
     BudgetOverflow when every evaluated point overflows the error budget.
     """
@@ -536,23 +550,21 @@ def grid_search(
             f"every grid g_sep exceeds n = {n} (smallest g_sep is {min(ranges.g_sep)}), "
             "so no grid point can be evaluated"
         )
+    pairs = [(l1, l2) for l1 in ranges.l1 for l2 in ranges.l2 if l1 < l2]
+    g_seps = [g_sep for g_sep in ranges.g_sep if g_sep <= n]
     rows: list[EstimateRow] = []
-    shapes: list[tuple[int, int, int, CostBreakdown]] = []
     for g_exp in ranges.g_exp:
         for g_mul in ranges.g_mul:
             cost_row = _variant_cost(variant, n, n_e, g_exp, g_mul)
-            shapes += [(g_mul, g_exp, g_sep, cost_row) for g_sep in ranges.g_sep if g_sep <= n]
-    for l1 in ranges.l1:
-        for l2 in ranges.l2:
-            if l1 >= l2:
-                continue
-            for d_off in ranges.d_off:
-                for g_mul, g_exp, g_sep, cost_row in shapes:
-                    point = LayoutPoint(l1, l2, d_off, g_mul, g_exp, g_sep)
-                    try:
-                        rows.append(estimate(profile, point, cost_row))
-                    except BudgetOverflow:
-                        continue
+            for g_sep in g_seps:
+                for d_off in ranges.d_off:
+                    sched = schedule(cost_row, g_sep, d_off)
+                    for l1, l2 in pairs:
+                        point = LayoutPoint(l1, l2, d_off, g_mul, g_exp, g_sep)
+                        try:
+                            rows.append(estimate(profile, point, sched))
+                        except BudgetOverflow:
+                            continue
     if not rows:
         raise BudgetOverflow("no grid point stays under the error budget")
     best = min(rows, key=lambda r: (r.log_skewed_volume, r.point))

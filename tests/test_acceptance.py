@@ -36,10 +36,6 @@ from wmodexp.builders import (
     COSET,
     ModexpConfig,
     ModexpOptions,
-    build_qrom_lookup,
-    build_unary,
-    build_unary_lowdepth,
-    build_unlookup,
     build_windowed_modexp,
     check_modexp_output,
     modexp_input_state,
@@ -54,6 +50,13 @@ from wmodexp.costs import (
 from wmodexp.estimator import audit_row, grid_search, load_profile
 from wmodexp.numerics import LookupTable, ProblemInstance, WindowParams
 from wmodexp.sim import SparseState, deposit, extract, run
+
+from standalone_circuits import (
+    build_qrom_lookup,
+    build_unary,
+    build_unary_lowdepth,
+    build_unlookup,
+)
 
 PUBLISHED_NE = {1024: 1493, 2048: 3029, 3072: 4565, 4096: 6101}
 

@@ -13,10 +13,6 @@ from wmodexp.builders import (
     ModexpConfig,
     ModexpOptions,
     SizeMismatch,
-    build_qrom_lookup,
-    build_unary,
-    build_unary_lowdepth,
-    build_unlookup,
     build_windowed_modexp,
     _walk_shape,
     cuccaro_gates,
@@ -45,6 +41,13 @@ from wmodexp.numerics import (
     build_pruned_table,
 )
 from wmodexp.sim import ContractViolation, SparseState, deposit, extract, run
+
+from standalone_circuits import (
+    build_qrom_lookup,
+    build_unary,
+    build_unary_lowdepth,
+    build_unlookup,
+)
 
 
 def single_branch(circuit, assignments, seed=0):

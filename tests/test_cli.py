@@ -196,6 +196,9 @@ def test_tables_bad_index_or_outcome_is_bad_input(tmp_path, capsys, flags, reaso
         ("tables --ne 40 --initial-bits 40", "MAX_ENTRIES"),
         ("tables --ne 17 --initial-bits 17", "MAX_ENTRIES"),
         ("tables --initial-bits 1000000000000", "MAX_ENTRIES"),
+        # A 3-bit table, but about 10^12 squarings to reach its window.
+        ("tables --ne 1000000000000 --we 1 --exp-index 999999999999", "MAX_ENTRIES"),
+        ("tables --ne 65538 --we 1 --exp-index 65537", "MAX_ENTRIES"),
     ],
 )
 def test_allocation_caps_refuse_before_building(monkeypatch, capsys, tmp_path, argv, cap):
@@ -235,6 +238,8 @@ def test_allocation_caps_refuse_before_building(monkeypatch, capsys, tmp_path, a
         # Tables of 2^16 entries, which dump in well under a second.
         ("tables --ne 16 --initial-bits 16", "build_mul_table"),
         ("tables --modulus 251 --base 3 --ne 8 --we 8 --wm 8", "build_mul_table"),
+        # 2^16 squarings to reach the last window, the most the cap admits.
+        ("tables --ne 65537 --we 1 --exp-index 65536", "build_mul_table"),
     ],
 )
 def test_allocation_caps_admit_working_shapes(monkeypatch, argv, builder):

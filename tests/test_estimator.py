@@ -13,7 +13,9 @@ import pytest
 
 from wmodexp import estimator
 from wmodexp.estimator import (
+    DEFAULT_MQB_BUDGETS,
     BudgetOverflow,
+    ErrorBudget,
     EstimateRow,
     GridRanges,
     HardwareProfile,
@@ -30,6 +32,7 @@ from wmodexp.estimator import (
     pareto_frontier,
     parse_config,
     physical_per_logical,
+    schedule,
     _variant_cost,
 )
 
@@ -42,6 +45,12 @@ GE_B_TOFS = 2.698
 N, NE = 2048, 3029
 
 
+def shape(variant, point, n=N, n_e=NE):
+    """The Schedule of point's windows, g_sep and d_off under variant."""
+    cost_row = _variant_cost(variant, n, n_e, point.g_exp, point.g_mul)
+    return schedule(cost_row, point.g_sep, point.d_off)
+
+
 @pytest.fixture(scope="module")
 def profile():
     return load_profile()
@@ -49,7 +58,7 @@ def profile():
 
 @pytest.fixture(scope="module")
 def ge_row(profile):
-    row = estimate(profile, GE_POINT, _variant_cost("original", N, NE, 5, 5))
+    row = estimate(profile, GE_POINT, shape("original", GE_POINT))
     return row
 
 
@@ -242,7 +251,7 @@ def test_row_identities_audit(ge_row):
 
 
 def test_audit_rejects_tampered_row(ge_row):
-    broken = dataclasses.replace(ge_row, expected_hours=ge_row.expected_hours * 1.01)
+    broken = ge_row._replace(expected_hours=ge_row.expected_hours * 1.01)
     with pytest.raises(AssertionError):
         audit_row(broken)
 
@@ -250,11 +259,10 @@ def test_audit_rejects_tampered_row(ge_row):
 def test_audit_rejects_tampered_row_under_optimize():
     # python -O strips assert statements; the audit must still fire there.
     child = (
-        "import dataclasses\n"
-        "from wmodexp.estimator import LayoutPoint, _variant_cost, audit_row, estimate, load_profile\n"
-        f"cost = _variant_cost('original', {N}, {NE}, 5, 5)\n"
-        f"row = estimate(load_profile(), {GE_POINT!r}, cost)\n"
-        "audit_row(dataclasses.replace(row, expected_hours=2 * row.expected_hours))\n"
+        "from wmodexp.estimator import LayoutPoint, _variant_cost, audit_row, estimate, load_profile, schedule\n"
+        f"sched = schedule(_variant_cost('original', {N}, {NE}, 5, 5), 1024, 4)\n"
+        f"row = estimate(load_profile(), {GE_POINT!r}, sched)\n"
+        "audit_row(row._replace(expected_hours=2 * row.expected_hours))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", child],
@@ -280,7 +288,7 @@ def test_zero_risk_limit(profile):
         profile, p_phys=1e-9, error_coeff=0.0, postprocess_error=0.0
     )
     point = GE_POINT._replace(d_off=40)
-    row = estimate(quiet, point, _variant_cost("original", N, NE, 5, 5))
+    row = estimate(quiet, point, shape("original", point))
     assert row.retry_risk < 1e-6
     assert row.expected_hours == pytest.approx(row.hours, rel=1e-5)
     assert row.expected_vol == pytest.approx(row.vol_per_run, rel=1e-5)
@@ -288,21 +296,46 @@ def test_zero_risk_limit(profile):
 
 def test_estimate_rejects_mismatched_windows(profile):
     with pytest.raises(ValueError, match="windows"):
-        estimate(profile, GE_POINT, _variant_cost("original", N, NE, 6, 5))
+        estimate(profile, GE_POINT, schedule(_variant_cost("original", N, NE, 6, 5), 1024, 4))
+    # The schedule of GE_POINT's shape prices no point that differs from it
+    # in a window, in g_sep or in d_off; only L1 and L2 may vary.
+    sched = shape("original", GE_POINT)
+    for field, value in (("g_exp", 4), ("g_mul", 6), ("g_sep", 512), ("d_off", 5)):
+        with pytest.raises(ValueError, match="windows, g_sep or d_off disagree"):
+            estimate(profile, GE_POINT._replace(**{field: value}), sched)
+    assert estimate(profile, GE_POINT._replace(L1=17, L2=29), sched).point.L2 == 29
+
+
+def test_schedule_rejects_an_impossible_shape():
+    cost_row = _variant_cost("original", N, NE, 5, 5)
+    with pytest.raises(ValueError, match="g_sep must be >= 1"):
+        schedule(cost_row, 0, 4)
+    with pytest.raises(ValueError, match="d_off >= 0"):
+        schedule(cost_row, 1024, -1)
 
 
 def test_budget_overflow_on_undersized_factories(profile):
     # A 4096-bit run through 15/27 factories exhausts the error budget.
     with pytest.raises(BudgetOverflow) as info:
-        estimate(profile, GE_POINT, _variant_cost("original", 4096, 6101, 5, 5))
-    assert info.value.args == (GE_POINT,)
+        estimate(profile, GE_POINT, shape("original", GE_POINT, 4096, 6101))
+    assert info.value.args == (GE_POINT, "factory")
     assert str(info.value) == f"error budget saturated at {GE_POINT}"
     assert info.value.component == "factory"
 
 
+def test_budget_overflow_point_and_message_forms():
+    at_point = BudgetOverflow(GE_POINT, "data")
+    assert at_point.component == "data"
+    assert str(at_point) == f"error budget saturated at {GE_POINT}"
+    message = BudgetOverflow("no grid point stays under the error budget")
+    assert message.component is None
+    assert str(message) == "no grid point stays under the error budget"
+    assert message.args == ("no grid point stays under the error budget",)
+
+
 def test_q_override_changes_skew_only(profile):
     flat_profile = dataclasses.replace(profile, q=1.0)
-    flat = estimate(flat_profile, GE_POINT, _variant_cost("original", N, NE, 5, 5))
+    flat = estimate(flat_profile, GE_POINT, shape("original", GE_POINT))
     assert flat.log_skewed_volume == pytest.approx(
         math.log(flat.mqb * flat.expected_hours), rel=1e-9
     )
@@ -314,8 +347,8 @@ def test_sliced_variants_priced_from_their_cost_rows(profile, ge_row):
     # repetition; sliced_B saves n/2 adder Toffolis per repetition.
     reps = 2 * math.ceil(NE / 5) * math.ceil(N / 5)
     assert reps == 496920
-    a = estimate(profile, GE_POINT, _variant_cost("sliced_A", N, NE, 5, 5))
-    b = estimate(profile, GE_POINT, _variant_cost("sliced_B", N, NE, 5, 5))
+    a = estimate(profile, GE_POINT, shape("sliced_A", GE_POINT))
+    b = estimate(profile, GE_POINT, shape("sliced_B", GE_POINT))
     assert b.b_tofs == pytest.approx(ge_row.b_tofs - reps * N / 2 / 1e9, rel=1e-12)
     assert b.b_tofs == pytest.approx(2.13079, abs=5e-6)
     assert (b.mqb, b.hours) == (ge_row.mqb, ge_row.hours)
@@ -341,8 +374,8 @@ def test_error_budget_components(profile, ge_row):
 
 def test_deviation_error_halves_per_pad_bit(profile):
     deeper = GE_POINT._replace(d_off=5)
-    base = estimate(profile, GE_POINT, _variant_cost("original", N, NE, 5, 5))
-    deep = estimate(profile, deeper, _variant_cost("original", N, NE, 5, 5))
+    base = estimate(profile, GE_POINT, shape("original", GE_POINT))
+    deep = estimate(profile, deeper, shape("original", deeper))
     assert deep.budget.coset_error == pytest.approx(base.budget.coset_error / 2, rel=1e-9)
     assert deep.budget.runway_error == pytest.approx(base.budget.runway_error / 2, rel=1e-9)
 
@@ -429,6 +462,38 @@ def test_grid_search_is_deterministic(profile, grid_original):
     assert again.frontier == grid_original.frontier
 
 
+def test_grid_search_matches_a_per_point_reference_loop(profile, grid_combined):
+    # The loop order before schedules were hoisted: (L1, L2) outermost, then
+    # d_off, then the window shapes and g_sep, with a schedule built for
+    # each point. Every result ranks rows by point, so evaluation order and
+    # shared schedules must leave the best row, frontier and budget rows alone.
+    ranges = GridRanges()
+    shapes = [
+        (g_mul, g_exp, g_sep, _variant_cost("combined", N, NE, g_exp, g_mul))
+        for g_exp in ranges.g_exp
+        for g_mul in ranges.g_mul
+        for g_sep in ranges.g_sep
+    ]
+    rows = []
+    for l1 in ranges.l1:
+        for l2 in ranges.l2:
+            if l1 >= l2:
+                continue
+            for d_off in ranges.d_off:
+                for g_mul, g_exp, g_sep, cost_row in shapes:
+                    point = LayoutPoint(l1, l2, d_off, g_mul, g_exp, g_sep)
+                    try:
+                        rows.append(estimate(profile, point, schedule(cost_row, g_sep, d_off)))
+                    except BudgetOverflow:
+                        continue
+    frontier = pareto_frontier(rows)
+    assert grid_combined.best == min(rows, key=lambda r: (r.log_skewed_volume, r.point))
+    assert grid_combined.frontier == frontier
+    assert grid_combined.by_budget == tuple(
+        (budget, best_under_budget(frontier, budget)) for budget in DEFAULT_MQB_BUDGETS
+    )
+
+
 def test_grid_overflow_set_is_pinned(profile, monkeypatch):
     # These counts are what pricing every point in full (schedule, board and
     # whole budget) gives: the early factory check must refuse exactly the
@@ -437,13 +502,13 @@ def test_grid_overflow_set_is_pinned(profile, monkeypatch):
     evaluated = rows = 0
     overflows = collections.Counter()
 
-    def counting(profile, point, cost_row):
+    def counting(profile, point, sched):
         nonlocal evaluated, rows
         evaluated += 1
         try:
-            row = real_estimate(profile, point, cost_row)
+            row = real_estimate(profile, point, sched)
         except BudgetOverflow as exc:
-            assert exc.args == (point,)
+            assert exc.args == (point, exc.component)
             assert str(exc) == f"error budget saturated at {point}"
             overflows[exc.component] += 1
             raise
@@ -459,11 +524,24 @@ def test_grid_overflow_set_is_pinned(profile, monkeypatch):
 
 def test_pareto_frontier_helper():
     def stub(mqb, hours):
-        row = object.__new__(EstimateRow)
-        object.__setattr__(row, "mqb", mqb)
-        object.__setattr__(row, "expected_hours", hours)
-        object.__setattr__(row, "point", LayoutPoint(5, 7, 2, 4, 4, 256))
-        return row
+        return EstimateRow(
+            n=N,
+            n_e=NE,
+            p_phys=1e-3,
+            point=LayoutPoint(5, 7, 2, 4, 4, 256),
+            variant="original",
+            initial_bits=0,
+            q=1.2,
+            retry_risk=0.0,
+            vol_per_run=mqb * hours / 24,
+            expected_vol=mqb * hours / 24,
+            mqb=mqb,
+            hours=hours,
+            expected_hours=hours,
+            b_tofs=1.0,
+            log_skewed_volume=1.2 * math.log(mqb) + math.log(hours),
+            budget=ErrorBudget(0.0, 0.0, 0.0, 0.0, 0.0),
+        )
 
     a, b, c = stub(10, 5), stub(12, 4), stub(11, 6)
     kept = pareto_frontier([c, b, a])
@@ -492,8 +570,8 @@ PUBLISHED_NE = {1024: 1493, 2048: 3029, 3072: 4565, 4096: 6101}
 def test_combined_never_beats_original_by_much(profile, n):
     n_e = PUBLISHED_NE[n]
     point = ORDERING_POINTS[n]
-    orig = estimate(profile, point, _variant_cost("original", n, n_e, 5, 5))
-    comb = estimate(profile, point, _variant_cost("combined", n, n_e, 5, 5))
+    orig = estimate(profile, point, shape("original", point, n, n_e))
+    comb = estimate(profile, point, shape("combined", point, n, n_e))
     assert comb.b_tofs <= orig.b_tofs
     reduction = (orig.b_tofs - comb.b_tofs) / orig.b_tofs
     if n == 1024:
@@ -506,7 +584,7 @@ def test_combined_cheaper_across_grid_sample(profile):
     for g_sep in (512, 1024, 2048):
         for d_off in (2, 6, 9):
             point = LayoutPoint(L1=15, L2=27, d_off=d_off, g_mul=5, g_exp=5, g_sep=g_sep)
-            orig = estimate(profile, point, _variant_cost("original", N, NE, 5, 5))
-            comb = estimate(profile, point, _variant_cost("combined", N, NE, 5, 5))
+            orig = estimate(profile, point, shape("original", point))
+            comb = estimate(profile, point, shape("combined", point))
             assert comb.b_tofs < orig.b_tofs
             assert comb.hours < orig.hours
