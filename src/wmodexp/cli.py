@@ -377,7 +377,7 @@ def _parse_point(text: str, n: int) -> GridRanges:
         point = LayoutPoint(*(int(part) for part in parts))
     except ValueError as exc:
         raise UsageError(f"bad --point value: {exc}") from exc
-    if point.g_sep > n:
+    if 0 < n < point.g_sep:  # grid_search refuses n < 1 itself, naming n
         raise UsageError(f"--point g_sep {point.g_sep} must not exceed n = {n}")
     return GridRanges(
         l1=(point.L1,),

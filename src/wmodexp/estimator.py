@@ -10,11 +10,13 @@ and reports which one bound. All geometry and error-fit constants are
 calibration data living in the HardwareProfile defaults, which a config
 file may overlay; none is written into the formulas.
 
-A point is priced in two halves. schedule() books what the cost row, g_sep
-and d_off fix: pieces, repetitions, padding, Toffolis and serial steps.
-estimate() adds what the factory distances (L1, L2) and the profile decide:
-factory, board, runtime and error budget. The grid search builds one
-Schedule per (cost row, g_sep, d_off) and prices every (L1, L2) against it.
+A point is priced from two records, each built once. schedule() books what
+the cost row, g_sep and d_off fix: pieces, repetitions, padding, Toffolis
+and serial steps. factory() books what the distances (L1, L2) and the
+profile fix: the CCZ state error, footprint, CCZ time and pair count.
+estimate() combines one of each into the point's board, runtime and error
+budget. The grid search builds the factories once and one Schedule per
+(cost row, g_sep, d_off), and prices every factory against each Schedule.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ _POSITIVE = frozenset({"cycle_ns", "reaction_ns", "error_threshold", "t1_depth",
 
 @dataclass(frozen=True)
 class HardwareProfile:
-    """Device and calibration constants. A config file passed to
+    """Device and calibration constants, checked on construction. The
+    fields are the whole state and the config keys: a config file passed to
     load_profile (the CLI's --config) overlays these defaults key by key."""
 
     # Physical device.
@@ -125,8 +128,6 @@ class HardwareProfile:
             raise ValueError("postprocess_error must lie in [0, 1)")
         if self.serial_overhead < 1:
             raise ValueError("serial_overhead cannot beat the reaction limit")
-        # Not a field: ==, hash, repr and the config keys ignore the memo.
-        object.__setattr__(self, "_factories", {})
 
     @property
     def cycle_s(self) -> float:
@@ -141,18 +142,6 @@ class HardwareProfile:
         round block."""
         ratio = self.p_phys / self.error_threshold
         return self.error_coeff * ratio ** ((code_distance + 1) / 2)
-
-    def factory(self, point: LayoutPoint) -> Factory:
-        """The CCZ factory at point's (L1, L2), priced once per profile."""
-        key = point.L1, point.L2
-        record = self._factories.get(key)
-        if record is None:
-            width, height, depth = factory_dimensions(self, point)
-            ccz_time = depth * self.cycle_s * point.L2
-            pairs = math.ceil(ccz_time / self.reaction_s / 2)
-            error = ccz_state_error(self, point)
-            record = self._factories[key] = Factory(error, width, height, ccz_time, pairs)
-        return record
 
 
 def parse_config(text: str) -> dict[str, float]:
@@ -210,7 +199,7 @@ class LayoutPoint(namedtuple("LayoutPoint", "L1 L2 d_off g_mul g_exp g_sep")):
 # One CCZ factory at distances (L1, L2): its state error, its footprint in
 # logical tiles at the data code distance, the time per CCZ state, and the
 # factory pairs a strip needs for one CCZ per reaction time.
-Factory = namedtuple("Factory", "ccz_error width height ccz_time_s pairs")
+Factory = namedtuple("Factory", "L1 L2 ccz_error width height ccz_time_s pairs")
 
 
 class ErrorBudget(
@@ -250,20 +239,24 @@ class EstimateRow(
     __slots__ = ()
 
 
-def _close(a: float, b: float, rel: float) -> bool:
-    return abs(a - b) <= rel * max(abs(a), abs(b), 1e-300)
+# Relative tolerance of each audit_row identity.
+AUDIT_REL = 1e-9
 
 
-def audit_row(row: EstimateRow, rel: float = 1e-9) -> None:
-    """Check the EstimateRow identities; raises AssertionError on drift,
-    also under python -O."""
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= AUDIT_REL * max(abs(a), abs(b), 1e-300)
+
+
+def audit_row(row: EstimateRow) -> None:
+    """Check the EstimateRow identities to AUDIT_REL; raises AssertionError
+    on drift, also under python -O."""
     if not (
         0 <= row.retry_risk < 1
-        and _close(row.expected_hours, row.hours / (1 - row.retry_risk), rel)
-        and _close(row.expected_vol, row.vol_per_run / (1 - row.retry_risk), rel)
-        and _close(row.vol_per_run, row.mqb * row.hours / 24, rel)
+        and _close(row.expected_hours, row.hours / (1 - row.retry_risk))
+        and _close(row.expected_vol, row.vol_per_run / (1 - row.retry_risk))
+        and _close(row.vol_per_run, row.mqb * row.hours / 24)
         and _close(
-            row.log_skewed_volume, row.q * math.log(row.mqb) + math.log(row.expected_hours), rel
+            row.log_skewed_volume, row.q * math.log(row.mqb) + math.log(row.expected_hours)
         )
     ):
         raise AssertionError(row)
@@ -292,10 +285,21 @@ class BoardLayout(
         return 2.0 * self.pieces * self.ccz_pairs / self.ccz_time_s
 
 
-def factory_dimensions(profile: HardwareProfile, point: LayoutPoint) -> tuple[int, int, float]:
+def factory(profile: HardwareProfile, L1: int, L2: int) -> Factory:
+    """The CCZ factory at distances (L1, L2) under profile; ValueError
+    unless 0 < L1 < L2."""
+    if not 0 < L1 < L2:
+        raise ValueError(f"factory distances need 0 < L1 < L2, got L1={L1}, L2={L2}")
+    width, height, depth = factory_dimensions(profile, L1, L2)
+    ccz_time = depth * profile.cycle_s * L2
+    pairs = math.ceil(ccz_time / profile.reaction_s / 2)
+    return Factory(L1, L2, ccz_state_error(profile, L1, L2), width, height, ccz_time, pairs)
+
+
+def factory_dimensions(profile: HardwareProfile, L1: int, L2: int) -> tuple[int, int, float]:
     """(width, height, depth) of one CCZ factory block in logical tiles at
     the data code distance; depth is in code-distance rounds."""
-    shrink = point.L1 / point.L2
+    shrink = L1 / L2
     t1_w = profile.t1_width * shrink
     t1_h = profile.t1_height * shrink
     t1_d = profile.t1_depth * shrink
@@ -310,11 +314,10 @@ def factory_dimensions(profile: HardwareProfile, point: LayoutPoint) -> tuple[in
 
 
 def board_layout(
-    profile: HardwareProfile, point: LayoutPoint, pieces: int, piece_len: int, registers: float
+    profile: HardwareProfile, fac: Factory, pieces: int, piece_len: int, registers: float
 ) -> BoardLayout:
     """Board of `pieces` strips, each holding `registers` data registers of
-    piece_len qubits below its factory rows."""
-    fac = profile.factory(point)
+    piece_len qubits below the rows of fac's factory pairs."""
     width = (fac.width + 1) * fac.pairs + 1
     reg_rows = math.ceil(piece_len / (width - 2))
     height = math.ceil(
@@ -386,28 +389,21 @@ def schedule(cost_row: CostBreakdown, g_sep: int, d_off: int) -> Schedule:
     )
 
 
-def estimate(profile: HardwareProfile, point: LayoutPoint, sched: Schedule) -> EstimateRow:
-    """Price one operating point against the Schedule of its shape.
+def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> EstimateRow:
+    """Price the operating point of sched's shape and fac's distances.
 
+    The point is (fac.L1, fac.L2) with sched's d_off, windows and g_sep.
     The problem size (n, n_e), the variant and the run's Toffolis and
-    serial steps come from sched, which must have been built for point's
-    windows, g_sep and d_off (else ValueError). What is left depends on
-    (L1, L2) and the profile: the factory, the board, the runtime and the
-    error budget. Raises BudgetOverflow when the accumulated error
-    probability reaches 1; the factory error is checked first, before the
-    board and budget are priced.
+    serial steps come from sched; the CCZ factory comes from fac, which
+    must have been built for profile. What is left is the board, the
+    runtime and the error budget. Raises BudgetOverflow(point, component)
+    when an error probability reaches 1; the factory error is checked
+    first, before the board and budget are priced.
     """
     cost_row = sched.cost_row
-    if (
-        point.g_exp != cost_row.w_e
-        or point.g_mul != cost_row.w_m
-        or point.g_sep != sched.g_sep
-        or point.d_off != sched.d_off
-    ):
-        raise ValueError("schedule windows, g_sep or d_off disagree with the layout point")
+    point = LayoutPoint(fac.L1, fac.L2, sched.d_off, cost_row.w_m, cost_row.w_e, sched.g_sep)
     tofs = sched.tofs
-    ccz_error = profile.factory(point).ccz_error
-    if tofs * ccz_error >= 1:
+    if tofs * fac.ccz_error >= 1:
         raise BudgetOverflow(point, "factory")
 
     # Serial reaction-limited schedule. serial_overhead stretches the bare
@@ -416,14 +412,14 @@ def estimate(profile: HardwareProfile, point: LayoutPoint, sched: Schedule) -> E
     # board distills its CCZ states.
     depth_s = sched.serial_steps * profile.reaction_s * profile.serial_overhead
 
-    board = board_layout(profile, point, sched.pieces, sched.piece_len, sched.registers)
-    mqb = board.tiles * physical_per_logical(point.L2) / 1e6
+    board = board_layout(profile, fac, sched.pieces, sched.piece_len, sched.registers)
+    mqb = board.tiles * physical_per_logical(fac.L2) / 1e6
     factory_s = tofs / board.toffoli_rate
     runtime_s = max(depth_s, factory_s)
     binding = "depth" if depth_s >= factory_s else "factory"
     hours = runtime_s / 3600.0
 
-    budget = error_budget(profile, point, tofs * ccz_error, sched, board, runtime_s)
+    budget = error_budget(profile, sched, fac, board, runtime_s)
     for name, part in zip(_COMPONENTS, budget):
         if part >= 1:
             raise BudgetOverflow(point, name)
@@ -459,28 +455,21 @@ def estimate(profile: HardwareProfile, point: LayoutPoint, sched: Schedule) -> E
     return row
 
 
-def ccz_state_error(profile: HardwareProfile, point: LayoutPoint) -> float:
+def ccz_state_error(profile: HardwareProfile, L1: int, L2: int) -> float:
     """Failure probability of one CCZ state out of the two-level factory:
     injection at distance L1 // 2, then level-1 and level-2 distillation."""
-    l0 = profile.p_phys + profile.l0_injection_cells * profile.unit_cell_error(point.L1 // 2)
-    l1 = profile.l1_distill_coeff * l0**3 + profile.l1_factory_cells * profile.unit_cell_error(
-        point.L1
-    )
-    return profile.l2_distill_coeff * l1**2 + profile.l2_factory_cells * profile.unit_cell_error(
-        point.L2
-    )
+    l0 = profile.p_phys + profile.l0_injection_cells * profile.unit_cell_error(L1 // 2)
+    l1 = profile.l1_distill_coeff * l0**3 + profile.l1_factory_cells * profile.unit_cell_error(L1)
+    return profile.l2_distill_coeff * l1**2 + profile.l2_factory_cells * profile.unit_cell_error(L2)
 
 
 def error_budget(
-    profile: HardwareProfile,
-    point: LayoutPoint,
-    factory: float,
-    sched: Schedule,
-    board: BoardLayout,
-    runtime_s: float,
+    profile: HardwareProfile, sched: Schedule, fac: Factory, board: BoardLayout, runtime_s: float
 ) -> ErrorBudget:
-    """Failure probability per component; `factory` is tofs * ccz_state_error."""
-    d = point.L2
+    """Failure probability per component of a run of sched's Toffolis on
+    fac's factories and board, lasting runtime_s."""
+    factory = sched.tofs * fac.ccz_error
+    d = fac.L2
     unit_cell_rounds = runtime_s / (profile.cycle_s * d)
     data = board.storage_tiles * unit_cell_rounds * profile.unit_cell_error(d)
 
@@ -535,38 +524,43 @@ def grid_search(
 ) -> GridResult:
     """Exhaustive evaluation over the layout grid.
 
-    Builds one cost row per (g_exp, g_mul) and one Schedule per (cost row,
-    g_sep, d_off), then prices every (L1, L2) pair with L1 < L2 against it.
-    Returns the skewed-volume minimizer (ranked by its log, ties broken by
-    lexicographic point), the Pareto frontier over (mqb, expected_hours),
-    and the best row under each physical-qubit budget; all three rank rows
-    by point, so the order of evaluation does not matter. Raises ValueError
-    when every g_sep exceeds n, so no point can be evaluated, and
-    BudgetOverflow when every evaluated point overflows the error budget.
+    Builds one Factory per (L1, L2) pair with L1 < L2, one cost row per
+    (g_exp, g_mul) and one Schedule per (cost row, g_sep, d_off), then
+    prices every factory against each Schedule. Returns the skewed-volume
+    minimizer (ranked by its log, ties broken by lexicographic point), the
+    Pareto frontier over (mqb, expected_hours), and the best row under each
+    physical-qubit budget; all three rank rows by point, so the order of
+    evaluation does not matter. Raises ValueError when n is not positive or
+    every g_sep exceeds n, so no point can be evaluated, and BudgetOverflow
+    when every evaluated point overflows the error budget; its message
+    names the last overflowing point and error term.
     """
+    if n < 1:
+        raise ValueError(f"n must be positive, got n = {n}")
     ranges = ranges or GridRanges()
-    if min(ranges.g_sep) > n:
+    g_seps = [g_sep for g_sep in ranges.g_sep if g_sep <= n]
+    if not g_seps:
         raise ValueError(
             f"every grid g_sep exceeds n = {n} (smallest g_sep is {min(ranges.g_sep)}), "
             "so no grid point can be evaluated"
         )
-    pairs = [(l1, l2) for l1 in ranges.l1 for l2 in ranges.l2 if l1 < l2]
-    g_seps = [g_sep for g_sep in ranges.g_sep if g_sep <= n]
+    factories = [factory(profile, l1, l2) for l1 in ranges.l1 for l2 in ranges.l2 if l1 < l2]
     rows: list[EstimateRow] = []
+    overflow: tuple = ()
     for g_exp in ranges.g_exp:
         for g_mul in ranges.g_mul:
             cost_row = _variant_cost(variant, n, n_e, g_exp, g_mul)
             for g_sep in g_seps:
                 for d_off in ranges.d_off:
                     sched = schedule(cost_row, g_sep, d_off)
-                    for l1, l2 in pairs:
-                        point = LayoutPoint(l1, l2, d_off, g_mul, g_exp, g_sep)
+                    for fac in factories:
                         try:
-                            rows.append(estimate(profile, point, sched))
-                        except BudgetOverflow:
-                            continue
+                            rows.append(estimate(profile, sched, fac))
+                        except BudgetOverflow as exc:
+                            overflow = exc.args
     if not rows:
-        raise BudgetOverflow("no grid point stays under the error budget")
+        last = f" (last overflow: {overflow[1]} error at {overflow[0]})" if overflow else ""
+        raise BudgetOverflow("no grid point stays under the error budget" + last)
     best = min(rows, key=lambda r: (r.log_skewed_volume, r.point))
     frontier = pareto_frontier(rows)
     by_budget = tuple((b, best_under_budget(frontier, b)) for b in budgets)

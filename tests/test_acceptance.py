@@ -320,7 +320,7 @@ def test_criterion_5_table_identities(grid_original, grid_combined):
         rows = [result.best, *result.frontier]
         rows.extend(row for _, row in result.by_budget if row is not None)
         for row in rows:
-            audit_row(row, rel=1e-9)
+            audit_row(row)
         emitted += len(rows)
 
     # Published-row arithmetic from the quoted figures themselves.

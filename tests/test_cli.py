@@ -598,6 +598,25 @@ def test_estimate_n_below_every_g_sep_is_bad_input(capsys):
     assert "error budget" not in err
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+@pytest.mark.parametrize("point", [[], ["--point", "5,11,2,4,4,256"]], ids=["grid", "point"])
+def test_estimate_non_positive_n_names_n(capsys, n, point):
+    assert main(["estimate", "--n", n, "--ne", "10", *point]) == 2
+    err = capsys.readouterr().err
+    assert f"error: n must be positive, got n = {n}" in err
+    assert "g_sep" not in err
+
+
+def test_estimate_overflowing_point_names_its_error_term(capsys):
+    argv = ["estimate", "--n", "256", "--ne", "300", "--point", "5,11,2,4,4,256"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: no grid point stays under the error budget (last overflow: factory error at "
+        "LayoutPoint(L1=5, L2=11, d_off=2, g_mul=4, g_exp=4, g_sep=256))\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Output bytes, pinned. Each key is a command line run in a scratch directory
 # holding reaction.cfg, and each digest the sha256 prefix of what it writes

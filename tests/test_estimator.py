@@ -25,6 +25,7 @@ from wmodexp.estimator import (
     board_layout,
     ccz_state_error,
     estimate,
+    factory,
     factory_dimensions,
     grid_search,
     load_profile,
@@ -51,6 +52,11 @@ def shape(variant, point, n=N, n_e=NE):
     return schedule(cost_row, point.g_sep, point.d_off)
 
 
+def price(profile, variant, point, n=N, n_e=NE):
+    """estimate() of point under variant: its Schedule and its Factory."""
+    return estimate(profile, shape(variant, point, n, n_e), factory(profile, point.L1, point.L2))
+
+
 @pytest.fixture(scope="module")
 def profile():
     return load_profile()
@@ -58,8 +64,7 @@ def profile():
 
 @pytest.fixture(scope="module")
 def ge_row(profile):
-    row = estimate(profile, GE_POINT, shape("original", GE_POINT))
-    return row
+    return price(profile, "original", GE_POINT)
 
 
 # ---------------------------------------------------------------------------
@@ -153,43 +158,31 @@ def test_layout_points_sort_by_field_tuple():
 
 
 # ---------------------------------------------------------------------------
-# Factory memo: one record per (L1, L2) on each profile, invisible to
-# equality, hashing and the config keys.
+# Factory records: one per (L1, L2), from the profile's formulas.
 
 
-def test_factory_memo_equals_fresh_computation():
+def test_factory_equals_its_formulas():
     profile = HardwareProfile()
     ranges = GridRanges()
     pairs = [(l1, l2) for l1 in ranges.l1 for l2 in ranges.l2 if l1 < l2]
     assert len(pairs) == 74
     for l1, l2 in pairs:
-        point = LayoutPoint(l1, l2, 2, 4, 4, 256)
-        width, height, depth = factory_dimensions(profile, point)
+        width, height, depth = factory_dimensions(profile, l1, l2)
         ccz_time = depth * profile.cycle_s * l2
         pairs_needed = math.ceil(ccz_time / profile.reaction_s / 2)
-        fresh = (ccz_state_error(profile, point), width, height, ccz_time, pairs_needed)
-        assert profile.factory(point) == fresh
-        assert profile.factory(point._replace(d_off=9, g_sep=2048)) is profile.factory(point)
+        error = ccz_state_error(profile, l1, l2)
+        assert factory(profile, l1, l2) == (l1, l2, error, width, height, ccz_time, pairs_needed)
 
 
-def test_factory_memo_is_per_profile(profile):
-    base = profile.factory(GE_POINT).ccz_error
-    noisy = dataclasses.replace(profile, p_phys=2e-3)
-    assert noisy.factory(GE_POINT).ccz_error == ccz_state_error(noisy, GE_POINT)
-    assert noisy.factory(GE_POINT).ccz_error != base
-    assert profile.factory(GE_POINT).ccz_error == base
+@pytest.mark.parametrize("l1, l2", [(0, 11), (-1, 0), (27, 15), (15, 15)])
+def test_factory_refuses_impossible_distances(profile, l1, l2):
+    with pytest.raises(ValueError, match="0 < L1 < L2"):
+        factory(profile, l1, l2)
 
 
-def test_factory_memo_is_not_part_of_the_profile(profile, tmp_path):
-    profile.factory(GE_POINT)
-    assert profile == HardwareProfile()
-    assert hash(profile) == hash(HardwareProfile())
-    assert repr(profile) == repr(HardwareProfile())
-    assert "_factories" not in {f.name for f in dataclasses.fields(HardwareProfile)}
-    bad = tmp_path / "memo.cfg"
-    bad.write_text("_factories = 1\n")
-    with pytest.raises(ValueError, match=r"unknown config keys: \['_factories'\]"):
-        load_profile(str(bad))
+def test_profile_is_its_fields(profile):
+    assert not hasattr(HardwareProfile, "factory")
+    assert vars(profile) == {f.name: getattr(profile, f.name) for f in dataclasses.fields(profile)}
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +192,12 @@ def test_factory_memo_is_not_part_of_the_profile(profile, tmp_path):
 
 
 def test_factory_dimensions_at_ge_point(profile):
-    assert factory_dimensions(profile, GE_POINT) == (13, 7, 5.0)
+    assert factory_dimensions(profile, 15, 27) == (13, 7, 5.0)
 
 
 def test_board_layout_at_ge_point(profile):
-    board = board_layout(profile, GE_POINT, pieces=2, piece_len=1048, registers=3)
+    fac = factory(profile, 15, 27)
+    board = board_layout(profile, fac, pieces=2, piece_len=1048, registers=3)
     assert (board.width, board.height) == (99, 62)
     assert board.ccz_pairs == 7
     assert board.ccz_time_s == pytest.approx(135e-6, rel=1e-12)
@@ -259,9 +253,11 @@ def test_audit_rejects_tampered_row(ge_row):
 def test_audit_rejects_tampered_row_under_optimize():
     # python -O strips assert statements; the audit must still fire there.
     child = (
-        "from wmodexp.estimator import LayoutPoint, _variant_cost, audit_row, estimate, load_profile, schedule\n"
+        "from wmodexp.estimator import (\n"
+        "    _variant_cost, audit_row, estimate, factory, load_profile, schedule)\n"
         f"sched = schedule(_variant_cost('original', {N}, {NE}, 5, 5), 1024, 4)\n"
-        f"row = estimate(load_profile(), {GE_POINT!r}, sched)\n"
+        "profile = load_profile()\n"
+        "row = estimate(profile, sched, factory(profile, 15, 27))\n"
         "audit_row(row._replace(expected_hours=2 * row.expected_hours))\n"
     )
     proc = subprocess.run(
@@ -288,22 +284,22 @@ def test_zero_risk_limit(profile):
         profile, p_phys=1e-9, error_coeff=0.0, postprocess_error=0.0
     )
     point = GE_POINT._replace(d_off=40)
-    row = estimate(quiet, point, shape("original", point))
+    row = price(quiet, "original", point)
     assert row.retry_risk < 1e-6
     assert row.expected_hours == pytest.approx(row.hours, rel=1e-5)
     assert row.expected_vol == pytest.approx(row.vol_per_run, rel=1e-5)
 
 
-def test_estimate_rejects_mismatched_windows(profile):
-    with pytest.raises(ValueError, match="windows"):
-        estimate(profile, GE_POINT, schedule(_variant_cost("original", N, NE, 6, 5), 1024, 4))
-    # The schedule of GE_POINT's shape prices no point that differs from it
-    # in a window, in g_sep or in d_off; only L1 and L2 may vary.
+def test_estimate_point_is_built_from_schedule_and_factory(profile):
+    # The schedule gives d_off, the windows and g_sep; the factory L1 and L2.
     sched = shape("original", GE_POINT)
-    for field, value in (("g_exp", 4), ("g_mul", 6), ("g_sep", 512), ("d_off", 5)):
-        with pytest.raises(ValueError, match="windows, g_sep or d_off disagree"):
-            estimate(profile, GE_POINT._replace(**{field: value}), sched)
-    assert estimate(profile, GE_POINT._replace(L1=17, L2=29), sched).point.L2 == 29
+    for l1, l2 in ((15, 27), (17, 29), (17, 33)):
+        row = estimate(profile, sched, factory(profile, l1, l2))
+        assert row.point == GE_POINT._replace(L1=l1, L2=l2)
+        assert type(row.point) is LayoutPoint
+    sched = schedule(_variant_cost("original", N, NE, 6, 4), 512, 7)
+    row = estimate(profile, sched, factory(profile, 15, 27))
+    assert row.point == LayoutPoint(L1=15, L2=27, d_off=7, g_mul=4, g_exp=6, g_sep=512)
 
 
 def test_schedule_rejects_an_impossible_shape():
@@ -317,7 +313,7 @@ def test_schedule_rejects_an_impossible_shape():
 def test_budget_overflow_on_undersized_factories(profile):
     # A 4096-bit run through 15/27 factories exhausts the error budget.
     with pytest.raises(BudgetOverflow) as info:
-        estimate(profile, GE_POINT, shape("original", GE_POINT, 4096, 6101))
+        price(profile, "original", GE_POINT, 4096, 6101)
     assert info.value.args == (GE_POINT, "factory")
     assert str(info.value) == f"error budget saturated at {GE_POINT}"
     assert info.value.component == "factory"
@@ -335,7 +331,7 @@ def test_budget_overflow_point_and_message_forms():
 
 def test_q_override_changes_skew_only(profile):
     flat_profile = dataclasses.replace(profile, q=1.0)
-    flat = estimate(flat_profile, GE_POINT, shape("original", GE_POINT))
+    flat = price(flat_profile, "original", GE_POINT)
     assert flat.log_skewed_volume == pytest.approx(
         math.log(flat.mqb * flat.expected_hours), rel=1e-9
     )
@@ -347,8 +343,8 @@ def test_sliced_variants_priced_from_their_cost_rows(profile, ge_row):
     # repetition; sliced_B saves n/2 adder Toffolis per repetition.
     reps = 2 * math.ceil(NE / 5) * math.ceil(N / 5)
     assert reps == 496920
-    a = estimate(profile, GE_POINT, shape("sliced_A", GE_POINT))
-    b = estimate(profile, GE_POINT, shape("sliced_B", GE_POINT))
+    a = price(profile, "sliced_A", GE_POINT)
+    b = price(profile, "sliced_B", GE_POINT)
     assert b.b_tofs == pytest.approx(ge_row.b_tofs - reps * N / 2 / 1e9, rel=1e-12)
     assert b.b_tofs == pytest.approx(2.13079, abs=5e-6)
     assert (b.mqb, b.hours) == (ge_row.mqb, ge_row.hours)
@@ -374,8 +370,8 @@ def test_error_budget_components(profile, ge_row):
 
 def test_deviation_error_halves_per_pad_bit(profile):
     deeper = GE_POINT._replace(d_off=5)
-    base = estimate(profile, GE_POINT, shape("original", GE_POINT))
-    deep = estimate(profile, deeper, shape("original", deeper))
+    base = price(profile, "original", GE_POINT)
+    deep = price(profile, "original", deeper)
     assert deep.budget.coset_error == pytest.approx(base.budget.coset_error / 2, rel=1e-9)
     assert deep.budget.runway_error == pytest.approx(base.budget.runway_error / 2, rel=1e-9)
 
@@ -464,9 +460,10 @@ def test_grid_search_is_deterministic(profile, grid_original):
 
 def test_grid_search_matches_a_per_point_reference_loop(profile, grid_combined):
     # The loop order before schedules were hoisted: (L1, L2) outermost, then
-    # d_off, then the window shapes and g_sep, with a schedule built for
-    # each point. Every result ranks rows by point, so evaluation order and
-    # shared schedules must leave the best row, frontier and budget rows alone.
+    # d_off, then the window shapes and g_sep, with a schedule and a factory
+    # built for each point. Every result ranks rows by point, so evaluation
+    # order and shared records must leave the best row, frontier and budget
+    # rows alone.
     ranges = GridRanges()
     shapes = [
         (g_mul, g_exp, g_sep, _variant_cost("combined", N, NE, g_exp, g_mul))
@@ -481,9 +478,9 @@ def test_grid_search_matches_a_per_point_reference_loop(profile, grid_combined):
                 continue
             for d_off in ranges.d_off:
                 for g_mul, g_exp, g_sep, cost_row in shapes:
-                    point = LayoutPoint(l1, l2, d_off, g_mul, g_exp, g_sep)
+                    sched = schedule(cost_row, g_sep, d_off)
                     try:
-                        rows.append(estimate(profile, point, schedule(cost_row, g_sep, d_off)))
+                        rows.append(estimate(profile, sched, factory(profile, l1, l2)))
                     except BudgetOverflow:
                         continue
     frontier = pareto_frontier(rows)
@@ -502,16 +499,19 @@ def test_grid_overflow_set_is_pinned(profile, monkeypatch):
     evaluated = rows = 0
     overflows = collections.Counter()
 
-    def counting(profile, point, sched):
+    def counting(profile, sched, fac):
         nonlocal evaluated, rows
         evaluated += 1
+        cost_row = sched.cost_row
+        point = LayoutPoint(fac.L1, fac.L2, sched.d_off, cost_row.w_m, cost_row.w_e, sched.g_sep)
         try:
-            row = real_estimate(profile, point, sched)
+            row = real_estimate(profile, sched, fac)
         except BudgetOverflow as exc:
             assert exc.args == (point, exc.component)
             assert str(exc) == f"error budget saturated at {point}"
             overflows[exc.component] += 1
             raise
+        assert row.point == point
         rows += 1
         return row
 
@@ -570,8 +570,8 @@ PUBLISHED_NE = {1024: 1493, 2048: 3029, 3072: 4565, 4096: 6101}
 def test_combined_never_beats_original_by_much(profile, n):
     n_e = PUBLISHED_NE[n]
     point = ORDERING_POINTS[n]
-    orig = estimate(profile, point, shape("original", point, n, n_e))
-    comb = estimate(profile, point, shape("combined", point, n, n_e))
+    orig = price(profile, "original", point, n, n_e)
+    comb = price(profile, "combined", point, n, n_e)
     assert comb.b_tofs <= orig.b_tofs
     reduction = (orig.b_tofs - comb.b_tofs) / orig.b_tofs
     if n == 1024:
@@ -584,7 +584,7 @@ def test_combined_cheaper_across_grid_sample(profile):
     for g_sep in (512, 1024, 2048):
         for d_off in (2, 6, 9):
             point = LayoutPoint(L1=15, L2=27, d_off=d_off, g_mul=5, g_exp=5, g_sep=g_sep)
-            orig = estimate(profile, point, shape("original", point))
-            comb = estimate(profile, point, shape("combined", point))
+            orig = price(profile, "original", point)
+            comb = price(profile, "combined", point)
             assert comb.b_tofs < orig.b_tofs
             assert comb.hours < orig.hours
