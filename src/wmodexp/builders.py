@@ -514,8 +514,10 @@ def check_modexp_output(circuit: Circuit, inst: ProblemInstance, state) -> list[
 
     exp = circuit.register("exponent").qubits
     result = circuit.register(circuit.result_register).qubits
-    counting = [state.planes[q] for q in exp] == counting_planes(len(exp))
-    if counting and state.ones == (1 << (1 << len(exp))) - 1:
+    # ones is all-ones over the branches, so its length is the branch count.
+    # Test it first: counting_planes holds n_e planes of 2^n_e bits each.
+    every_x = state.ones.bit_length() == 1 << len(exp)
+    if every_x and [state.planes[q] for q in exp] == counting_planes(len(exp)):
         want, power = [], 1 % inst.modulus
         for _ in range(1 << len(exp)):
             want.append(power)

@@ -130,7 +130,7 @@ def cost(
     """
     flags = variant_flags(variant)
     if min(n, n_e, w_e, w_m) < 1:
-        raise ValueError("n, n_e, w_e, w_m must be positive")
+        raise ValueError(f"n, n_e, w_e, w_m must be positive, got {n}, {n_e}, {w_e}, {w_m}")
     if initial_bits < 0 or initial_bits > n_e:
         raise ValueError("initial_bits must lie in [0, n_e]")
     if initial_bits and not flags.initial_lookup:
@@ -201,7 +201,10 @@ def cost(
 def per_window_cost(n: int, w_e: int, w_m: int) -> float:
     """Toffolis spent by one exponent window of the recursion: two sweeps
     of n/w_m lookup-additions, with the unlookup booked as unary creation
-    plus phase fixup (2^(l/2) each, no uncomputation Toffolis)."""
+    plus phase fixup (2^(l/2) each, no uncomputation Toffolis). Raises
+    ValueError unless n, w_e and w_m are positive."""
+    if min(n, w_e, w_m) < 1:
+        raise ValueError(f"n, w_e, w_m must be positive, got {n}, {w_e}, {w_m}")
     ell = w_e + w_m
     if max(ell, n.bit_length()) >= FLOAT_BITS:
         raise _unfit("per-window cost", n=n, w_e=w_e, w_m=w_m)
@@ -219,6 +222,7 @@ def crossover_initial_lookup(n: int, w_e: int, w_m: int) -> int:
     exponent windows, so the objective 2^k + (n_e - k)/w_e * per_window
     has the same argmin as 2^k - k * per_window/w_e for every n_e; the
     best k is independent of the exponent length. k is searched up to 64.
+    Raises ValueError unless n, w_e and w_m are positive.
     """
     per_bit = per_window_cost(n, w_e, w_m) / w_e
     best_k = 0

@@ -49,19 +49,18 @@ class BudgetOverflow(RuntimeError):
     """Accumulated error probability reached 1; the run cannot succeed.
 
     The arguments are the overflowing LayoutPoint and the error term that
-    reached 1 ("total" for their composition), or a message alone. A point
-    is rendered only when the error is shown, since the grid search raises
-    and swallows one per overflowing point.
+    reached 1 ("total" for their composition). A point is rendered only
+    when the error is shown, since the grid search raises and swallows one
+    per overflowing point.
     """
 
     @property
-    def component(self) -> str | None:
-        """The error term that reached 1; None for a message."""
-        return self.args[1] if len(self.args) > 1 else None
+    def component(self) -> str:
+        """The error term that reached 1."""
+        return self.args[1]
 
     def __str__(self) -> str:
-        cause = self.args[0]
-        return cause if isinstance(cause, str) else f"error budget saturated at {cause}"
+        return f"error budget saturated at {self.args[0]}"
 
 
 # HardwareProfile fields that must be > 0: the cost formulas divide by all
@@ -145,19 +144,24 @@ class HardwareProfile:
 
 
 def parse_config(text: str) -> dict[str, float]:
-    """Parse 'key = value' lines; blank lines and # comments ignored."""
+    """Parse 'key = value' lines; blank lines and # comments ignored. A key
+    given twice is refused, naming both lines."""
     values: dict[str, float] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in lines:
+            raise ValueError(f"line {lineno}: {key} repeats line {lines[key]}")
+        lines[key] = lineno
         try:
-            values[key.strip()] = float(value.strip())
+            values[key] = float(value)
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad number {value.strip()!r}") from exc
+            raise ValueError(f"line {lineno}: bad number {value!r}") from exc
     return values
 
 
@@ -173,27 +177,11 @@ def load_profile(path: str | None = None) -> HardwareProfile:
     return HardwareProfile(**values)
 
 
-class LayoutPoint(namedtuple("LayoutPoint", "L1 L2 d_off g_mul g_exp g_sep")):
-    """One operating point of the machine: factory distances, padding
-    deviation, window sizes, and the runway separation. The data code
-    distance is L2, the level-2 factory distance. A tuple checked on every
-    construction, _replace included; points order lexicographically by
-    field, which breaks ties between equal rows."""
-
-    __slots__ = ()
-
-    def __new__(cls, L1: int, L2: int, d_off: int, g_mul: int, g_exp: int, g_sep: int):
-        if min(L1, L2, g_mul, g_exp, g_sep) < 1:
-            raise ValueError("layout dimensions must be positive")
-        if d_off < 0:
-            raise ValueError("d_off must be >= 0")
-        if L1 >= L2:
-            raise ValueError("L1 must be smaller than L2")
-        return super().__new__(cls, L1, L2, d_off, g_mul, g_exp, g_sep)
-
-    @classmethod
-    def _make(cls, iterable) -> LayoutPoint:
-        return cls(*iterable)
+# One operating point of the machine: factory distances, padding deviation,
+# window sizes and the runway separation; the data code distance is L2.
+# Points order lexicographically by field, which breaks ties between equal
+# rows. factory(), schedule() and cost() refuse its bad fields.
+LayoutPoint = namedtuple("LayoutPoint", "L1 L2 d_off g_mul g_exp g_sep")
 
 
 # One CCZ factory at distances (L1, L2): its state error, its footprint in
@@ -211,9 +199,6 @@ class ErrorBudget(
 
     __slots__ = ()
 
-    def components(self) -> tuple[float, ...]:
-        return tuple(self)
-
     @property
     def total(self) -> float:
         survival = 1.0
@@ -222,21 +207,16 @@ class ErrorBudget(
         return 1.0 - survival
 
 
-# BudgetOverflow.component of each ErrorBudget.components() term.
+# BudgetOverflow.component of each ErrorBudget term.
 _COMPONENTS = tuple(name.removesuffix("_error") for name in ErrorBudget._fields)
 
 
-class EstimateRow(
-    namedtuple(
-        "EstimateRow",
-        "n n_e p_phys point variant initial_bits q retry_risk vol_per_run expected_vol "
-        "mqb hours expected_hours b_tofs log_skewed_volume budget binding",
-        defaults=("depth",),
-    )
-):
-    """One fully evaluated operating point."""
-
-    __slots__ = ()
+# One fully evaluated operating point.
+EstimateRow = namedtuple(
+    "EstimateRow",
+    "n n_e p_phys point variant initial_bits q retry_risk vol_per_run expected_vol "
+    "mqb hours expected_hours b_tofs log_skewed_volume budget binding",
+)
 
 
 # Relative tolerance of each audit_row identity.
@@ -530,14 +510,18 @@ def grid_search(
     minimizer (ranked by its log, ties broken by lexicographic point), the
     Pareto frontier over (mqb, expected_hours), and the best row under each
     physical-qubit budget; all three rank rows by point, so the order of
-    evaluation does not matter. Raises ValueError when n is not positive or
-    every g_sep exceeds n, so no point can be evaluated, and BudgetOverflow
-    when every evaluated point overflows the error budget; its message
-    names the last overflowing point and error term.
+    evaluation does not matter. Raises ValueError, before any cost row is
+    built, when n is not positive, an axis of ranges is empty, every g_sep
+    exceeds n or no L1 is below an L2, so no point can be evaluated; and
+    when every evaluated point overflows the error budget, naming the last
+    overflowing point and error term.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got n = {n}")
     ranges = ranges or GridRanges()
+    empty = [f.name for f in fields(ranges) if not getattr(ranges, f.name)]
+    if empty:
+        raise ValueError(f"empty grid axis {', '.join(empty)}, so no grid point can be evaluated")
     g_seps = [g_sep for g_sep in ranges.g_sep if g_sep <= n]
     if not g_seps:
         raise ValueError(
@@ -545,8 +529,9 @@ def grid_search(
             "so no grid point can be evaluated"
         )
     factories = [factory(profile, l1, l2) for l1 in ranges.l1 for l2 in ranges.l2 if l1 < l2]
+    if not factories:
+        raise ValueError(f"L1 must be smaller than L2, got L1 in {ranges.l1}, L2 in {ranges.l2}")
     rows: list[EstimateRow] = []
-    overflow: tuple = ()
     for g_exp in ranges.g_exp:
         for g_mul in ranges.g_mul:
             cost_row = _variant_cost(variant, n, n_e, g_exp, g_mul)
@@ -557,10 +542,10 @@ def grid_search(
                         try:
                             rows.append(estimate(profile, sched, fac))
                         except BudgetOverflow as exc:
-                            overflow = exc.args
+                            point, component = exc.args
     if not rows:
-        last = f" (last overflow: {overflow[1]} error at {overflow[0]})" if overflow else ""
-        raise BudgetOverflow("no grid point stays under the error budget" + last)
+        last = f"(last overflow: {component} error at {point})"
+        raise ValueError(f"no grid point stays under the error budget {last}")
     best = min(rows, key=lambda r: (r.log_skewed_volume, r.point))
     frontier = pareto_frontier(rows)
     by_budget = tuple((b, best_under_budget(frontier, b)) for b in budgets)

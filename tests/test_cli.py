@@ -516,13 +516,36 @@ def test_estimate_config_overlay_and_digest(tmp_path, capsys):
 
 
 def test_estimate_bad_point_is_bad_input(capsys):
-    assert main(["estimate", "--point", "15,27,4"]) == 2
-    assert main(["estimate", "--point", "a,b,c,d,e,f"]) == 2
-    capsys.readouterr()
+    for point in ("15,27,4", "a,b,c,d,e,f", "15,27,4,5,5,1024,7"):
+        assert main(["estimate", "--point", point]) == 2
+        assert "error: --point wants six integers" in capsys.readouterr().err
     assert main(["estimate", "--point", "27,15,5,5,5,1024"]) == 2
     assert "L1 must be smaller than L2" in capsys.readouterr().err
     assert main(["estimate", "--n", "1024", "--ne", "1493", "--point", "15,27,4,5,5,2048"]) == 2
-    assert "g_sep 2048 must not exceed n = 1024" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "every grid g_sep exceeds n = 1024 (smallest g_sep is 2048)" in err
+
+
+@pytest.mark.parametrize("variant", ["original", "combined"])
+@pytest.mark.parametrize(
+    ("point", "reason"),
+    [
+        ("0,11,2,4,4,256", "need 0 < L1 < L2, got L1=0, L2=11"),
+        ("27,15,4,5,5,1024", "L1 must be smaller than L2"),
+        ("15,15,4,5,5,1024", "L1 must be smaller than L2"),
+        ("5,11,-1,4,4,256", "d_off >= 0, got 256 and -1"),
+        ("5,11,2,0,4,256", "w_m must be positive"),
+        ("5,11,2,4,0,256", "w_e, w_m must be positive"),
+        ("5,11,2,4,4,0", "g_sep must be >= 1"),
+        ("15,27,4,5,5,4096", "every grid g_sep exceeds n = 2048 (smallest g_sep is 4096)"),
+    ],
+    ids=["L1=0", "L1>L2", "L1=L2", "d_off<0", "g_mul=0", "g_exp=0", "g_sep=0", "g_sep>n"],
+)
+def test_estimate_invalid_point_field_is_bad_input(capsys, variant, point, reason):
+    assert main(["estimate", "--variant", variant, "--point", point]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert reason in err
 
 
 @pytest.mark.parametrize("q", ["0", "-1"])
@@ -584,6 +607,13 @@ def test_estimate_bad_calibration_names_the_field(tmp_path, capsys, line):
     cfg.write_text(line + "\n")
     assert main(["estimate", "--config", str(cfg), *PUBLISHED_POINT]) == 2
     assert f"error: {line.split()[0]} must" in capsys.readouterr().err
+
+
+def test_estimate_repeated_config_key_is_bad_input(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("p_phys = 1e-3\n# comment\np_phys = 2e-3\n")
+    assert main(["estimate", "--config", str(cfg), *PUBLISHED_POINT]) == 2
+    assert "error: line 3: p_phys repeats line 1" in capsys.readouterr().err
 
 
 def test_estimate_overflowing_setting_is_bad_input(capsys):

@@ -85,6 +85,14 @@ def test_unrepresentable_crossover_raises(n, w):
         crossover_initial_lookup(n, w, w)
 
 
+@pytest.mark.parametrize("n, w_e, w_m", [(1024, 5, 0), (1024, 0, 5), (1024, -1, 5), (0, 5, 5)])
+def test_crossover_refuses_non_positive_sizes(n, w_e, w_m):
+    with pytest.raises(ValueError, match="n, w_e, w_m must be positive"):
+        crossover_initial_lookup(n, w_e, w_m)
+    with pytest.raises(ValueError, match="n, w_e, w_m must be positive"):
+        per_window_cost(n, w_e, w_m)
+
+
 def test_original_reference_point():
     c = cost("original", 2048, 3029, 5, 5)
     assert c.reps == pytest.approx(2 * 2048 * 3029 / 25, rel=REL)

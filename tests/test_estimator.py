@@ -124,25 +124,6 @@ def test_physical_per_logical_at_27():
 # Layout points.
 
 
-def test_layout_point_validation():
-    with pytest.raises(ValueError):
-        LayoutPoint(L1=27, L2=15, d_off=4, g_mul=5, g_exp=5, g_sep=1024)
-    with pytest.raises(ValueError):
-        LayoutPoint(L1=15, L2=15, d_off=4, g_mul=5, g_exp=5, g_sep=1024)
-    with pytest.raises(ValueError):
-        LayoutPoint(L1=15, L2=27, d_off=-1, g_mul=5, g_exp=5, g_sep=1024)
-    with pytest.raises(ValueError):
-        LayoutPoint(L1=15, L2=27, d_off=4, g_mul=0, g_exp=5, g_sep=1024)
-
-
-def test_layout_point_replace_is_validated():
-    assert GE_POINT._replace(d_off=5) == LayoutPoint(15, 27, 5, 5, 5, 1024)
-    with pytest.raises(ValueError, match="L1 must be smaller than L2"):
-        GE_POINT._replace(L1=27)
-    with pytest.raises(ValueError, match="d_off must be >= 0"):
-        GE_POINT._replace(d_off=-1)
-
-
 def test_layout_points_sort_by_field_tuple():
     ranges = GridRanges()
     rng = random.Random(17)
@@ -319,14 +300,19 @@ def test_budget_overflow_on_undersized_factories(profile):
     assert info.value.component == "factory"
 
 
-def test_budget_overflow_point_and_message_forms():
+def test_budget_overflow_point_and_message_forms(profile):
     at_point = BudgetOverflow(GE_POINT, "data")
+    assert at_point.args == (GE_POINT, "data")
     assert at_point.component == "data"
     assert str(at_point) == f"error budget saturated at {GE_POINT}"
-    message = BudgetOverflow("no grid point stays under the error budget")
-    assert message.component is None
-    assert str(message) == "no grid point stays under the error budget"
-    assert message.args == ("no grid point stays under the error budget",)
+    # A grid whose every point overflows is bad input, not one overflow.
+    point = LayoutPoint(L1=5, L2=11, d_off=2, g_mul=4, g_exp=4, g_sep=256)
+    ranges = GridRanges(l1=(5,), l2=(11,), d_off=(2,), g_exp=(4,), g_mul=(4,), g_sep=(256,))
+    with pytest.raises(ValueError) as info:
+        grid_search(256, 300, profile, ranges=ranges)
+    assert str(info.value) == (
+        f"no grid point stays under the error budget (last overflow: factory error at {point})"
+    )
 
 
 def test_q_override_changes_skew_only(profile):
@@ -358,12 +344,12 @@ def test_sliced_variants_priced_from_their_cost_rows(profile, ge_row):
 
 def test_error_budget_components(profile, ge_row):
     budget = ge_row.budget
-    assert all(part >= 0 for part in budget.components())
+    assert all(part >= 0 for part in budget)
     assert 0 <= budget.total < 1
     assert budget.postprocess_error == profile.postprocess_error
     # Survival composition, not a plain sum.
     survival = 1.0
-    for part in budget.components():
+    for part in budget:
         survival *= 1 - part
     assert budget.total == pytest.approx(1 - survival, rel=1e-12)
 
@@ -450,6 +436,28 @@ def test_singleton_ranges_yield_single_row(profile):
     assert len(result.frontier) == 1
     assert result.best == result.frontier[0]
     assert result.best.point == GE_POINT
+
+
+@pytest.fixture
+def no_cost_rows(monkeypatch):
+    """Fail any test that builds a cost row."""
+
+    def no_cost(*args):
+        raise AssertionError("a cost row was built")
+
+    monkeypatch.setattr(estimator, "cost", no_cost)
+
+
+@pytest.mark.parametrize("axis", [f.name for f in dataclasses.fields(GridRanges)])
+def test_grid_search_refuses_an_empty_axis(profile, no_cost_rows, axis):
+    with pytest.raises(ValueError, match=f"empty grid axis {axis},"):
+        grid_search(N, NE, profile, ranges=GridRanges(**{axis: ()}))
+
+
+def test_grid_search_refuses_a_grid_without_l1_below_l2(profile, no_cost_rows):
+    for l1, l2 in (((27,), (15,)), ((15,), (15,)), ((17, 19), (11, 13, 17))):
+        with pytest.raises(ValueError, match="L1 must be smaller than L2"):
+            grid_search(N, NE, profile, ranges=GridRanges(l1=l1, l2=l2))
 
 
 def test_grid_search_is_deterministic(profile, grid_original):
@@ -541,6 +549,7 @@ def test_pareto_frontier_helper():
             b_tofs=1.0,
             log_skewed_volume=1.2 * math.log(mqb) + math.log(hours),
             budget=ErrorBudget(0.0, 0.0, 0.0, 0.0, 0.0),
+            binding="depth",
         )
 
     a, b, c = stub(10, 5), stub(12, 4), stub(11, 6)

@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -196,6 +199,39 @@ def test_check_reports_faults_on_a_wide_state():
     assert errors == reference_check(circuit, inst, bad)
     kinds = [error.split(": ")[1].split()[0] for error in errors]
     assert sorted(kinds) == ["phase"] * 3 + ["result"] * 3 + ["workspace"] * 4
+
+
+def test_check_on_a_wide_exponent_with_few_branches():
+    # 16 of the 2^40 exponents: the check must size its work by the branches
+    # held, not by 2^n_e. The child runs under a 1 GiB address-space limit,
+    # so a check that builds the 2^40-bit counting planes fails at once.
+    child = (
+        "import random, resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from wmodexp.builders import ModexpConfig, build_windowed_modexp, check_modexp_output\n"
+        "from wmodexp.numerics import ProblemInstance, WindowParams\n"
+        "from wmodexp.sim import SparseState, deposit, run\n"
+        "inst = ProblemInstance(1021, 3, 40)\n"
+        "circuit = build_windowed_modexp(ModexpConfig(inst, WindowParams(4, 4)))\n"
+        "exp = circuit.register('exponent').qubits\n"
+        "xs = random.Random(40).sample(range(1 << 40), 16)\n"
+        "start = {deposit(0, exp, x): 1 for x in xs}\n"
+        "state = run(circuit, SparseState.superposition(circuit.num_qubits, start))\n"
+        "began = time.perf_counter()\n"
+        "print(check_modexp_output(circuit, inst, state))\n"
+        "print(time.perf_counter() - began)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    problems, seconds = proc.stdout.splitlines()
+    assert problems == "[]"
+    assert float(seconds) < 1.0
 
 
 def test_deferred_output_independent_of_measurement_seed():
