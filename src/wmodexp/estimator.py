@@ -10,13 +10,18 @@ and reports which one bound. All geometry and error-fit constants are
 calibration data living in the HardwareProfile defaults, which a config
 file may overlay; none is written into the formulas.
 
-A point is priced from two records, each built once. schedule() books what
-the cost row, g_sep and d_off fix: pieces, repetitions, padding, Toffolis
-and serial steps. factory() books what the distances (L1, L2) and the
-profile fix: the CCZ state error, footprint, CCZ time and pair count.
-estimate() combines one of each into the point's board, runtime and error
-budget. The grid search builds the factories once and one Schedule per
-(cost row, g_sep, d_off), and prices every factory against each Schedule.
+A point is priced from two records, each built once, so that estimate()
+does only the arithmetic that needs both. schedule() books what the cost
+row, g_sep and d_off fix: pieces, repetitions, padding, Toffolis, serial
+steps, data registers per piece, and the coset and runway errors.
+factory() books what the distances (L1, L2) and the profile fix: the CCZ
+state error, footprint, CCZ time and pair count, the board strip's width,
+fixed height and distillation tiles, the physical qubits per tile, the
+round time and unit-cell error at the data code distance, and the reaction
+time. estimate() combines one of each into the point's board, runtime,
+data and factory errors, and row. The grid search builds the factories
+once and one Schedule per (cost row, g_sep, d_off), and prices every
+factory against each Schedule.
 """
 
 from __future__ import annotations
@@ -184,10 +189,21 @@ def load_profile(path: str | None = None) -> HardwareProfile:
 LayoutPoint = namedtuple("LayoutPoint", "L1 L2 d_off g_mul g_exp g_sep")
 
 
-# One CCZ factory at distances (L1, L2): its state error, its footprint in
-# logical tiles at the data code distance, the time per CCZ state, and the
-# factory pairs a strip needs for one CCZ per reaction time.
-Factory = namedtuple("Factory", "L1 L2 ccz_error width height ccz_time_s pairs")
+# One CCZ factory at distances (L1, L2) under a profile, with every term of a
+# point's price that the distances and the profile alone fix:
+# - the factory: its CCZ state error, its footprint (width, height) in
+#   logical tiles at the data code distance L2, the time per CCZ state, and
+#   the factory pairs a strip needs for one CCZ per reaction time;
+# - the board strip: its width in tiles, the height of its fixed rows above
+#   the data registers, and the distillation tiles of its factory pairs;
+# - the data code: physical qubits per tile, the time of one code-distance
+#   round block, the unit-cell error of one tile over it, and the reaction
+#   time.
+Factory = namedtuple(
+    "Factory",
+    "L1 L2 ccz_error width height ccz_time_s pairs board_width strip_height "
+    "distillation_tiles qubits_per_tile round_s unit_cell_error reaction_s",
+)
 
 
 class ErrorBudget(
@@ -201,14 +217,10 @@ class ErrorBudget(
 
     @property
     def total(self) -> float:
-        survival = 1.0
-        for part in self:
-            survival *= 1.0 - part
-        return 1.0 - survival
-
-
-# BudgetOverflow.component of each ErrorBudget term.
-_COMPONENTS = tuple(name.removesuffix("_error") for name in ErrorBudget._fields)
+        """1 minus the product of the component survivals, in field order."""
+        data, factory, coset, runway, postprocess = self
+        survival = (1.0 - data) * (1.0 - factory) * (1.0 - coset) * (1.0 - runway)
+        return 1.0 - survival * (1.0 - postprocess)
 
 
 # One fully evaluated operating point.
@@ -224,14 +236,20 @@ AUDIT_REL = 1e-9
 
 
 def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= AUDIT_REL * max(abs(a), abs(b), 1e-300)
+    """abs(a - b) <= AUDIT_REL * max(abs(a), abs(b), 1e-300) on finite
+    values; unlike that test, it accepts inf against inf."""
+    return math.isclose(a, b, rel_tol=AUDIT_REL, abs_tol=AUDIT_REL * 1e-300)
 
 
 def audit_row(row: EstimateRow) -> None:
     """Check the EstimateRow identities to AUDIT_REL; raises AssertionError
-    on drift, also under python -O."""
+    on drift, also under python -O. The two ends of the identity chain,
+    expected_vol and the log skewed volume, must be finite; through the
+    identities, so is every other figure."""
     if not (
         0 <= row.retry_risk < 1
+        and math.isfinite(row.expected_vol)
+        and math.isfinite(row.log_skewed_volume)
         and _close(row.expected_hours, row.hours / (1 - row.retry_risk))
         and _close(row.expected_vol, row.vol_per_run / (1 - row.retry_risk))
         and _close(row.vol_per_run, row.mqb * row.hours / 24)
@@ -243,26 +261,9 @@ def audit_row(row: EstimateRow) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Board geometry, after the reference factory layout: level-1 T factories
-# shrunk by L1/L2 feed one CCZ block, factory pairs tile a strip wide
-# enough to sustain one CCZ per reaction time.
-
-
-class BoardLayout(
-    namedtuple(
-        "BoardLayout", "pieces width height distillation_tiles tiles ccz_pairs ccz_time_s"
-    )
-):
-    __slots__ = ()
-
-    @property
-    def storage_tiles(self) -> int:
-        return self.tiles - self.pieces * self.distillation_tiles
-
-    @property
-    def toffoli_rate(self) -> float:
-        """CCZ states produced per second across the whole board."""
-        return 2.0 * self.pieces * self.ccz_pairs / self.ccz_time_s
+# The CCZ factory and its board strip, after the reference factory layout:
+# level-1 T factories shrunk by L1/L2 feed one CCZ block, and factory pairs
+# tile a strip wide enough to sustain one CCZ per reaction time.
 
 
 def factory(profile: HardwareProfile, L1: int, L2: int) -> Factory:
@@ -273,7 +274,25 @@ def factory(profile: HardwareProfile, L1: int, L2: int) -> Factory:
     width, height, depth = factory_dimensions(profile, L1, L2)
     ccz_time = depth * profile.cycle_s * L2
     pairs = math.ceil(ccz_time / profile.reaction_s / 2)
-    return Factory(L1, L2, ccz_state_error(profile, L1, L2), width, height, ccz_time, pairs)
+    strip_height = (
+        height * 2 + profile.cz_fixup_height * 2 + profile.adder_height + profile.routing_height
+    )
+    return Factory(
+        L1,
+        L2,
+        ccz_state_error(profile, L1, L2),
+        width,
+        height,
+        ccz_time,
+        pairs,
+        (width + 1) * pairs + 1,
+        strip_height,
+        int(height * width * pairs * 2),
+        physical_per_logical(L2),
+        profile.cycle_s * L2,
+        profile.unit_cell_error(L2),
+        profile.reaction_s,
+    )
 
 
 def factory_dimensions(profile: HardwareProfile, L1: int, L2: int) -> tuple[int, int, float]:
@@ -293,23 +312,12 @@ def factory_dimensions(profile: HardwareProfile, L1: int, L2: int) -> tuple[int,
     return width, height, depth
 
 
-def board_layout(
-    profile: HardwareProfile, fac: Factory, pieces: int, piece_len: int, registers: float
-) -> BoardLayout:
-    """Board of `pieces` strips, each holding `registers` data registers of
-    piece_len qubits below the rows of fac's factory pairs."""
-    width = (fac.width + 1) * fac.pairs + 1
-    reg_rows = math.ceil(piece_len / (width - 2))
-    height = math.ceil(
-        fac.height * 2
-        + profile.cz_fixup_height * 2
-        + profile.adder_height
-        + profile.routing_height
-        + reg_rows * registers
-    )
-    distillation = fac.height * fac.width * fac.pairs * 2
-    tiles = pieces * width * height
-    return BoardLayout(pieces, width, height, int(distillation), tiles, fac.pairs, fac.ccz_time_s)
+def ccz_state_error(profile: HardwareProfile, L1: int, L2: int) -> float:
+    """Failure probability of one CCZ state out of the two-level factory:
+    injection at distance L1 // 2, then level-1 and level-2 distillation."""
+    l0 = profile.p_phys + profile.l0_injection_cells * profile.unit_cell_error(L1 // 2)
+    l1 = profile.l1_distill_coeff * l0**3 + profile.l1_factory_cells * profile.unit_cell_error(L1)
+    return profile.l2_distill_coeff * l1**2 + profile.l2_factory_cells * profile.unit_cell_error(L2)
 
 
 def physical_per_logical(code_distance: int) -> int:
@@ -328,9 +336,11 @@ def padding_bits(reps: int, pieces: int, d_off: int) -> int:
 # The half of a point's price that the factory distances cannot change:
 # the cost row and the runway shape (g_sep, d_off) fix the adder pieces, the
 # repetitions, the padding, the Toffolis and serial steps of the whole run,
-# and the data registers per piece.
+# the data registers per piece, and the coset and runway deviation errors.
 Schedule = namedtuple(
-    "Schedule", "cost_row g_sep d_off pieces reps pad piece_len tofs serial_steps registers"
+    "Schedule",
+    "cost_row g_sep d_off pieces reps pad piece_len tofs serial_steps registers "
+    "coset_error runway_error",
 )
 
 
@@ -343,7 +353,8 @@ def schedule(cost_row: CostBreakdown, g_sep: int, d_off: int) -> Schedule:
     contribute their analytic per-addition depths (walk uncompute legs
     pipeline into the compute gaps, so depth rather than gate count paces
     the clock), while the adder depth is recharged against the runway piece
-    length.
+    length. Each addition deviates with probability 2^-pad per coset and
+    per runway between pieces; the errors are capped at 1.
     """
     if g_sep < 1 or d_off < 0:
         raise ValueError(f"g_sep must be >= 1 and d_off >= 0, got {g_sep} and {d_off}")
@@ -364,8 +375,22 @@ def schedule(cost_row: CostBreakdown, g_sep: int, d_off: int) -> Schedule:
         cost_row.lookup_depth + add_steps + cost_row.unlookup_depth
     )
     registers = cost_row.logical_qubits / n
+    deviation = 2.0**-pad
+    coset_error = min(reps * deviation, 1.0)
+    runway_error = min(reps * (pieces - 1) * deviation, 1.0)
     return Schedule(
-        cost_row, g_sep, d_off, pieces, reps, pad, piece_len, tofs, serial_steps, registers
+        cost_row,
+        g_sep,
+        d_off,
+        pieces,
+        reps,
+        pad,
+        piece_len,
+        tofs,
+        serial_steps,
+        registers,
+        coset_error,
+        runway_error,
     )
 
 
@@ -373,36 +398,59 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
     """Price the operating point of sched's shape and fac's distances.
 
     The point is (fac.L1, fac.L2) with sched's d_off, windows and g_sep.
-    The problem size (n, n_e), the variant and the run's Toffolis and
-    serial steps come from sched; the CCZ factory comes from fac, which
-    must have been built for profile. What is left is the board, the
-    runtime and the error budget. Raises BudgetOverflow(point, component)
-    when an error probability reaches 1; the factory error is checked
-    first, before the board and budget are priced.
+    The problem size (n, n_e), the variant, the run's Toffolis and serial
+    steps and its deviation errors come from sched; the CCZ factory, its
+    board strip and the data code's terms come from fac, which must have
+    been built for profile. What is left is the arithmetic that needs both:
+    the board, the runtime and the data and factory errors. Raises
+    BudgetOverflow(point, component) when an error probability reaches 1,
+    checking the factory error first, before the board is priced, then the
+    ErrorBudget fields in order, then their composition ("total").
     """
-    cost_row = sched.cost_row
-    point = LayoutPoint(fac.L1, fac.L2, sched.d_off, cost_row.w_m, cost_row.w_e, sched.g_sep)
     tofs = sched.tofs
-    if tofs * fac.ccz_error >= 1:
+    factory_error = tofs * fac.ccz_error
+    cost_row = sched.cost_row
+    # tuple.__new__ skips the namedtuple's Python-level __new__: most points
+    # raise here, and building the point is a large part of their cost.
+    point = tuple.__new__(
+        LayoutPoint, (fac.L1, fac.L2, sched.d_off, cost_row.w_m, cost_row.w_e, sched.g_sep)
+    )
+    if factory_error >= 1:
         raise BudgetOverflow(point, "factory")
+
+    # The board: `pieces` strips, each holding the data registers of one
+    # adder piece below the rows of fac's factory pairs.
+    pieces = sched.pieces
+    width = fac.board_width
+    reg_rows = math.ceil(sched.piece_len / (width - 2))
+    height = math.ceil(fac.strip_height + reg_rows * sched.registers)
+    tiles = pieces * width * height
+    mqb = tiles * fac.qubits_per_tile / 1e6
 
     # Serial reaction-limited schedule. serial_overhead stretches the bare
     # reaction time for feedforward and routing stalls. The factories cap
     # the schedule from below: the run can never finish faster than the
     # board distills its CCZ states.
-    depth_s = sched.serial_steps * profile.reaction_s * profile.serial_overhead
-
-    board = board_layout(profile, fac, sched.pieces, sched.piece_len, sched.registers)
-    mqb = board.tiles * physical_per_logical(fac.L2) / 1e6
-    factory_s = tofs / board.toffoli_rate
+    depth_s = sched.serial_steps * fac.reaction_s * profile.serial_overhead
+    factory_s = tofs / (2.0 * pieces * fac.pairs / fac.ccz_time_s)
     runtime_s = max(depth_s, factory_s)
     binding = "depth" if depth_s >= factory_s else "factory"
     hours = runtime_s / 3600.0
 
-    budget = error_budget(profile, sched, fac, board, runtime_s)
-    for name, part in zip(_COMPONENTS, budget):
-        if part >= 1:
-            raise BudgetOverflow(point, name)
+    # Every tile outside the distillation blocks stores data for the run.
+    storage_tiles = tiles - pieces * fac.distillation_tiles
+    data_error = storage_tiles * (runtime_s / fac.round_s) * fac.unit_cell_error
+    if data_error >= 1:
+        raise BudgetOverflow(point, "data")
+    if sched.coset_error >= 1:
+        raise BudgetOverflow(point, "coset")
+    if sched.runway_error >= 1:
+        raise BudgetOverflow(point, "runway")
+    if profile.postprocess_error >= 1:
+        raise BudgetOverflow(point, "postprocess")
+    budget = ErrorBudget(
+        data_error, factory_error, sched.coset_error, sched.runway_error, profile.postprocess_error
+    )
     risk = budget.total
     if risk >= 1:
         raise BudgetOverflow(point, "total")
@@ -433,37 +481,6 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
     )
     audit_row(row)
     return row
-
-
-def ccz_state_error(profile: HardwareProfile, L1: int, L2: int) -> float:
-    """Failure probability of one CCZ state out of the two-level factory:
-    injection at distance L1 // 2, then level-1 and level-2 distillation."""
-    l0 = profile.p_phys + profile.l0_injection_cells * profile.unit_cell_error(L1 // 2)
-    l1 = profile.l1_distill_coeff * l0**3 + profile.l1_factory_cells * profile.unit_cell_error(L1)
-    return profile.l2_distill_coeff * l1**2 + profile.l2_factory_cells * profile.unit_cell_error(L2)
-
-
-def error_budget(
-    profile: HardwareProfile, sched: Schedule, fac: Factory, board: BoardLayout, runtime_s: float
-) -> ErrorBudget:
-    """Failure probability per component of a run of sched's Toffolis on
-    fac's factories and board, lasting runtime_s."""
-    factory = sched.tofs * fac.ccz_error
-    d = fac.L2
-    unit_cell_rounds = runtime_s / (profile.cycle_s * d)
-    data = board.storage_tiles * unit_cell_rounds * profile.unit_cell_error(d)
-
-    deviation = 2.0**-sched.pad
-    coset = sched.reps * deviation
-    runway = sched.reps * (sched.pieces - 1) * deviation
-
-    return ErrorBudget(
-        min(data, 1.0),
-        min(factory, 1.0),
-        min(coset, 1.0),
-        min(runway, 1.0),
-        profile.postprocess_error,
-    )
 
 
 # ---------------------------------------------------------------------------

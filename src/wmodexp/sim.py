@@ -61,21 +61,6 @@ class SparseState:
     _view: Mapping[int, int] | None = field(default=None, init=False, repr=False, compare=False)
     separating: dict[int, int] = field(default_factory=dict, repr=False, compare=False)
 
-    @classmethod
-    def superposition(
-        cls, num_qubits: int, values: dict[int, int], seed: int = 0
-    ) -> "SparseState":
-        """State with the given branch assignments and phases."""
-        if not values:
-            raise ValueError("state needs at least one branch")
-        if any(key < 0 or key >> num_qubits for key in values):
-            raise ValueError(f"a branch assignment does not fit {num_qubits} qubits")
-        if any(phase not in (1, -1) for phase in values.values()):
-            raise ValueError("branch phases must be +1 or -1")
-        planes = _transpose(list(values), num_qubits)
-        (phase,) = _transpose([int(p < 0) for p in values.values()], 1)
-        return cls(num_qubits, planes, phase, (1 << len(values)) - 1, random.Random(seed))
-
     @property
     def branches(self) -> Mapping[int, int]:
         """Read-only map of basis assignment (bit q = qubit q) to phase +/-1,

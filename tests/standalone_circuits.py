@@ -1,13 +1,31 @@
-"""Standalone circuits for the unit and acceptance tests: the unary
-converters, one table lookup and one unlookup, each on registers of its own.
+"""Standalone circuits and states for the unit and acceptance tests: the
+unary converters, one table lookup and one unlookup, each on registers of
+its own, and a state holding chosen branches.
 
-The modexp circuit emits the same gate producers inline; these wrappers give
-the tests each construction alone, so they live beside the tests.
+The modexp circuit emits the same gate producers inline, and
+modexp_input_state makes its own state; these wrappers give the tests each
+construction alone, so they live beside the tests.
 """
+
+import random
 
 from wmodexp.builders import select_walk_gates, unary_forward_gates, unlookup_gates, xor_payload
 from wmodexp.circuit import Circuit, CircuitBuilder
 from wmodexp.numerics import LookupTable
+from wmodexp.sim import SparseState, _transpose
+
+
+def superposition(num_qubits: int, values: dict[int, int], seed: int = 0) -> SparseState:
+    """State with the given branch assignments and phases."""
+    if not values:
+        raise ValueError("state needs at least one branch")
+    if any(key < 0 or key >> num_qubits for key in values):
+        raise ValueError(f"a branch assignment does not fit {num_qubits} qubits")
+    if any(phase not in (1, -1) for phase in values.values()):
+        raise ValueError("branch phases must be +1 or -1")
+    planes = _transpose(list(values), num_qubits)
+    (phase,) = _transpose([int(p < 0) for p in values.values()], 1)
+    return SparseState(num_qubits, planes, phase, (1 << len(values)) - 1, random.Random(seed))
 
 
 def build_unary(width: int) -> Circuit:

@@ -49,13 +49,14 @@ from wmodexp.costs import (
 )
 from wmodexp.estimator import audit_row, grid_search, load_profile
 from wmodexp.numerics import LookupTable, ProblemInstance, WindowParams
-from wmodexp.sim import SparseState, deposit, extract, run
+from wmodexp.sim import deposit, extract, run
 
 from standalone_circuits import (
     build_qrom_lookup,
     build_unary,
     build_unary_lowdepth,
     build_unlookup,
+    superposition,
 )
 
 PUBLISHED_NE = {1024: 1493, 2048: 3029, 3072: 4565, 4096: 6101}
@@ -170,7 +171,7 @@ def test_criterion_2_unlookup_exactness():
         l_dest = lookup.register("dest").qubits
         before = {deposit(0, l_addr, a): phase for a, phase in phases.items()}
         loaded = run(
-            lookup, SparseState.superposition(lookup.num_qubits, before, seed)
+            lookup, superposition(lookup.num_qubits, before, seed)
         )
 
         unlookup = build_unlookup(table)
@@ -185,7 +186,7 @@ def test_criterion_2_unlookup_exactness():
             for key, phase in loaded.branches.items()
         }
         final = run(
-            unlookup, SparseState.superposition(unlookup.num_qubits, ported, seed)
+            unlookup, superposition(unlookup.num_qubits, ported, seed)
         )
         want = {deposit(0, u_addr, a): phase for a, phase in phases.items()}
         assert final.branches == want, (seed, addr_bits, word_bits)

@@ -40,13 +40,14 @@ from wmodexp.numerics import (
     build_mul_table,
     build_pruned_table,
 )
-from wmodexp.sim import ContractViolation, SparseState, deposit, extract, run
+from wmodexp.sim import ContractViolation, deposit, extract, run
 
 from standalone_circuits import (
     build_qrom_lookup,
     build_unary,
     build_unary_lowdepth,
     build_unlookup,
+    superposition,
 )
 
 
@@ -55,7 +56,7 @@ def single_branch(circuit, assignments, seed=0):
     key = 0
     for name, value in assignments.items():
         key = deposit(key, circuit.register(name).qubits, value)
-    return SparseState.superposition(circuit.num_qubits, {key: 1}, seed)
+    return superposition(circuit.num_qubits, {key: 1}, seed)
 
 
 def only_branch(state):
@@ -168,7 +169,7 @@ def test_lookup_superposed_address():
     addr = circuit.register("address").qubits
     dest = circuit.register("dest").qubits
     start = {deposit(0, addr, a): 1 for a in range(8)}
-    state = run(circuit, SparseState.superposition(circuit.num_qubits, start))
+    state = run(circuit, superposition(circuit.num_qubits, start))
     expected = {deposit(k, dest, table[extract(k, addr)]): 1 for k in start}
     assert state.branches == expected
 
@@ -274,7 +275,7 @@ def test_unlookup_restores_prelookup_state(addr_bits, seed):
     dest = circuit.register("dest").qubits
     before = {deposit(0, addr, a): 1 for a in range(len(table))}
     loaded = {deposit(k, dest, table[extract(k, addr)]): 1 for k in before}
-    state = SparseState.superposition(circuit.num_qubits, loaded, seed)
+    state = superposition(circuit.num_qubits, loaded, seed)
     state = run(circuit, state)
     # bit- and phase-exact, not merely up to global phase
     assert state.branches == before
@@ -289,7 +290,7 @@ def test_unlookup_lowdepth_variant_matches():
     dest = routed.register("dest").qubits
     before = {deposit(0, addr, a): 1 for a in range(16)}
     loaded = {deposit(k, dest, table[extract(k, addr)]): 1 for k in before}
-    state = run(routed, SparseState.superposition(routed.num_qubits, loaded, 3))
+    state = run(routed, superposition(routed.num_qubits, loaded, 3))
     assert state.branches == before
 
 
@@ -307,7 +308,7 @@ def test_unlookup_rejects_tampered_dest():
     # two branches with identical non-dest bits need identical dest values;
     # address 0 appears once, so give it a colliding twin
     loaded[deposit(deposit(0, addr, 0), dest, table[0])] = 1
-    state = SparseState.superposition(circuit.num_qubits, loaded)
+    state = superposition(circuit.num_qubits, loaded)
     with pytest.raises(ContractViolation):
         run(circuit, state)
 

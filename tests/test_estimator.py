@@ -22,7 +22,6 @@ from wmodexp.estimator import (
     LayoutPoint,
     audit_row,
     best_under_budget,
-    board_layout,
     ccz_state_error,
     estimate,
     factory,
@@ -44,6 +43,17 @@ GE_MQB = 19.249
 GE_EXPECTED_HOURS = 7.313
 GE_B_TOFS = 2.698
 N, NE = 2048, 3029
+
+# A non-default profile: every field a hoisted term of the price reads.
+OTHER_PROFILE = HardwareProfile(
+    p_phys=5e-4,
+    cycle_ns=500,
+    reaction_ns=3000,
+    serial_overhead=1.1,
+    routing_height=7,
+    cz_fixup_height=4,
+    l1_factory_cells=1200,
+)
 
 
 def shape(variant, point, n=N, n_e=NE):
@@ -143,16 +153,36 @@ def test_layout_points_sort_by_field_tuple():
 
 
 def test_factory_equals_its_formulas():
-    profile = HardwareProfile()
     ranges = GridRanges()
     pairs = [(l1, l2) for l1 in ranges.l1 for l2 in ranges.l2 if l1 < l2]
     assert len(pairs) == 74
-    for l1, l2 in pairs:
-        width, height, depth = factory_dimensions(profile, l1, l2)
-        ccz_time = depth * profile.cycle_s * l2
-        pairs_needed = math.ceil(ccz_time / profile.reaction_s / 2)
-        error = ccz_state_error(profile, l1, l2)
-        assert factory(profile, l1, l2) == (l1, l2, error, width, height, ccz_time, pairs_needed)
+    for profile in (HardwareProfile(), OTHER_PROFILE):
+        for l1, l2 in pairs:
+            width, height, depth = factory_dimensions(profile, l1, l2)
+            ccz_time = depth * profile.cycle_s * l2
+            pairs_needed = math.ceil(ccz_time / profile.reaction_s / 2)
+            error = ccz_state_error(profile, l1, l2)
+            fac = factory(profile, l1, l2)
+            assert fac == (
+                l1,
+                l2,
+                error,
+                width,
+                height,
+                ccz_time,
+                pairs_needed,
+                (width + 1) * pairs_needed + 1,
+                height * 2
+                + profile.cz_fixup_height * 2
+                + profile.adder_height
+                + profile.routing_height,
+                int(height * width * pairs_needed * 2),
+                physical_per_logical(l2),
+                profile.cycle_s * l2,
+                profile.unit_cell_error(l2),
+                profile.reaction_s,
+            )
+            assert type(fac.distillation_tiles) is int
 
 
 @pytest.mark.parametrize("l1, l2", [(0, 11), (-1, 0), (27, 15), (15, 15)])
@@ -176,16 +206,30 @@ def test_factory_dimensions_at_ge_point(profile):
     assert factory_dimensions(profile, 15, 27) == (13, 7, 5.0)
 
 
-def test_board_layout_at_ge_point(profile):
+def test_board_layout_at_ge_point(profile, ge_row):
+    # Two strips of 99 x 62 tiles. The factory record fixes the strip width,
+    # its 29 fixed rows and its distillation tiles; the schedule's pieces of
+    # 1,048 qubits in three registers fill 11 rows of 97 tiles each.
     fac = factory(profile, 15, 27)
-    board = board_layout(profile, fac, pieces=2, piece_len=1048, registers=3)
-    assert (board.width, board.height) == (99, 62)
-    assert board.ccz_pairs == 7
-    assert board.ccz_time_s == pytest.approx(135e-6, rel=1e-12)
-    assert board.tiles == 2 * 99 * 62
-    assert board.distillation_tiles == 7 * 13 * 7 * 2
-    assert board.storage_tiles == board.tiles - 2 * board.distillation_tiles
-    assert board.toffoli_rate == pytest.approx(2 * 2 * 7 / 135e-6, rel=1e-12)
+    assert fac.pairs == 7
+    assert fac.ccz_time_s == pytest.approx(135e-6, rel=1e-12)
+    assert fac.board_width == 99
+    assert fac.strip_height == 7 * 2 + 3 * 2 + 3 + 6 == 29
+    assert fac.distillation_tiles == 7 * 13 * 7 * 2
+    sched = shape("original", GE_POINT)
+    assert (sched.pieces, sched.piece_len, sched.registers) == (2, 1048, 3)
+    assert 29 + math.ceil(1048 / 97) * 3 == 62
+    tiles = 2 * 99 * 62
+    assert ge_row.mqb == tiles * fac.qubits_per_tile / 1e6
+    # Every tile outside the distillation blocks stores data for the run,
+    # and the two strips distill 2 * 2 * 7 CCZ states per CCZ time.
+    runtime_s = ge_row.hours * 3600
+    storage_tiles = tiles - 2 * fac.distillation_tiles
+    assert ge_row.budget.data_error == pytest.approx(
+        storage_tiles * (runtime_s / fac.round_s) * fac.unit_cell_error, rel=1e-12
+    )
+    assert ge_row.binding == "depth"
+    assert runtime_s >= ge_row.b_tofs * 1e9 / (2 * 2 * 7 / 135e-6)
 
 
 def test_padding_bits_monotone():
@@ -249,6 +293,49 @@ def test_audit_rejects_tampered_row_under_optimize():
     )
     assert proc.returncode == 1
     assert proc.stderr.splitlines()[-1].startswith("AssertionError: EstimateRow(")
+
+
+def drifted(row, identity, rel):
+    """row with the left side of one audit identity moved by rel and every
+    other identity kept."""
+    scale = 1 + rel
+    if identity == "expected_hours":
+        expected_hours = row.expected_hours * scale
+        log_skewed_volume = row.q * math.log(row.mqb) + math.log(expected_hours)
+        return row._replace(expected_hours=expected_hours, log_skewed_volume=log_skewed_volume)
+    if identity == "expected_vol":
+        return row._replace(expected_vol=row.expected_vol * scale)
+    if identity == "vol_per_run":
+        return row._replace(
+            vol_per_run=row.vol_per_run * scale, expected_vol=row.expected_vol * scale
+        )
+    return row._replace(log_skewed_volume=row.log_skewed_volume * scale)
+
+
+@pytest.mark.parametrize(
+    "identity", ["expected_hours", "expected_vol", "vol_per_run", "log_skewed_volume"]
+)
+def test_audit_holds_each_identity_to_audit_rel(ge_row, identity):
+    for rel in (1e-10, -1e-10):
+        audit_row(drifted(ge_row, identity, rel))
+    for rel in (1e-8, -1e-8):
+        with pytest.raises(AssertionError):
+            audit_row(drifted(ge_row, identity, rel))
+
+
+def test_audit_rejects_impossible_risks_and_infinite_figures(ge_row):
+    inf = math.inf
+    for broken in (
+        ge_row._replace(retry_risk=math.nan),
+        ge_row._replace(retry_risk=1.0),
+        ge_row._replace(hours=inf),
+        # Every identity holds as inf against inf.
+        ge_row._replace(
+            hours=inf, expected_hours=inf, vol_per_run=inf, expected_vol=inf, log_skewed_volume=inf
+        ),
+    ):
+        with pytest.raises(AssertionError):
+            audit_row(broken)
 
 
 def test_published_row_arithmetic():
@@ -497,6 +584,127 @@ def test_grid_search_matches_a_per_point_reference_loop(profile, grid_combined):
     assert grid_combined.by_budget == tuple(
         (budget, best_under_budget(frontier, budget)) for budget in DEFAULT_MQB_BUDGETS
     )
+
+
+def reference_estimate(profile, sched, fac):
+    """estimate() by the formulas of board_layout, error_budget and estimate
+    before their per-factory and per-schedule terms moved onto the records:
+    it reads only the profile, the Schedule's shape and Toffoli fields and
+    the Factory's first seven fields."""
+    cost_row = sched.cost_row
+    point = LayoutPoint(fac.L1, fac.L2, sched.d_off, cost_row.w_m, cost_row.w_e, sched.g_sep)
+    tofs = sched.tofs
+    if tofs * fac.ccz_error >= 1:
+        raise BudgetOverflow(point, "factory")
+    depth_s = sched.serial_steps * profile.reaction_s * profile.serial_overhead
+
+    width = (fac.width + 1) * fac.pairs + 1
+    reg_rows = math.ceil(sched.piece_len / (width - 2))
+    height = math.ceil(
+        fac.height * 2
+        + profile.cz_fixup_height * 2
+        + profile.adder_height
+        + profile.routing_height
+        + reg_rows * sched.registers
+    )
+    distillation_tiles = int(fac.height * fac.width * fac.pairs * 2)
+    tiles = sched.pieces * width * height
+    storage_tiles = tiles - sched.pieces * distillation_tiles
+    toffoli_rate = 2.0 * sched.pieces * fac.pairs / fac.ccz_time_s
+
+    mqb = tiles * physical_per_logical(fac.L2) / 1e6
+    factory_s = tofs / toffoli_rate
+    runtime_s = max(depth_s, factory_s)
+    binding = "depth" if depth_s >= factory_s else "factory"
+    hours = runtime_s / 3600.0
+
+    unit_cell_rounds = runtime_s / (profile.cycle_s * fac.L2)
+    data = storage_tiles * unit_cell_rounds * profile.unit_cell_error(fac.L2)
+    deviation = 2.0**-sched.pad
+    coset = sched.reps * deviation
+    runway = sched.reps * (sched.pieces - 1) * deviation
+    budget = ErrorBudget(
+        min(data, 1.0),
+        min(tofs * fac.ccz_error, 1.0),
+        min(coset, 1.0),
+        min(runway, 1.0),
+        profile.postprocess_error,
+    )
+    for name, part in zip(("data", "factory", "coset", "runway", "postprocess"), budget):
+        if part >= 1:
+            raise BudgetOverflow(point, name)
+    survival = 1.0
+    for part in budget:
+        survival *= 1.0 - part
+    risk = 1.0 - survival
+    if risk >= 1:
+        raise BudgetOverflow(point, "total")
+
+    vol_per_run = mqb * hours / 24.0
+    expected_hours = hours / (1 - risk)
+    return EstimateRow(
+        cost_row.n,
+        cost_row.n_e,
+        profile.p_phys,
+        point,
+        cost_row.variant,
+        cost_row.initial_bits,
+        profile.q,
+        risk,
+        vol_per_run,
+        vol_per_run / (1 - risk),
+        mqb,
+        hours,
+        expected_hours,
+        tofs / 1e9,
+        profile.q * math.log(mqb) + math.log(expected_hours),
+        budget,
+        binding,
+    )
+
+
+def outcome(price, profile, sched, fac):
+    """The row price gives, or the args of the BudgetOverflow it raises."""
+    try:
+        return price(profile, sched, fac)
+    except BudgetOverflow as exc:
+        return exc.args
+
+
+def test_ge_point_equals_the_reference_formulas(profile, ge_row):
+    sched = shape("original", GE_POINT)
+    assert ge_row == reference_estimate(profile, sched, factory(profile, 15, 27))
+
+
+@pytest.mark.parametrize(
+    "n, n_e, variant, hardware",
+    [
+        (N, NE, "original", HardwareProfile()),
+        (4096, 6101, "combined", HardwareProfile()),
+        (N, NE, "original", OTHER_PROFILE),
+    ],
+    ids=["2048-original", "4096-combined", "2048-original-other-profile"],
+)
+def test_estimate_equals_the_reference_formulas(n, n_e, variant, hardware):
+    # Bit for bit: every (Factory, Schedule) pair of the grid gives a row
+    # equal to the reference's, or a BudgetOverflow with equal args.
+    ranges = GridRanges()
+    factories = [factory(hardware, l1, l2) for l1 in ranges.l1 for l2 in ranges.l2 if l1 < l2]
+    kinds = collections.Counter()
+    for g_exp in ranges.g_exp:
+        for g_mul in ranges.g_mul:
+            cost_row = _variant_cost(variant, n, n_e, g_exp, g_mul)
+            for g_sep in ranges.g_sep:
+                for d_off in ranges.d_off:
+                    sched = schedule(cost_row, g_sep, d_off)
+                    for fac in factories:
+                        want = outcome(reference_estimate, hardware, sched, fac)
+                        got = outcome(estimate, hardware, sched, fac)
+                        assert type(got) is type(want)
+                        assert got == want
+                        kinds["row" if type(want) is EstimateRow else want[1]] += 1
+    assert sum(kinds.values()) == 74 * 8 * 3 * 3 * 4
+    assert kinds["row"] and kinds["factory"]
 
 
 def test_grid_overflow_set_is_pinned(profile, monkeypatch):

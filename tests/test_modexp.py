@@ -23,6 +23,8 @@ from wmodexp.costs import VARIANT_TABLE
 from wmodexp.numerics import ProblemInstance, WindowParams
 from wmodexp.sim import SparseState, deposit, extract, run
 
+from standalone_circuits import superposition
+
 INST15 = ProblemInstance(15, 7, 4)
 
 
@@ -112,7 +114,7 @@ def test_input_state_matches_the_branch_superposition():
         circuit = build_windowed_modexp(cfg)
         exp = circuit.register("exponent").qubits
         got = modexp_input_state(circuit, seed)
-        want = SparseState.superposition(
+        want = superposition(
             circuit.num_qubits, {deposit(0, exp, x): 1 for x in range(1 << len(exp))}, seed
         )
         assert (got.num_qubits, got.planes, got.phase, got.ones) == (
@@ -131,7 +133,7 @@ def test_input_state_matches_the_branch_superposition():
 def test_single_exponent_value():
     cfg = ModexpConfig(INST15, WindowParams(2, 2))
     circuit = build_windowed_modexp(cfg)
-    state = run(circuit, SparseState.superposition(circuit.num_qubits, {0: 1}))
+    state = run(circuit, superposition(circuit.num_qubits, {0: 1}))
     (key,) = state.branches
     result = circuit.register(circuit.result_register).qubits
     assert extract(key, result) == 1
@@ -210,13 +212,14 @@ def test_check_on_a_wide_exponent_with_few_branches():
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "from wmodexp.builders import ModexpConfig, build_windowed_modexp, check_modexp_output\n"
         "from wmodexp.numerics import ProblemInstance, WindowParams\n"
-        "from wmodexp.sim import SparseState, deposit, run\n"
+        "from wmodexp.sim import deposit, run\n"
+        "from standalone_circuits import superposition\n"
         "inst = ProblemInstance(1021, 3, 40)\n"
         "circuit = build_windowed_modexp(ModexpConfig(inst, WindowParams(4, 4)))\n"
         "exp = circuit.register('exponent').qubits\n"
         "xs = random.Random(40).sample(range(1 << 40), 16)\n"
         "start = {deposit(0, exp, x): 1 for x in xs}\n"
-        "state = run(circuit, SparseState.superposition(circuit.num_qubits, start))\n"
+        "state = run(circuit, superposition(circuit.num_qubits, start))\n"
         "began = time.perf_counter()\n"
         "print(check_modexp_output(circuit, inst, state))\n"
         "print(time.perf_counter() - began)\n"

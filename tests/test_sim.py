@@ -20,11 +20,13 @@ from wmodexp.circuit import (
     invert_gates,
     mod_add_gate,
 )
-from wmodexp.sim import ContractViolation, SparseState, apply, extract, measure_x, run
+from wmodexp.sim import ContractViolation, apply, extract, measure_x, run
+
+from standalone_circuits import superposition
 
 
 def state_of(width, branches, seed=0):
-    return SparseState.superposition(width, branches, seed)
+    return superposition(width, branches, seed)
 
 
 def forcing(state, outcome):
