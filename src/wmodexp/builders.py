@@ -1,6 +1,8 @@
 """Circuit synthesis: unary conversion, table lookup, measurement-based
-unlookup, and the windowed modular exponentiation circuit, whose one
-lookup-addition adds through cuccaro_gates or circuit.mod_add_gate.
+unlookup, and the windowed modular exponentiation circuit. Its one
+lookup-addition builds a table from its exponent window's running multiplier,
+adds through cuccaro_gates or circuit.mod_add_gate and X-measures the lookup
+register once; the phase fixup follows at once or, deferred, once per sweep.
 
 The lookup engine is a serial select walk: a binary tree of temp-AND gates
 descends the address bits most-significant first, keeping one "this prefix
@@ -48,7 +50,6 @@ from .numerics import (
     build_direct_exp_table,
     build_mul_table,
     build_pruned_table,
-    mod_inverse,
     window_count,
     window_width,
 )
@@ -96,7 +97,10 @@ class ModexpConfig:
         if self.coset_pad < 0:
             raise ValueError("coset_pad must be >= 0")
         if not 0 <= self.opts.initial_lookup_bits <= self.inst.exp_bits:
-            raise ValueError("initial_lookup_bits must lie in [0, exp_bits]")
+            raise ValueError(
+                f"initial_lookup_bits = {self.opts.initial_lookup_bits} must lie in "
+                f"[0, exp_bits = {self.inst.exp_bits}]"
+            )
 
     @property
     def value_width(self) -> int:
@@ -307,28 +311,6 @@ def phase_fixup_gates(
     return gates
 
 
-def unlookup_gates(
-    addr_lsb: tuple[int, ...],
-    table: LookupTable,
-    dest: tuple[int, ...],
-    unary: tuple[int, ...],
-    spine: tuple[int, ...],
-    slot: str,
-    copies: tuple[int, ...] | None = None,
-) -> list[Gate]:
-    """Measurement-based uncomputation of dest, which holds table[address].
-
-    X-measures dest (clearing it, phasing each branch by the parity of the
-    outcome against its former value), then runs the phase fixup with the
-    floor(l/2) low address bits unarized and one walk over the high bits.
-    Metered cost: 2^u + 2^(l-u) - 2 temp-ANDs.
-    """
-    low_bits = table.addr_bits // 2
-    low, high = addr_lsb[:low_bits], addr_lsb[low_bits:]
-    fixup = phase_fixup_gates(low, unary, spine, copies, [(high, table, slot)])
-    return [Gate(MEASURE_X, dest, slot=slot)] + fixup
-
-
 # ---------------------------------------------------------------------------
 # Windowed modular exponentiation.
 
@@ -430,24 +412,17 @@ def build_windowed_modexp(cfg: ModexpConfig) -> Circuit:
     if not plan.exp_windows:
         return cb.build()
 
-    # The windowed recursion continues from base**(2**nep): the forward
-    # sweeps' tables are powers of it, the inverse sweeps' of its inverse.
-    step = pow(inst.base, 1 << nep, inst.modulus)
-    windowed_bits = sum(plan.exp_windows)
-    sweeps = (
-        (ProblemInstance(inst.modulus, step, windowed_bits), True),
-        (ProblemInstance(inst.modulus, mod_inverse(step, inst.modulus), windowed_bits), False),
-    )
-
-    def lookup_add(sweep, forward, i, j, exp_qubits, acc, tgt):
-        """Lookup-addition of the table at window pair (i, j): look up into
-        the lookup register, add or subtract it into tgt, then uncompute it
-        in place or measure it for the sweep's deferred fixup. Returns the
-        phase walk that fixup needs."""
+    def lookup_add(multiplier, forward, j, exp_qubits, acc, tgt):
+        """Lookup-addition of multiplicand window j: look up multiplier**expn
+        * 2**offset * mult into the lookup register, add or subtract it into
+        tgt, X-measure the register and, unless the sweep defers it, run its
+        phase fixup at once. Returns the phase walk a deferred fixup needs."""
         offset = j * wp.mul_window
         mul_qubits = acc[offset : offset + plan.mul_windows[j]]
         addr = exp_qubits + mul_qubits
-        table = build_mul_table(sweep, wp, i, j)
+        table = build_mul_table(
+            inst.modulus, multiplier, len(exp_qubits), len(mul_qubits), offset
+        )
         if opts.selective_lookup:
             pruned = build_pruned_table(table, len(exp_qubits), offset)
             cb.emit(*(Gate(CNOT, (q, look[offset + t])) for t, q in enumerate(mul_qubits)))
@@ -461,18 +436,24 @@ def build_windowed_modexp(cfg: ModexpConfig) -> Circuit:
             gates = cuccaro_gates(look, tgt, carry[0])
             cb.emit(*(gates if forward else invert_gates(gates)))
         slot = cb.new_slot("m")
-        if opts.deferred_unlookup:
-            cb.emit(Gate(MEASURE_X, look, slot=slot))
-        else:
-            cb.emit(*unlookup_gates(addr, table, look, unary, spine, slot, copies))
+        cb.emit(Gate(MEASURE_X, look, slot=slot))
+        if not opts.deferred_unlookup:
+            # Unarize the low half of the address, walk the high half.
+            low = table.addr_bits // 2
+            walk = [(addr[low:], table, slot)]
+            cb.emit(*phase_fixup_gates(addr[:low], unary, spine, copies, walk))
         return mul_qubits, table, slot
 
+    # The windowed recursion continues from base**(2**nep). step multiplies
+    # one unit of exponent window i: the forward sweep's tables are powers
+    # of it, the inverse sweep's of its inverse.
+    step = pow(inst.base, 1 << nep, inst.modulus)
     for i, exp_width in enumerate(plan.exp_windows):
         start = nep + i * wp.exp_window
         exp_qubits = exp[start : start + exp_width]
-        for sweep, forward in sweeps:
+        for multiplier, forward in ((step, True), (pow(step, -1, inst.modulus), False)):
             walks = [
-                lookup_add(sweep, forward, i, j, exp_qubits, acc, tgt)
+                lookup_add(multiplier, forward, j, exp_qubits, acc, tgt)
                 for j in range(len(plan.mul_windows))
             ]
             # Deferred unlookup: one fixup block per sweep, a single unary of
@@ -481,6 +462,7 @@ def build_windowed_modexp(cfg: ModexpConfig) -> Circuit:
                 cb.emit(*phase_fixup_gates(exp_qubits, unary, spine, copies, walks))
             if forward:
                 acc, tgt = tgt, acc
+        step = pow(step, 1 << exp_width, inst.modulus)
     return cb.build()
 
 
@@ -500,7 +482,7 @@ def modexp_input_state(circuit: Circuit, seed: int = 0):
         planes[q] = plane
     ones, rng = (1 << (1 << len(exp))) - 1, random.Random(seed)
     separating = {q: planes[q] for q in exp}
-    return SparseState(circuit.num_qubits, planes, 0, ones, rng, separating=separating)
+    return SparseState(planes, 0, ones, rng, separating=separating)
 
 
 def check_modexp_output(circuit: Circuit, inst: ProblemInstance, state) -> list[str]:

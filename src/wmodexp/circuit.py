@@ -193,29 +193,6 @@ def tally(circuit: Circuit) -> Tally:
     return circuit._meter
 
 
-def dump_circuit(circuit: Circuit) -> str:
-    """One line per gate: `Variant q1 q2 ... [key=value ...]`, preceded by
-    register header lines."""
-    lines = []
-    for reg in circuit.registers:
-        ids = " ".join(str(q) for q in reg.qubits)
-        lines.append(f"register {reg.name} {reg.role} {ids}")
-    if circuit.result_register:
-        lines.append(f"result {circuit.result_register}")
-    for gate in circuit.gates:
-        parts = [gate.name] + [str(q) for q in gate.qubits]
-        if gate.name == MEASURE_X:
-            parts.append(f"slot={gate.slot}")
-        elif gate.name == PHASE_Z and gate.slot is not None:
-            parts.append(f"cond={gate.slot}:{gate.mask:x}")
-        elif gate.name == MOD_ADD:
-            parts.append(f"dest={gate.dest_len}")
-            parts.append(f"mod={gate.modulus}")
-            parts.append(f"sign={gate.sign:+d}")
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
 class CircuitBuilder:
     """Mutable assembler for Circuits: allocates registers and names slots,
     collects the gate lists that builders.py produces, and builds."""

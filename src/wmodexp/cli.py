@@ -175,10 +175,11 @@ def cmd_tables(args) -> int:
     inst = ProblemInstance(args.modulus, args.base, args.ne)
     wp = WindowParams(args.we, args.wm)
     exp_width = window_width(inst.exp_bits, wp.exp_window, args.exp_index)
-    addr_bits = exp_width + window_width(inst.mod_bits, wp.mul_window, args.mul_index)
-    bits = max(addr_bits, args.initial_bits)
+    mul_width = window_width(inst.mod_bits, wp.mul_window, args.mul_index)
+    bits = max(exp_width + mul_width, args.initial_bits)
     _check_cap(bits, MAX_ENTRIES, "MAX_ENTRIES", "entries of the widest table")
-    # build_mul_table squares the base once per exponent bit below the window.
+    # The window's multiplier base**(2**squarings) costs pow one squaring per
+    # exponent bit below the window, so the cap bounds those squarings too.
     squarings = args.exp_index * wp.exp_window
     _check_cap(
         (squarings - 1).bit_length(),
@@ -190,8 +191,10 @@ def cmd_tables(args) -> int:
         raise UsageError(
             f"--outcome {args.outcome} is not a {inst.mod_bits}-bit measurement outcome"
         )
-    mul = build_mul_table(inst, wp, args.exp_index, args.mul_index)
-    pruned = build_pruned_table(mul, exp_width, args.mul_index * wp.mul_window)
+    offset = args.mul_index * wp.mul_window
+    step = pow(inst.base, 1 << squarings, inst.modulus)
+    mul = build_mul_table(inst.modulus, step, exp_width, mul_width, offset)
+    pruned = build_pruned_table(mul, exp_width, offset)
     low_bits = mul.addr_bits // 2 if args.low_bits is None else args.low_bits
     outcome = args.outcome
     if outcome is None:

@@ -1,11 +1,11 @@
 """Problem parameters and classical precomputation of lookup tables.
 
-Modular arithmetic is Python's own (``pow``, ``math.gcd``); mod_inverse only
-adds the NotInvertible contract. The tables produced are the classical data
-consumed by the circuit builders: windowed multiplication tables, their
-pruned variants (for the copy-then-lookup trick), phase fixup tables derived
-from X-basis measurement outcomes, and direct exponentiation tables for the
-initial-lookup shortcut.
+Modular arithmetic is Python's own (``pow``, ``math.gcd``). The tables
+produced are the classical data consumed by the circuit builders: windowed
+multiplication tables, each built from the multiplier its exponent window
+needs, their pruned variants (for the copy-then-lookup trick), phase fixup
+tables derived from X-basis measurement outcomes, and direct exponentiation
+tables for the initial-lookup shortcut.
 """
 
 from __future__ import annotations
@@ -110,23 +110,6 @@ class LookupTable:
         return len(self.entries)
 
 
-def mod_inverse(value: int, modulus: int) -> int:
-    """Inverse of value mod modulus.
-
-    Raises NotInvertible when gcd(value, modulus) != 1; in the factoring
-    setting that gcd is itself a nontrivial factor.
-    """
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    try:
-        return pow(value, -1, modulus)
-    except ValueError:
-        factor = math.gcd(value, modulus)
-        raise NotInvertible(
-            f"{_brief(value)} has no inverse mod {_brief(modulus)} (gcd {_brief(factor)})"
-        ) from None
-
-
 def window_count(total_bits: int, window: int) -> int:
     """Number of windows covering total_bits, the last one possibly short."""
     return -(-total_bits // window)
@@ -141,26 +124,19 @@ def window_width(total_bits: int, window: int, index: int) -> int:
 
 
 def build_mul_table(
-    inst: ProblemInstance, wp: WindowParams, exp_index: int, mul_index: int
+    modulus: int, step: int, exp_width: int, mul_width: int, offset: int
 ) -> LookupTable:
     """Windowed multiplication table for one (exponent, multiplicand) window pair.
 
-    The address is the concatenation mult || expn with the exponent window in
-    the low bits. Entry value, with base and N taken from inst:
+    The address is the concatenation mult || expn, with the exp_width-bit
+    exponent window in the low bits and the mul_width-bit multiplicand window
+    above it. step is the multiplier of one unit of the exponent window,
+    base**(2**k) for a window that starts at exponent bit k, and offset is
+    the multiplicand window's first bit. Entry value:
 
-        base**(expn * 2**(exp_index * exp_window)) * 2**(mul_index * mul_window) * mult  (mod N)
-
-    Boundary windows are shorter when the window size does not divide
-    inst.exp_bits or the modulus width, so the table shrinks accordingly.
+        step**expn * 2**offset * mult  (mod modulus)
     """
-    modulus = inst.modulus
-    exp_width = window_width(inst.exp_bits, wp.exp_window, exp_index)
-    mul_width = window_width(inst.mod_bits, wp.mul_window, mul_index)
-    # base**(2**offset) by repeated squaring, which never builds 2**offset.
-    step = inst.base
-    for _ in range(exp_index * wp.exp_window):
-        step = step * step % modulus
-    shift = (1 << (mul_index * wp.mul_window)) % modulus
+    shift = pow(2, offset, modulus)
     # step**expn for every expn, by a running product shared by every row.
     powers = [1]
     for _ in range(1, 1 << exp_width):
@@ -169,7 +145,7 @@ def build_mul_table(
     for mult in range(1 << mul_width):
         shifted_mult = mult * shift % modulus
         entries.extend([power * shifted_mult % modulus for power in powers])
-    return LookupTable("multiply", exp_width + mul_width, inst.mod_bits, tuple(entries))
+    return LookupTable("multiply", exp_width + mul_width, modulus.bit_length(), tuple(entries))
 
 
 def build_pruned_table(plain: LookupTable, exp_width: int, offset: int) -> LookupTable:

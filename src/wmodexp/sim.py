@@ -52,7 +52,6 @@ class SparseState:
     state's maker, maps qubits to planes that tell every branch apart;
     measure_x trusts it while those qubits still hold those planes."""
 
-    num_qubits: int
     planes: list[int]
     phase: int
     ones: int

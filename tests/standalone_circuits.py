@@ -1,6 +1,7 @@
 """Standalone circuits and states for the unit and acceptance tests: the
 unary converters, one table lookup and one unlookup, each on registers of
-its own, and a state holding chosen branches.
+its own, a state holding chosen branches, and the circuit text dump that
+the gate-stream pins hash.
 
 The modexp circuit emits the same gate producers inline, and
 modexp_input_state makes its own state; these wrappers give the tests each
@@ -9,8 +10,13 @@ construction alone, so they live beside the tests.
 
 import random
 
-from wmodexp.builders import select_walk_gates, unary_forward_gates, unlookup_gates, xor_payload
-from wmodexp.circuit import Circuit, CircuitBuilder
+from wmodexp.builders import (
+    phase_fixup_gates,
+    select_walk_gates,
+    unary_forward_gates,
+    xor_payload,
+)
+from wmodexp.circuit import MEASURE_X, MOD_ADD, PHASE_Z, Circuit, CircuitBuilder, Gate
 from wmodexp.numerics import LookupTable
 from wmodexp.sim import SparseState, _transpose
 
@@ -25,7 +31,7 @@ def superposition(num_qubits: int, values: dict[int, int], seed: int = 0) -> Spa
         raise ValueError("branch phases must be +1 or -1")
     planes = _transpose(list(values), num_qubits)
     (phase,) = _transpose([int(p < 0) for p in values.values()], 1)
-    return SparseState(num_qubits, planes, phase, (1 << len(values)) - 1, random.Random(seed))
+    return SparseState(planes, phase, (1 << len(values)) - 1, random.Random(seed))
 
 
 def build_unary(width: int) -> Circuit:
@@ -66,7 +72,10 @@ def build_qrom_lookup(table: LookupTable, skip_below: int = 0) -> Circuit:
 
 def build_unlookup(table: LookupTable, lowdepth_unary: bool = False) -> Circuit:
     """Uncompute a dest register holding table[address] back to zero, bit- and
-    phase-exactly. Pre: dest holds the looked-up entry on every branch."""
+    phase-exactly, as the modexp circuit's immediate unlookup does: X-measure
+    dest, then run the phase fixup with the floor(l/2) low address bits
+    unarized and one walk over the high bits. Metered cost: 2^u + 2^(l-u) - 2
+    temp-ANDs. Pre: dest holds the looked-up entry on every branch."""
     cb = CircuitBuilder()
     addr = cb.add_register("address", table.addr_bits, "exponent")
     dest = cb.add_register("dest", table.word_bits, "lookup")
@@ -77,5 +86,30 @@ def build_unlookup(table: LookupTable, lowdepth_unary: bool = False) -> Circuit:
     if lowdepth_unary and low_bits >= 2:
         copies = cb.add_register("routing", (1 << (low_bits - 1)) - 1, "ancilla")
     slot = cb.new_slot("unlook")
-    cb.emit(*unlookup_gates(addr, table, dest, unary, spine, slot, copies))
+    cb.emit(Gate(MEASURE_X, dest, slot=slot))
+    walk = [(addr[low_bits:], table, slot)]
+    cb.emit(*phase_fixup_gates(addr[:low_bits], unary, spine, copies, walk))
     return cb.build()
+
+
+def dump_circuit(circuit: Circuit) -> str:
+    """One line per gate: `Variant q1 q2 ... [key=value ...]`, preceded by
+    register header lines."""
+    lines = []
+    for reg in circuit.registers:
+        ids = " ".join(str(q) for q in reg.qubits)
+        lines.append(f"register {reg.name} {reg.role} {ids}")
+    if circuit.result_register:
+        lines.append(f"result {circuit.result_register}")
+    for gate in circuit.gates:
+        parts = [gate.name] + [str(q) for q in gate.qubits]
+        if gate.name == MEASURE_X:
+            parts.append(f"slot={gate.slot}")
+        elif gate.name == PHASE_Z and gate.slot is not None:
+            parts.append(f"cond={gate.slot}:{gate.mask:x}")
+        elif gate.name == MOD_ADD:
+            parts.append(f"dest={gate.dest_len}")
+            parts.append(f"mod={gate.modulus}")
+            parts.append(f"sign={gate.sign:+d}")
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"

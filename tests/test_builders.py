@@ -28,7 +28,6 @@ from wmodexp.circuit import (
     X,
     CircuitBuilder,
     Gate,
-    dump_circuit,
     invert_gates,
     mod_add_gate,
     tally,
@@ -47,6 +46,7 @@ from standalone_circuits import (
     build_unary,
     build_unary_lowdepth,
     build_unlookup,
+    dump_circuit,
     superposition,
 )
 
@@ -418,8 +418,8 @@ def _pinned_circuits():
     for w in range(1, 5):
         circuits.append((f"unary{w}", lambda w=w: build_unary(w)))
         circuits.append((f"unary_lowdepth{w}", lambda w=w: build_unary_lowdepth(w)))
-    inst, wp = ProblemInstance(15, 7, 4), WindowParams(2, 2)
-    table = build_mul_table(inst, wp, 0, 1)
+    wp = WindowParams(2, 2)
+    table = build_mul_table(15, 7, wp.exp_window, wp.mul_window, wp.mul_window)
     pruned = build_pruned_table(table, wp.exp_window, wp.mul_window)
     circuits += [
         ("qrom", lambda: build_qrom_lookup(table)),

@@ -19,11 +19,12 @@ from wmodexp.circuit import (
     Register,
     Tally,
     UnknownQubit,
-    dump_circuit,
     invert_gates,
     mod_add_gate,
     tally,
 )
+
+from standalone_circuits import dump_circuit
 
 
 def circuit_over(width, gates, **kwargs):

@@ -64,6 +64,13 @@ def test_even_modulus_is_bad_input(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variant", ["all", "opt3"])
+def test_initial_bits_above_the_exponent_are_bad_input(capsys, variant):
+    # The default --nep 2 does not fit a 1-bit exponent; the message names both.
+    assert main(["simulate", "--ne", "1", "--variant", variant]) == 2
+    assert "initial_lookup_bits = 2 must lie in [0, exp_bits = 1]" in capsys.readouterr().err
+
+
 def test_unknown_variant_is_bad_input(capsys):
     assert main(["simulate", "--variant", "sliced_A"]) == 2
     assert main(["cost", "--variant", "nope"]) == 2
@@ -116,7 +123,7 @@ def test_tables_files_carry_manifest(tmp_path, capsys):
 def test_tables_round_trip_matches_in_memory(tmp_path, capsys):
     files = run_tables(tmp_path, ["--outcome", "5", "--low-bits", "2"])
     capsys.readouterr()
-    mul = build_mul_table(INST15, WP22, 0, 0)
+    mul = build_mul_table(15, 7, 2, 2, 0)
     assert table_body(files["multiply"]) == dump_table(mul)
     assert table_body(files["pruned"]) == dump_table(build_pruned_table(mul, WP22.exp_window, 0))
     assert table_body(files["phase_fixup"]) == dump_table(build_phase_fixup_table(mul, 5, 2))
@@ -136,7 +143,7 @@ def test_tables_pruned_xor_copy_equals_plain(tmp_path, capsys):
     # XOR correction is visible in the dumped entries.
     files = run_tables(tmp_path, ["--mul-index", "1"])
     capsys.readouterr()
-    plain = build_mul_table(INST15, WP22, 0, 1)
+    plain = build_mul_table(15, 7, 2, 2, WP22.mul_window)
     pruned = build_pruned_table(plain, WP22.exp_window, WP22.mul_window)
     assert table_body(files["multiply"]) == dump_table(plain)
     assert table_body(files["pruned"]) == dump_table(pruned)

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from wmodexp import builders
 from wmodexp.builders import (
     COSET,
     ModexpConfig,
@@ -117,12 +118,7 @@ def test_input_state_matches_the_branch_superposition():
         want = superposition(
             circuit.num_qubits, {deposit(0, exp, x): 1 for x in range(1 << len(exp))}, seed
         )
-        assert (got.num_qubits, got.planes, got.phase, got.ones) == (
-            want.num_qubits,
-            want.planes,
-            want.phase,
-            want.ones,
-        ), cfg
+        assert (got.planes, got.phase, got.ones) == (want.planes, want.phase, want.ones), cfg
         assert got.rng.getstate() == want.rng.getstate()
         assert got.branches == want.branches
         assert got.values(exp) == list(range(1 << len(exp)))
@@ -155,7 +151,7 @@ def test_check_reports_a_corrupted_branch(register, phase, message):
     planes = list(state.planes)
     if register is not None:
         planes[circuit.register(register).qubits[0]] ^= 1
-    bad = SparseState(state.num_qubits, planes, state.phase ^ phase, state.ones)
+    bad = SparseState(planes, state.phase ^ phase, state.ones)
     (error,) = check_modexp_output(circuit, INST15, bad)
     assert error.startswith(message)
 
@@ -196,7 +192,7 @@ def test_check_reports_faults_on_a_wide_state():
         for branch in branches:
             planes[q] ^= 1 << branch
     phase = state.phase ^ (1 << 3 | 1 << 64 | 1 << 777)
-    bad = SparseState(state.num_qubits, planes, phase, state.ones)
+    bad = SparseState(planes, phase, state.ones)
     errors = check_modexp_output(circuit, inst, bad)
     assert errors == reference_check(circuit, inst, bad)
     kinds = [error.split(": ")[1].split()[0] for error in errors]
@@ -281,6 +277,43 @@ def test_result_register_tracks_window_parity():
     assert odd.result_register == "target"
 
 
+def test_every_table_holds_its_windows_multiple(monkeypatch):
+    # Ragged windows on both axes: the 13 exponent bits split 4 + 4 + 4 + 1,
+    # or 2 initial bits and then 4 + 4 + 3; the 12 modulus bits 5 + 5 + 2.
+    # Whatever multiplier the builder carries, each table it asks for, in
+    # its order (per exponent window, the forward sweep, then the inverse
+    # sweep, each over the multiplicand windows), must hold
+    # base**(e * 2**weight) * 2**offset * m mod N, inverted base inverse.
+    inst, wp = ProblemInstance(4093, 3, 13), WindowParams(4, 5)
+    modulus, inverse = inst.modulus, pow(inst.base, -1, inst.modulus)
+    built, unpatched = [], builders.build_mul_table
+
+    def record(*args):
+        built.append(unpatched(*args))
+        return built[-1]
+
+    monkeypatch.setattr(builders, "build_mul_table", record)
+    variants = [name for name, variant in VARIANT_TABLE.items() if variant.has_circuit]
+    assert len(variants) == 6
+    for name in variants:
+        cfg = ModexpConfig(inst, wp, VARIANT_TABLE[name].options(2))
+        built.clear()
+        build_windowed_modexp(cfg)
+        want, weight = [], cfg.opts.initial_lookup_bits
+        while weight < inst.exp_bits:
+            exp_width = min(wp.exp_window, inst.exp_bits - weight)
+            for base in (inst.base, inverse):
+                for offset in range(0, inst.mod_bits, wp.mul_window):
+                    mul_width = min(wp.mul_window, inst.mod_bits - offset)
+                    want.append(tuple(
+                        pow(base, e << weight, modulus) * pow(2, offset, modulus) * m % modulus
+                        for m in range(1 << mul_width)
+                        for e in range(1 << exp_width)
+                    ))
+            weight += exp_width
+        assert [table.entries for table in built] == want, name
+
+
 def test_frozen_toffoli_counts_mod15():
     # desk-checked totals for n=4, n_e=4, windows (2,2): per lookup-addition
     # the walk costs 15 and the split unlookup 6, times 8 lookup-additions
@@ -348,7 +381,7 @@ def test_check_reads_each_x_once_the_exponent_planes_stop_counting():
     exp = circuit.register("exponent").qubits
     planes = list(state.planes)
     planes[exp[0]], planes[exp[3]] = planes[exp[3]], planes[exp[0]]
-    bad = SparseState(state.num_qubits, planes, state.phase, state.ones)
+    bad = SparseState(planes, state.phase, state.ones)
     errors = check_modexp_output(circuit, inst, bad)
     assert errors == reference_check(circuit, inst, bad)
     assert len(errors) == 512

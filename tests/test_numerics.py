@@ -13,45 +13,25 @@ from wmodexp.numerics import (
     build_phase_fixup_table,
     build_pruned_table,
     dump_table,
-    mod_inverse,
     window_count,
     window_width,
 )
 
 
 class TestModInverse:
-    def test_seven_mod_fifteen(self):
-        # Oracle: exhaustive search over [1, 15).
-        expected = next(x for x in range(1, 15) if 7 * x % 15 == 1)
-        assert mod_inverse(7, 15) == expected
-
-    def test_one(self):
-        assert mod_inverse(1, 21) == 1
-
-    def test_shared_factor(self):
-        with pytest.raises(NotInvertible, match=r"^5 has no inverse mod 15 \(gcd 5\)$"):
-            mod_inverse(5, 15)
+    """The base must be invertible mod N: ProblemInstance refuses it
+    otherwise, naming both numbers."""
 
     def test_large_modulus_message_is_short(self):
         # A 3,072-bit modulus has 925 decimal digits; the message names its
         # bit length and leading hex digits instead.
-        modulus = 3 * 2**3070
+        modulus = 3 * 2**3070 + 3
         assert modulus.bit_length() == 3072
         with pytest.raises(NotInvertible) as caught:
-            mod_inverse(6, modulus)
+            ProblemInstance(modulus, 3, 8)
         message = str(caught.value)
         assert len(message) < 80
         assert "3072 bits" in message and "0xc0000000" in message
-        with pytest.raises(NotInvertible, match="3072 bits"):
-            ProblemInstance(modulus + 3, 3, 8)
-
-    @given(st.integers(min_value=2, max_value=300), st.integers(min_value=1, max_value=299))
-    def test_product_is_one(self, modulus, value):
-        if math.gcd(value, modulus) == 1:
-            assert mod_inverse(value, modulus) * value % modulus == 1
-        else:
-            with pytest.raises(NotInvertible):
-                mod_inverse(value, modulus)
 
 
 class TestInstanceValidation:
@@ -86,32 +66,28 @@ class TestWindows:
 
 
 class TestMulTable:
-    def setup_method(self):
-        self.inst = ProblemInstance(15, 7, 4)
-        self.wp = WindowParams(2, 2)
-
     def test_mult_zero_rows_vanish(self):
-        table = build_mul_table(self.inst, self.wp, 0, 0)
+        table = build_mul_table(15, 7, 2, 2, 0)
         exp_width = 2
         for expn in range(1 << exp_width):
             assert table[expn] == 0  # mult = 0 occupies the low address block
 
     def test_exp_zero_copies_mult(self):
         for j in (0, 1):
-            table = build_mul_table(self.inst, self.wp, 0, j)
+            table = build_mul_table(15, 7, 2, 2, 2 * j)
             for mult in range(4):
                 addr = mult << 2
                 assert table[addr] == (mult << (2 * j)) % 15
 
     def test_single_entry(self):
-        table = build_mul_table(self.inst, self.wp, 0, 0)
+        table = build_mul_table(15, 7, 2, 2, 0)
         # mult = 1, expn = 1 at window (0, 0): 7^1 * 1 mod 15
         assert table[(1 << 2) | 1] == 7 % 15
 
     def test_all_entries_against_direct_formula(self):
         for i in range(window_count(4, 2)):
             for j in range(window_count(4, 2)):
-                table = build_mul_table(self.inst, self.wp, i, j)
+                table = build_mul_table(15, pow(7, 1 << (i * 2), 15), 2, 2, j * 2)
                 for mult in range(4):
                     for expn in range(4):
                         expected = (
@@ -121,15 +97,16 @@ class TestMulTable:
 
     def test_short_boundary_window(self):
         inst = ProblemInstance(23, 5, 5)  # 5 mod bits, 5 exp bits
-        wp = WindowParams(3, 3)
-        table = build_mul_table(inst, wp, 1, 1)  # both windows are 2 bits here
+        exp_width = window_width(inst.exp_bits, 3, 1)
+        mul_width = window_width(inst.mod_bits, 3, 1)
+        assert exp_width == mul_width == 2  # both windows are 2 bits here
+        table = build_mul_table(23, pow(5, 1 << 3, 23), exp_width, mul_width, 3)
         assert table.addr_bits == 4
         assert len(table) == 16
 
     def test_far_window_against_direct_formula(self):
         # Window 604 of a 3,029-bit exponent sits 3,020 bits up.
-        inst = ProblemInstance(1021, 3, 3029)
-        table = build_mul_table(inst, WindowParams(5, 5), 604, 0)
+        table = build_mul_table(1021, pow(3, 1 << 3020, 1021), 5, 5, 0)
         for addr in (1 << 5 | 1, 3 << 5 | 2, 31 << 5 | 31):
             mult, expn = addr >> 5, addr & 31
             assert table[addr] == pow(3, expn << 3020, 1021) * mult % 1021
@@ -146,16 +123,17 @@ class TestPrunedTable:
         wp = WindowParams(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
         i = data.draw(st.integers(0, window_count(inst.exp_bits, wp.exp_window) - 1))
         j = data.draw(st.integers(0, window_count(inst.mod_bits, wp.mul_window) - 1))
-        plain = build_mul_table(inst, wp, i, j)
-        exp_width = plain.addr_bits - window_width(inst.mod_bits, wp.mul_window, j)
+        exp_width = window_width(inst.exp_bits, wp.exp_window, i)
+        mul_width = window_width(inst.mod_bits, wp.mul_window, j)
+        step = pow(base, 1 << (i * wp.exp_window), modulus)
+        plain = build_mul_table(modulus, step, exp_width, mul_width, j * wp.mul_window)
         pruned = build_pruned_table(plain, exp_width, j * wp.mul_window)
         for addr in range(len(plain)):
             mult = addr >> exp_width
             assert pruned[addr] ^ (mult << (j * wp.mul_window)) == plain[addr]
 
     def test_mult_zero_rows(self):
-        inst = ProblemInstance(15, 7, 4)
-        pruned = build_pruned_table(build_mul_table(inst, WindowParams(2, 2), 0, 0), 2, 0)
+        pruned = build_pruned_table(build_mul_table(15, 7, 2, 2, 0), 2, 0)
         for expn in range(4):
             assert pruned[expn] == 0
 
@@ -166,8 +144,7 @@ def mod_is_coprime(a, n):
 
 class TestPhaseFixupTable:
     def test_zero_outcome(self):
-        inst = ProblemInstance(15, 7, 4)
-        table = build_mul_table(inst, WindowParams(2, 2), 0, 0)
+        table = build_mul_table(15, 7, 2, 2, 0)
         fixup = build_phase_fixup_table(table, 0, 2)
         assert all(row == 0 for row in fixup.entries)
 
