@@ -6,7 +6,10 @@ basis assignment with a phase in {+1, -1}. The state is stored bit-sliced:
 one int per qubit (a plane) whose bit i is that qubit on branch i, plus a
 phase plane whose bit i is set when branch i has phase -1. Each gate is a few
 whole-int operations that act on every branch at once, and a branch keeps its
-index for the life of the state.
+index for the life of the state. Every per-branch read (branches, values,
+signs, and measure_x's contract check) turns planes into per-branch keys
+with one bit-matrix transpose that swaps bits inside 64x64 blocks of words,
+a few whole-int operations per 64 branches.
 
 X-basis register measurement is the one probabilistic element: outcomes are
 drawn from a seeded RNG (uniform over bitstrings, which is exact because the
@@ -19,8 +22,11 @@ needs no new check of that contract while they stay unchanged.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import zip_longest
 from types import MappingProxyType
 
@@ -72,8 +78,13 @@ class SparseState:
 
     def branches_at(self, indices: list[int]) -> list[tuple[int, int]]:
         """(basis assignment, phase +/-1) of each given branch, in the order
-        given, read from the planes without building the whole view."""
-        size = -(-self.ones.bit_length() // 8)
+        given, read from the planes without building the whole view. Each
+        index must lie in range(branch count)."""
+        count = self.ones.bit_length()
+        for i in indices:
+            if not 0 <= i < count:
+                raise IndexError(f"branch {i} is outside range({count})")
+        size = -(-count // 8)
         rows = [0] * len(indices)  # bit q is qubit q; the bit above them, the phase
         for q, plane in enumerate(self.planes + [self.phase]):
             if plane:
@@ -93,13 +104,62 @@ class SparseState:
         return [-1 if s else 1 for s in _transpose([self.phase], self.ones.bit_length())]
 
 
+assert array("Q").itemsize == 8, "_transpose needs 64-bit array words"
+# Packing only moves bytes, so the host's byte order matters only when the
+# transposed words are read back as numbers.
+_BIG_ENDIAN = sys.byteorder == "big"
+_CHUNK_BLOCKS = 256  # 2^14 columns: 128 KB per temporary
+
+
+@lru_cache(maxsize=8)
+def _swap_steps(count: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of each of _transpose's six swaps over `count` 64x64
+    blocks. Swap j (32, 16, ..., 1) exchanges bit (r, c) of a block with
+    bit (r + j, c - j), 63 * j positions higher, wherever bit j of r is
+    clear and bit j of c is set."""
+    steps = []
+    for j in (32, 16, 8, 4, 2, 1):
+        columns = sum(1 << c for c in range(64) if c & j)
+        block = sum(columns << 64 * r for r in range(64) if not r & j)
+        steps.append((63 * j, int.from_bytes(block.to_bytes(512, "little") * count, "little")))
+    return tuple(steps)
+
+
 def _transpose(rows: list[int], width: int) -> list[int]:
     """Transpose a bit matrix: bit j of result[i] is bit i of rows[j]. Every
-    row must be below 2**width."""
-    if not rows or not width:
-        return [0] * width
-    digits = [format(row, f"0{width}b") for row in reversed(rows)]
-    return [int("".join(column), 2) for column in zip(*digits)][::-1]
+    row must be below 2**width.
+
+    Word-parallel (Hacker's Delight, section 7-3): each group of 64 rows is
+    packed so that word 64*b + r holds row r's bits for columns 64*b to
+    64*b + 63, the words are read as one int, and six masked swaps transpose
+    every 64x64 block at once. Word 64*b + c then holds column 64*b + c.
+    Columns go through in chunks of _CHUNK_BLOCKS blocks, so the packed
+    words and the int made from them stay within 128 KB whatever the width;
+    the group's rows as bytes take as much room as the rows themselves."""
+    for r, row in enumerate(rows):
+        if row >> width:
+            raise ValueError(f"row {r} does not fit in width {width}")
+    blocks = -(-width // 64)
+    result: list[int] = []
+    for g in range(0, len(rows), 64):
+        raw = [row.to_bytes(8 * blocks, "little") for row in rows[g : g + 64]]
+        keys: list[int] = []
+        for start in range(0, blocks, _CHUNK_BLOCKS):
+            count = min(_CHUNK_BLOCKS, blocks - start)
+            words = array("Q", bytes(512 * count))
+            for r, row in enumerate(raw):
+                words[r::64] = array("Q", row[8 * start : 8 * (start + count)])
+            x = int.from_bytes(words, "little")
+            for shift, mask in _swap_steps(count):
+                t = (x ^ x >> shift) & mask
+                x ^= t ^ t << shift
+            out = array("Q", x.to_bytes(512 * count, "little"))
+            if _BIG_ENDIAN:
+                out.byteswap()
+            keys += out.tolist()
+        del keys[width:]
+        result = [a | b << g for a, b in zip(result, keys)] if g else keys
+    return result if rows else [0] * width
 
 
 def counting_planes(bits: int) -> list[int]:

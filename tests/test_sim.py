@@ -20,7 +20,15 @@ from wmodexp.circuit import (
     invert_gates,
     mod_add_gate,
 )
-from wmodexp.sim import ContractViolation, apply, extract, measure_x, run
+from wmodexp.sim import (
+    ContractViolation,
+    SparseState,
+    _transpose,
+    apply,
+    extract,
+    measure_x,
+    run,
+)
 
 from standalone_circuits import superposition
 
@@ -224,6 +232,80 @@ class TestReads:
         picks = [69, 3, 3, 0, 64, 8]
         assert state.branches_at(picks) == [items[i] for i in picks]
         assert state.branches_at([]) == []
+
+    def test_branches_at_refuses_indices_outside_the_branches(self):
+        # A negative index would wrap round to the last branch, and an index
+        # past the last branch of 12 would read a plane's padding bits.
+        eight = state_of(4, {key: 1 for key in range(8)})
+        with pytest.raises(IndexError, match="-1"):
+            eight.branches_at([-1])
+        twelve = state_of(4, {key: 1 for key in range(12)})
+        with pytest.raises(IndexError, match="12"):
+            twelve.branches_at([12, 15])
+        assert twelve.branches_at([11]) == [(11, 1)]
+
+
+def string_transpose(rows, width):
+    """The transpose as plain string handling: one binary string per row,
+    read column by column."""
+    if not rows or not width:
+        return [0] * width
+    digits = [format(row, f"0{width}b") for row in reversed(rows)]
+    return [int("".join(column), 2) for column in zip(*digits)][::-1]
+
+
+class TestTranspose:
+    @pytest.mark.parametrize("count", [0, 1, 5, 63, 64, 65, 130])
+    def test_matches_the_string_transpose(self, count):
+        # About a fifth of the rows are zero and one row is all ones.
+        # 2^14 + 65 columns cross the chunk boundary by one block and one
+        # column.
+        rng = random.Random(count)
+        for width in (1, 2, 63, 64, 65, 1000, 1024, 4097, 20000, (1 << 14) + 65):
+            rows = [0 if rng.random() < 0.2 else rng.getrandbits(width) for _ in range(count)]
+            if rows:
+                rows[rng.randrange(count)] = (1 << width) - 1
+            assert _transpose(rows, width) == string_transpose(rows, width), width
+
+    def test_many_narrow_rows(self):
+        # The superposition helper's shape: thousands of branch keys as
+        # rows, here with the first and a middle group of 64 rows zero.
+        rng = random.Random(7)
+        rows = [rng.getrandbits(70) for _ in range(3000)]
+        rows[0:64] = [0] * 64
+        rows[192:256] = [0] * 64
+        assert _transpose(rows, 70) == string_transpose(rows, 70)
+        assert _transpose([0] * 200, 3) == [0, 0, 0]
+
+    def test_rows_past_a_zero_first_group_keep_their_place(self):
+        assert _transpose([0] * 64 + [1], 1) == [1 << 64]
+        assert _transpose([0] * 130 + [0b10], 2) == [0, 1 << 130]
+
+    def test_superposition_phase_past_the_first_64_branches(self):
+        # Only branch 100 of 101 has phase -1, so the phase transpose sees
+        # a first group of 64 zero rows.
+        values = {key: 1 for key in range(101)}
+        values[100] = -1
+        state = superposition(7, values)
+        assert state.phase == 1 << 100
+        assert state.signs() == [1] * 100 + [-1]
+
+    def test_branches_with_the_low_64_qubits_zero(self):
+        # 70 qubits; every branch leaves qubits 0-63 at zero.
+        values = {(k + 1) << 64: 1 for k in range(3)}
+        state = superposition(70, values)
+        assert state.branches == values
+
+    def test_refuses_a_row_that_does_not_fit(self):
+        with pytest.raises(ValueError, match="row 0 .*width 2"):
+            _transpose([0b101, 0b10], 2)
+        with pytest.raises(ValueError, match="row 1 .*width 1"):
+            _transpose([1, 2], 1)
+
+    def test_signs_refuse_a_phase_plane_wider_than_the_branches(self):
+        # Two branches but a phase bit at branch 2.
+        with pytest.raises(ValueError, match="width 2"):
+            SparseState([1, 0], 0b100, 0b11).signs()
 
 
 # ---------------------------------------------------------------------------
