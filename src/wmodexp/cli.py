@@ -34,7 +34,7 @@ from .builders import (
     plan_modexp,
 )
 from .circuit import tally
-from .costs import VARIANT_TABLE, VARIANTS, CostBreakdown, cost, exact_cost
+from .costs import CIRCUIT_VARIANTS, VARIANT_TABLE, VARIANTS, CostBreakdown, cost, exact_cost
 from .estimator import (
     EstimateRow,
     GridRanges,
@@ -232,14 +232,7 @@ def cmd_tables(args) -> int:
 def cmd_simulate(args) -> int:
     inst = ProblemInstance(args.modulus, args.base, args.ne)
     wp = WindowParams(args.we, args.wm)
-    circuit_variants = tuple(name for name in VARIANTS if VARIANT_TABLE[name].has_circuit)
-    variants = circuit_variants if args.variant == "all" else (args.variant,)
-    if args.variant != "all" and args.variant not in circuit_variants:
-        raise UsageError(
-            f"variant {args.variant!r} has no circuit form; "
-            f"choose one of {', '.join(circuit_variants)}, or all"
-        )
-
+    variants = CIRCUIT_VARIANTS if args.variant == "all" else (args.variant,)
     _check_cap(inst.exp_bits, MAX_ENTRIES, "MAX_ENTRIES", "simulated branches")
     cfgs = [ModexpConfig(inst, wp, VARIANT_TABLE[v].options(args.nep)) for v in variants]
     plans = [plan_modexp(cfg) for cfg in cfgs]
@@ -306,15 +299,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    if args.variant == "all":
-        variants = VARIANTS
-    elif args.variant in VARIANTS:
-        variants = (args.variant,)
-    else:
-        raise UsageError(
-            f"unknown variant {args.variant!r}; "
-            f"choose one of {', '.join(VARIANTS)}, or all"
-        )
+    variants = VARIANTS if args.variant == "all" else (args.variant,)
     rows = []
     for variant in variants:
         initial = args.nep
@@ -382,10 +367,6 @@ def _parse_point(text: str) -> GridRanges:
 
 
 def cmd_estimate(args) -> int:
-    if args.variant not in VARIANTS:
-        raise UsageError(
-            f"unknown variant {args.variant!r}; choose one of {', '.join(VARIANTS)}"
-        )
     for budget in args.budget_mqb or ():
         if not (math.isfinite(budget) and budget > 0):
             raise UsageError(f"--budget-mqb must be finite and > 0, got {budget!r}")
@@ -463,6 +444,14 @@ def _add_global_flags(parser: argparse.ArgumentParser, top: bool) -> None:
     )
 
 
+def count(text: str) -> int:
+    """The argparse type of a count flag: an int, 0 or more."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
+
+
 # Each subcommand's flags, declared once: build_parser adds them in this
 # order, and _manifest records them in it.
 FLAGS: dict[str, tuple[tuple[str, dict], ...]] = {
@@ -487,22 +476,22 @@ FLAGS: dict[str, tuple[tuple[str, dict], ...]] = {
         ("--ne", dict(type=int, default=4)),
         ("--we", dict(type=int, default=2)),
         ("--wm", dict(type=int, default=2)),
-        ("--nep", dict(type=int, default=2, help="initial lookup bits (opt3)")),
-        ("--variant", dict(default="original")),
+        ("--nep", dict(type=count, default=2, help="initial lookup bits (opt3, combined)")),
+        ("--variant", dict(default="original", choices=(*CIRCUIT_VARIANTS, "all"))),
     ),
     "cost": (
         ("--n", dict(type=int, default=2048)),
         ("--ne", dict(type=int, default=3029)),
         ("--we", dict(type=int, default=5)),
         ("--wm", dict(type=int, default=5)),
-        ("--nep", dict(type=int, default=0)),
-        ("--variant", dict(default="original")),
+        ("--nep", dict(type=count, default=0)),
+        ("--variant", dict(default="original", choices=(*VARIANTS, "all"))),
     ),
     "estimate": (
         ("--n", dict(type=int, default=2048)),
         ("--ne", dict(type=int, default=3029)),
         ("--perr", dict(type=float, help="physical gate error rate")),
-        ("--variant", dict(default="original")),
+        ("--variant", dict(default="original", choices=VARIANTS)),
         ("--q", dict(type=float, help="skewed-volume exponent")),
         (
             "--budget-mqb",

@@ -59,6 +59,7 @@ VARIANT_TABLE = {
     "sliced_B": Variant(has_circuit=False),
 }
 VARIANTS = tuple(VARIANT_TABLE)
+CIRCUIT_VARIANTS = tuple(name for name, row in VARIANT_TABLE.items() if row.has_circuit)
 
 # No int of FLOAT_BITS bits converts to a float. cost() checks each width
 # against it before it builds or converts an int, so a huge input fails at
@@ -131,11 +132,13 @@ def cost(
     flags = variant_flags(variant)
     if min(n, n_e, w_e, w_m) < 1:
         raise ValueError(f"n, n_e, w_e, w_m must be positive, got {n}, {n_e}, {w_e}, {w_m}")
-    if initial_bits < 0 or initial_bits > n_e:
-        raise ValueError("initial_bits must lie in [0, n_e]")
-    if initial_bits and not flags.initial_lookup:
-        takers = tuple(name for name, row in VARIANT_TABLE.items() if row.initial_lookup)
-        raise ValueError(f"initial_bits only applies to {takers}")
+    top = n_e if flags.initial_lookup else 0
+    if not 0 <= initial_bits <= top:
+        takers = " and ".join(name for name, row in VARIANT_TABLE.items() if row.initial_lookup)
+        raise ValueError(
+            f"initial_bits = {initial_bits} must lie in [0, {top}] for {variant} at n_e = {n_e}; "
+            f"only {takers} take an initial lookup"
+        )
     if max(w_e + w_m, initial_bits, n.bit_length(), n_e.bit_length()) >= FLOAT_BITS:
         raise _unfit("cost", n=n, n_e=n_e, w_e=w_e, w_m=w_m, initial_bits=initial_bits)
 

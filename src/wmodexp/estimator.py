@@ -53,19 +53,24 @@ DEFAULT_MQB_BUDGETS = (
 class BudgetOverflow(RuntimeError):
     """Accumulated error probability reached 1; the run cannot succeed.
 
-    The arguments are the overflowing LayoutPoint and the error term that
-    reached 1 ("total" for their composition). A point is rendered only
-    when the error is shown, since the grid search raises and swallows one
-    per overflowing point.
+    The arguments are the Schedule and the Factory of the overflowing point
+    and the error term that reached 1 ("total" for their composition). The
+    point is built only when asked for, since the grid search raises and
+    swallows one per overflowing point.
     """
+
+    @property
+    def point(self) -> LayoutPoint:
+        """The overflowing LayoutPoint."""
+        return layout_point(*self.args[:2])
 
     @property
     def component(self) -> str:
         """The error term that reached 1."""
-        return self.args[1]
+        return self.args[2]
 
     def __str__(self) -> str:
-        return f"error budget saturated at {self.args[0]}"
+        return f"error budget saturated at {self.point}"
 
 
 # HardwareProfile fields that must be > 0: the cost formulas divide by all
@@ -344,6 +349,12 @@ Schedule = namedtuple(
 )
 
 
+def layout_point(sched: Schedule, fac: Factory) -> LayoutPoint:
+    """The LayoutPoint of fac's distances and sched's shape."""
+    cost_row = sched.cost_row
+    return LayoutPoint(fac.L1, fac.L2, sched.d_off, cost_row.w_m, cost_row.w_e, sched.g_sep)
+
+
 def schedule(cost_row: CostBreakdown, g_sep: int, d_off: int) -> Schedule:
     """The Schedule of every point with cost_row's windows, g_sep and d_off.
 
@@ -403,20 +414,15 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
     board strip and the data code's terms come from fac, which must have
     been built for profile. What is left is the arithmetic that needs both:
     the board, the runtime and the data and factory errors. Raises
-    BudgetOverflow(point, component) when an error probability reaches 1,
+    BudgetOverflow(sched, fac, component) when an error term reaches 1,
     checking the factory error first, before the board is priced, then the
-    ErrorBudget fields in order, then their composition ("total").
+    other ErrorBudget fields in order, then their composition ("total").
+    The postprocess error needs no check: the profile refuses 1 or more.
     """
     tofs = sched.tofs
     factory_error = tofs * fac.ccz_error
-    cost_row = sched.cost_row
-    # tuple.__new__ skips the namedtuple's Python-level __new__: most points
-    # raise here, and building the point is a large part of their cost.
-    point = tuple.__new__(
-        LayoutPoint, (fac.L1, fac.L2, sched.d_off, cost_row.w_m, cost_row.w_e, sched.g_sep)
-    )
     if factory_error >= 1:
-        raise BudgetOverflow(point, "factory")
+        raise BudgetOverflow(sched, fac, "factory")
 
     # The board: `pieces` strips, each holding the data registers of one
     # adder piece below the rows of fac's factory pairs.
@@ -441,30 +447,29 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
     storage_tiles = tiles - pieces * fac.distillation_tiles
     data_error = storage_tiles * (runtime_s / fac.round_s) * fac.unit_cell_error
     if data_error >= 1:
-        raise BudgetOverflow(point, "data")
+        raise BudgetOverflow(sched, fac, "data")
     if sched.coset_error >= 1:
-        raise BudgetOverflow(point, "coset")
+        raise BudgetOverflow(sched, fac, "coset")
     if sched.runway_error >= 1:
-        raise BudgetOverflow(point, "runway")
-    if profile.postprocess_error >= 1:
-        raise BudgetOverflow(point, "postprocess")
+        raise BudgetOverflow(sched, fac, "runway")
     budget = ErrorBudget(
         data_error, factory_error, sched.coset_error, sched.runway_error, profile.postprocess_error
     )
     risk = budget.total
     if risk >= 1:
-        raise BudgetOverflow(point, "total")
+        raise BudgetOverflow(sched, fac, "total")
 
     vol_per_run = mqb * hours / 24.0
     expected_hours = hours / (1 - risk)
     log_skewed_volume = profile.q * math.log(mqb) + math.log(expected_hours)
     if not math.isfinite(log_skewed_volume):
         raise ValueError(f"q = {profile.q!r} overflows the log skewed volume")
+    cost_row = sched.cost_row
     row = EstimateRow(
         cost_row.n,
         cost_row.n_e,
         profile.p_phys,
-        point,
+        layout_point(sched, fac),
         cost_row.variant,
         cost_row.initial_bits,
         profile.q,
@@ -559,9 +564,11 @@ def grid_search(
                         try:
                             rows.append(estimate(profile, sched, fac))
                         except BudgetOverflow as exc:
-                            point, component = exc.args
+                            # Not exc: its traceback would hold this frame.
+                            overflow = exc.args
     if not rows:
-        last = f"(last overflow: {component} error at {point})"
+        sched, fac, component = overflow
+        last = f"(last overflow: {component} error at {layout_point(sched, fac)})"
         raise ValueError(f"no grid point stays under the error budget {last}")
     best = min(rows, key=lambda r: (r.log_skewed_volume, r.point))
     frontier = pareto_frontier(rows)

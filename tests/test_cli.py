@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from wmodexp.cli import COST_FIELDS, ESTIMATE_HEADER, main
-from wmodexp.costs import VARIANTS
+from wmodexp.costs import CIRCUIT_VARIANTS, VARIANTS
 from wmodexp.numerics import (
     ProblemInstance,
     WindowParams,
@@ -71,11 +71,42 @@ def test_initial_bits_above_the_exponent_are_bad_input(capsys, variant):
     assert "initial_lookup_bits = 2 must lie in [0, exp_bits = 1]" in capsys.readouterr().err
 
 
+def parser_refusal(capsys, argv):
+    """What main(argv) writes to stderr as argparse refuses it with exit 2.
+    Tests match only the flag and the value: argparse's own wording differs
+    between Python versions."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 def test_unknown_variant_is_bad_input(capsys):
-    assert main(["simulate", "--variant", "sliced_A"]) == 2
-    assert main(["cost", "--variant", "nope"]) == 2
-    assert main(["estimate", "--variant", "nope"]) == 2
-    capsys.readouterr()
+    for argv in (
+        ["simulate", "--variant", "sliced_A"],
+        ["simulate", "--variant", "nope"],
+        ["cost", "--variant", "nope"],
+        ["estimate", "--variant", "nope"],
+    ):
+        err = parser_refusal(capsys, argv)
+        assert "--variant" in err and argv[-1] in err
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "cost"])
+def test_negative_initial_bits_are_bad_input(capsys, subcommand):
+    err = parser_refusal(capsys, [subcommand, "--variant", "original", "--nep", "-5"])
+    assert "--nep" in err and "-5" in err
+
+
+def test_help_lists_each_subcommands_variants(capsys):
+    for subcommand, variants in (
+        ("simulate", [*CIRCUIT_VARIANTS, "all"]),
+        ("cost", [*VARIANTS, "all"]),
+        ("estimate", list(VARIANTS)),
+    ):
+        with pytest.raises(SystemExit):
+            main([subcommand, "--help"])
+        assert "{" + ",".join(variants) + "}" in capsys.readouterr().out
 
 
 def test_missing_config_is_bad_input(capsys, tmp_path):
@@ -383,8 +414,16 @@ def test_cost_opt3_with_zero_initial_equals_original(capsys):
 
 
 def test_cost_initial_bits_on_original_is_bad_input(capsys):
-    assert main(["cost", "--variant", "original", "--nep", "8"]) == 2
-    capsys.readouterr()
+    # Each refusal names initial_bits, n_e and the variant, and the takers.
+    for argv, reason in (
+        ("original --nep 8", "initial_bits = 8 must lie in [0, 0] for original at n_e = 3029"),
+        ("sliced_A --nep 1", "initial_bits = 1 must lie in [0, 0] for sliced_A at n_e = 3029"),
+        ("opt3 --ne 50 --nep 60", "initial_bits = 60 must lie in [0, 50] for opt3 at n_e = 50"),
+    ):
+        assert main(["cost", "--variant", *argv.split()]) == 2
+        err = capsys.readouterr().err
+        assert reason in err
+        assert "only opt3 and combined take an initial lookup" in err
 
 
 def test_cost_all_variants(capsys):

@@ -54,12 +54,18 @@ def test_parameter_validation():
         cost("original", 0, 3029, 5, 5)
     with pytest.raises(ValueError):
         cost("original", 2048, 3029, 5, 0)
-    with pytest.raises(ValueError):
-        cost("original", 2048, 3029, 5, 5, initial_bits=10)
-    with pytest.raises(ValueError):
-        cost("opt3", 2048, 3029, 5, 5, initial_bits=-1)
-    with pytest.raises(ValueError):
-        cost("opt3", 2048, 10, 5, 5, initial_bits=11)
+    # An initial-bits refusal names the value, n_e, the variant and the takers.
+    for variant, n_e, initial_bits, span in (
+        ("original", 3029, 10, "[0, 0]"),
+        ("opt3", 3029, -1, "[0, 3029]"),
+        ("opt3", 10, 11, "[0, 10]"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            cost(variant, 2048, n_e, 5, 5, initial_bits=initial_bits)
+        assert str(exc.value) == (
+            f"initial_bits = {initial_bits} must lie in {span} for {variant} at n_e = {n_e}; "
+            "only opt3 and combined take an initial lookup"
+        )
 
 
 @pytest.mark.parametrize(

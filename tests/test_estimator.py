@@ -3,6 +3,7 @@ row identities, and the parameter grid search."""
 
 import collections
 import dataclasses
+import gc
 import math
 import os
 import random
@@ -382,14 +383,16 @@ def test_budget_overflow_on_undersized_factories(profile):
     # A 4096-bit run through 15/27 factories exhausts the error budget.
     with pytest.raises(BudgetOverflow) as info:
         price(profile, "original", GE_POINT, 4096, 6101)
-    assert info.value.args == (GE_POINT, "factory")
+    assert (info.value.point, info.value.component) == (GE_POINT, "factory")
     assert str(info.value) == f"error budget saturated at {GE_POINT}"
     assert info.value.component == "factory"
 
 
 def test_budget_overflow_point_and_message_forms(profile):
-    at_point = BudgetOverflow(GE_POINT, "data")
-    assert at_point.args == (GE_POINT, "data")
+    sched, fac = shape("original", GE_POINT), factory(profile, 15, 27)
+    at_point = BudgetOverflow(sched, fac, "data")
+    assert at_point.args == (sched, fac, "data")
+    assert (at_point.point, at_point.component) == (GE_POINT, "data")
     assert at_point.component == "data"
     assert str(at_point) == f"error budget saturated at {GE_POINT}"
     # A grid whose every point overflows is bad input, not one overflow.
@@ -595,7 +598,7 @@ def reference_estimate(profile, sched, fac):
     point = LayoutPoint(fac.L1, fac.L2, sched.d_off, cost_row.w_m, cost_row.w_e, sched.g_sep)
     tofs = sched.tofs
     if tofs * fac.ccz_error >= 1:
-        raise BudgetOverflow(point, "factory")
+        raise BudgetOverflow(sched, fac, "factory")
     depth_s = sched.serial_steps * profile.reaction_s * profile.serial_overhead
 
     width = (fac.width + 1) * fac.pairs + 1
@@ -632,13 +635,13 @@ def reference_estimate(profile, sched, fac):
     )
     for name, part in zip(("data", "factory", "coset", "runway", "postprocess"), budget):
         if part >= 1:
-            raise BudgetOverflow(point, name)
+            raise BudgetOverflow(sched, fac, name)
     survival = 1.0
     for part in budget:
         survival *= 1.0 - part
     risk = 1.0 - survival
     if risk >= 1:
-        raise BudgetOverflow(point, "total")
+        raise BudgetOverflow(sched, fac, "total")
 
     vol_per_run = mqb * hours / 24.0
     expected_hours = hours / (1 - risk)
@@ -664,11 +667,12 @@ def reference_estimate(profile, sched, fac):
 
 
 def outcome(price, profile, sched, fac):
-    """The row price gives, or the args of the BudgetOverflow it raises."""
+    """The row price gives, or the point and component of the
+    BudgetOverflow it raises."""
     try:
         return price(profile, sched, fac)
     except BudgetOverflow as exc:
-        return exc.args
+        return exc.point, exc.component
 
 
 def test_ge_point_equals_the_reference_formulas(profile, ge_row):
@@ -687,7 +691,8 @@ def test_ge_point_equals_the_reference_formulas(profile, ge_row):
 )
 def test_estimate_equals_the_reference_formulas(n, n_e, variant, hardware):
     # Bit for bit: every (Factory, Schedule) pair of the grid gives a row
-    # equal to the reference's, or a BudgetOverflow with equal args.
+    # equal to the reference's, or a BudgetOverflow at the same point and
+    # error term.
     ranges = GridRanges()
     factories = [factory(hardware, l1, l2) for l1 in ranges.l1 for l2 in ranges.l2 if l1 < l2]
     kinds = collections.Counter()
@@ -723,7 +728,8 @@ def test_grid_overflow_set_is_pinned(profile, monkeypatch):
         try:
             row = real_estimate(profile, sched, fac)
         except BudgetOverflow as exc:
-            assert exc.args == (point, exc.component)
+            assert exc.args == (sched, fac, exc.component)
+            assert exc.point == point
             assert str(exc) == f"error budget saturated at {point}"
             overflows[exc.component] += 1
             raise
@@ -736,6 +742,19 @@ def test_grid_overflow_set_is_pinned(profile, monkeypatch):
     assert evaluated == 21312
     assert overflows == {"factory": 17856, "data": 334}
     assert rows == 3122
+
+
+def test_grid_search_leaves_no_cyclic_garbage():
+    # A BudgetOverflow kept past its except block holds its traceback, whose
+    # frame holds the search's locals: each search would then leave its rows
+    # for the cyclic collector.
+    gc.collect()
+    gc.disable()
+    try:
+        grid_search(N, NE, HardwareProfile(), "original")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_pareto_frontier_helper():

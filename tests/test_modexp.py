@@ -20,7 +20,7 @@ from wmodexp.builders import (
     modexp_input_state,
 )
 from wmodexp.circuit import tally
-from wmodexp.costs import VARIANT_TABLE
+from wmodexp.costs import CIRCUIT_VARIANTS, VARIANT_TABLE
 from wmodexp.numerics import ProblemInstance, WindowParams
 from wmodexp.sim import SparseState, deposit, extract, run
 
@@ -80,7 +80,7 @@ def wide_sweep_configs():
     """24 seeded configs of 256 branches: odd moduli in 129-255 with a
     coprime base, n_e = 8, windows from {2, 3, 4}, the six circuit variants
     in turn."""
-    variants = [variant for variant in VARIANT_TABLE.values() if variant.has_circuit]
+    variants = [VARIANT_TABLE[name] for name in CIRCUIT_VARIANTS]
     assert len(variants) == 6
     rng = random.Random(0x8A5E)
     configs = []
@@ -293,9 +293,8 @@ def test_every_table_holds_its_windows_multiple(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(builders, "build_mul_table", record)
-    variants = [name for name, variant in VARIANT_TABLE.items() if variant.has_circuit]
-    assert len(variants) == 6
-    for name in variants:
+    assert len(CIRCUIT_VARIANTS) == 6
+    for name in CIRCUIT_VARIANTS:
         cfg = ModexpConfig(inst, wp, VARIANT_TABLE[name].options(2))
         built.clear()
         build_windowed_modexp(cfg)
