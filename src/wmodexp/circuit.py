@@ -21,9 +21,9 @@ TEMP_AND = "TempAndCompute"
 TEMP_AND_UNDO = "TempAndUncompute"
 MEASURE_X = "MeasureXRegister"
 PHASE_Z = "ClassicalPhaseZ"
-# Gate-set extension: an oracle gate permuting dest -> (dest +/- src) mod N
-# for dest < N and acting as identity otherwise. Used only by the exact
-# functional adder backend; it books zero Toffolis.
+# Gate-set extension: dest -> (dest +/- src) mod N, for the exact functional
+# adder backend only; it books zero Toffolis. Its domain is checked like a
+# temp-AND's: the simulator refuses it unless dest, src < N on every branch.
 MOD_ADD = "ModAddOracle"
 
 GATE_ARITY = {X: 1, CNOT: 2, TOFFOLI: 3, TEMP_AND: 3, TEMP_AND_UNDO: 3}

@@ -365,7 +365,8 @@ def schedule(cost_row: CostBreakdown, g_sep: int, d_off: int) -> Schedule:
     pipeline into the compute gaps, so depth rather than gate count paces
     the clock), while the adder depth is recharged against the runway piece
     length. Each addition deviates with probability 2^-pad per coset and
-    per runway between pieces; the errors are capped at 1.
+    per runway between pieces. As 2^pad >= reps * pieces * 2^d_off, the
+    coset error is at most 1 and the runway error below 1.
     """
     if g_sep < 1 or d_off < 0:
         raise ValueError(f"g_sep must be >= 1 and d_off >= 0, got {g_sep} and {d_off}")
@@ -387,8 +388,8 @@ def schedule(cost_row: CostBreakdown, g_sep: int, d_off: int) -> Schedule:
     )
     registers = cost_row.logical_qubits / n
     deviation = 2.0**-pad
-    coset_error = min(reps * deviation, 1.0)
-    runway_error = min(reps * (pieces - 1) * deviation, 1.0)
+    coset_error = reps * deviation
+    runway_error = reps * (pieces - 1) * deviation
     return Schedule(
         cost_row,
         g_sep,
@@ -416,8 +417,8 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
     the board, the runtime and the data and factory errors. Raises
     BudgetOverflow(sched, fac, component) when an error term reaches 1,
     checking the factory error first, before the board is priced, then the
-    other ErrorBudget fields in order, then their composition ("total").
-    The postprocess error needs no check: the profile refuses 1 or more.
+    data and coset errors, then their composition ("total"). The schedule
+    keeps the runway error below 1, and the profile the postprocess error.
     """
     tofs = sched.tofs
     factory_error = tofs * fac.ccz_error
@@ -450,8 +451,6 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
         raise BudgetOverflow(sched, fac, "data")
     if sched.coset_error >= 1:
         raise BudgetOverflow(sched, fac, "coset")
-    if sched.runway_error >= 1:
-        raise BudgetOverflow(sched, fac, "runway")
     budget = ErrorBudget(
         data_error, factory_error, sched.coset_error, sched.runway_error, profile.postprocess_error
     )

@@ -46,8 +46,8 @@ from .circuit import (
 
 class ContractViolation(AssertionError):
     """A gate's precondition failed on some branch (e.g. temp-AND target not
-    fresh, or a measured register not a function of the rest). The state is
-    left as it was before the gate."""
+    fresh, a ModAddOracle operand not below N, or a measured register not a
+    function of the rest). The state is left as it was before the gate."""
 
 
 @dataclass
@@ -237,22 +237,21 @@ def apply(state: SparseState, gate: Gate) -> SparseState:
 
 
 def _mod_add(p: list[int], ones: int, gate: Gate) -> None:
-    """dest <- (dest + sign * (src mod N)) mod N on every branch where
-    dest < N, bit-sliced. src is reduced by restoring division, which leaves
-    it unchanged unless src >= N on some branch; sign -1 adds N - src."""
+    """dest <- (dest + sign * src) mod N, bit-sliced: one add, then N taken
+    off where the sum reaches it; sign -1 adds N - src. Unless dest < N and
+    src < N on every branch, raises ContractViolation and writes nothing."""
     dest_qubits = gate.qubits[: gate.dest_len]
     dest = [p[q] for q in dest_qubits]
     src = [p[q] for q in gate.qubits[gate.dest_len :]]
-    width = gate.modulus.bit_length()
-    modulus = [ones if gate.modulus >> i & 1 else 0 for i in range(width)]
-    below = _sub(dest, modulus)[1]
-    for shift in range(len(src) - width, -1, -1):
-        src = _sub_where_fits(src, [0] * shift + modulus)
+    n = gate.modulus
+    modulus = [ones if n >> i & 1 else 0 for i in range(n.bit_length())]
+    for operand, planes in (("destination", dest), ("source", src)):
+        if _sub(planes, modulus)[1] != ones:
+            raise ContractViolation(f"ModAddOracle {operand} not below N={n} on a branch")
     if gate.sign < 0:
         src = _sub(modulus, src)[0]
-    total = _sub_where_fits(_add(dest, src), modulus)
-    for q, old, new in zip(dest_qubits, dest, total):
-        p[q] = old ^ (below & (old ^ new))
+    for q, plane in zip(dest_qubits, _sub_where_fits(_add(dest, src), modulus)):
+        p[q] = plane
 
 
 def _add(a: list[int], b: list[int]) -> list[int]:

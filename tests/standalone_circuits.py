@@ -1,7 +1,7 @@
 """Standalone circuits and states for the unit and acceptance tests: the
 unary converters, one table lookup and one unlookup, each on registers of
-its own, a state holding chosen branches, and the circuit text dump that
-the gate-stream pins hash.
+its own, a state holding chosen branches, the circuit text dump that the
+gate-stream pins hash, and a table builder with a planted fault.
 
 The modexp circuit emits the same gate producers inline, and
 modexp_input_state makes its own state; these wrappers give the tests each
@@ -9,6 +9,7 @@ construction alone, so they live beside the tests.
 """
 
 import random
+from dataclasses import replace
 
 from wmodexp.builders import (
     phase_fixup_gates,
@@ -32,6 +33,19 @@ def superposition(num_qubits: int, values: dict[int, int], seed: int = 0) -> Spa
     planes = _transpose(list(values), num_qubits)
     (phase,) = _transpose([int(p < 0) for p in values.values()], 1)
     return SparseState(planes, phase, (1 << len(values)) - 1, random.Random(seed))
+
+
+def unreduced(build_mul_table):
+    """build_mul_table with N added to every entry that still fits the
+    table's word: the tables of a builder that forgot to reduce mod N."""
+
+    def build(modulus, *args):
+        table = build_mul_table(modulus, *args)
+        top = 1 << table.word_bits
+        entries = tuple(e + modulus if e + modulus < top else e for e in table.entries)
+        return replace(table, entries=entries)
+
+    return build
 
 
 def build_unary(width: int) -> Circuit:

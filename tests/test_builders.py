@@ -18,6 +18,7 @@ from wmodexp.builders import (
     cuccaro_gates,
     select_walk_gates,
     unary_forward_gates,
+    xor_payload,
 )
 from wmodexp.circuit import (
     CNOT,
@@ -197,6 +198,16 @@ def test_walk_count_scales_with_addresses():
 def test_walk_spine_too_short():
     with pytest.raises(SizeMismatch):
         select_walk_gates((0, 1), (2, 3), lambda a, line: [])
+
+
+def test_payload_dest_narrower_than_the_entries():
+    with pytest.raises(SizeMismatch, match="dest has 2 qubits for 3-bit entries"):
+        xor_payload(LookupTable("multiply", 1, 3, (0, 5)), (0, 1))
+
+
+def test_adder_operands_of_unequal_width():
+    with pytest.raises(SizeMismatch, match="equal width"):
+        cuccaro_gates((0, 1), (2,), 3)
 
 
 def reference_walk(addr_lsb, spine, payload, skip_below):

@@ -256,6 +256,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             Register("a", (0,), "scratch")
 
+    def test_register_repeating_a_qubit(self):
+        with pytest.raises(ValueError, match="register a repeats qubits"):
+            Register("a", (0, 1, 0), "ancilla")
+
+    def test_unknown_register_name(self):
+        circuit = circuit_over(2, [])
+        assert circuit.register("work").qubits == (0, 1)
+        with pytest.raises(KeyError, match="nope"):
+            circuit.register("nope")
+
 
 class TestDumpFormat:
     def build_sample(self):
@@ -301,13 +311,15 @@ class TestDumpFormat:
 class TestBuilderHelpers:
     def test_invert_gates(self):
         gates = [
+            Gate(TEMP_AND_UNDO, (0, 1, 3)),
             Gate(TEMP_AND, (0, 1, 2)),
             Gate(TOFFOLI, (0, 1, 3)),
             Gate(MOD_ADD, (0, 1, 2, 3), modulus=3, sign=1, dest_len=2),
         ]
         inv = invert_gates(gates)
         assert inv[0].name == MOD_ADD and inv[0].sign == -1
-        assert inv[2].name == TEMP_AND_UNDO
+        assert inv[2] == Gate(TEMP_AND_UNDO, (0, 1, 2))
+        assert inv[3] == Gate(TEMP_AND, (0, 1, 3))
 
     def test_invert_refuses_measurement(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from wmodexp import builders
+from wmodexp.circuit import X, Circuit, Gate
 from wmodexp.cli import COST_FIELDS, ESTIMATE_HEADER, main
 from wmodexp.costs import CIRCUIT_VARIANTS, VARIANTS
 from wmodexp.numerics import (
@@ -19,6 +21,8 @@ from wmodexp.numerics import (
     build_pruned_table,
     dump_table,
 )
+
+from standalone_circuits import unreduced
 
 INST15 = ProblemInstance(15, 7, 4)
 WP22 = WindowParams(2, 2)
@@ -386,6 +390,46 @@ def test_simulate_reports_verification_failure(monkeypatch, capsys):
     assert "result: FAIL" in out
 
 
+@pytest.mark.parametrize("modulus", ["643", "1021"])
+@pytest.mark.parametrize("variant", CIRCUIT_VARIANTS)
+def test_simulate_unreduced_tables_are_a_verification_failure(
+    monkeypatch, capsys, modulus, variant
+):
+    # N added to every multiplication-table entry that fits: the exact
+    # adder refuses the unreduced source, and simulate exits 1.
+    monkeypatch.setattr(builders, "build_mul_table", unreduced(builders.build_mul_table))
+    argv = ["simulate", "--modulus", modulus, "--base", "3", "--ne", "8", "--we", "3", "--wm", "3"]
+    assert main([*argv, "--variant", variant]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: ")
+    assert f"ModAddOracle source not below N={modulus}" in err
+
+
+def test_simulate_reports_variants_that_disagree(monkeypatch, capsys):
+    # Only opt1's circuit is faulted: an X after its last gate flips bit 0
+    # of its result on every branch.
+    import wmodexp.cli as cli
+
+    unpatched, built = cli.build_windowed_modexp, []
+
+    def build(cfg):
+        circuit = unpatched(cfg)
+        built.append(circuit)
+        if len(built) != CIRCUIT_VARIANTS.index("opt1") + 1:
+            return circuit
+        flip = Gate(X, (circuit.register(circuit.result_register).qubits[0],))
+        return Circuit(circuit.gates + (flip,), circuit.registers, circuit.result_register)
+
+    monkeypatch.setattr(cli, "build_windowed_modexp", build)
+    assert main(["simulate", "--variant", "all"]) == 1
+    out = capsys.readouterr().out
+    blocks = out.split("\nvariant ")[1:]
+    assert [block.split()[0] for block in blocks] == list(CIRCUIT_VARIANTS)
+    assert [("MISMATCH" in block) for block in blocks] == [v == "opt1" for v in CIRCUIT_VARIANTS]
+    assert "variants agree: NO\n" in out
+    assert out.endswith("result: FAIL (2)\n")
+
+
 # ---------------------------------------------------------------------------
 # cost
 
@@ -645,6 +689,7 @@ def test_estimate_bad_budget_is_bad_input(capsys, budget):
         "ccz_depth = 0",
         "serial_overhead = nan",
         "postprocess_error = 1.5",
+        "routing_height = -1",
     ],
     ids=lambda line: line.split()[0],
 )
@@ -653,6 +698,21 @@ def test_estimate_bad_calibration_names_the_field(tmp_path, capsys, line):
     cfg.write_text(line + "\n")
     assert main(["estimate", "--config", str(cfg), *PUBLISHED_POINT]) == 2
     assert f"error: {line.split()[0]} must" in capsys.readouterr().err
+
+
+def test_estimate_perr_matches_a_config_setting_p_phys(tmp_path, capsys):
+    # --perr overrides the profile's p_phys: the rows and the manifest's
+    # flags equal those of a config file setting it, and only the config
+    # digest differs.
+    cfg = tmp_path / "perr.cfg"
+    cfg.write_text("p_phys = 5e-4\n")
+    size = ["--n", "1024", "--ne", "1493"]
+    by_flag = run_estimate(capsys, [*size, "--perr", "5e-4"]).splitlines()
+    by_config = run_estimate(capsys, [*size, "--config", str(cfg)]).splitlines()
+    differ = [i for i, (a, b) in enumerate(zip(by_flag, by_config)) if a != b]
+    assert len(by_flag) == len(by_config) > 3
+    assert [by_flag[i].split(" = ")[0] for i in differ] == ["# config sha256"]
+    assert "perr=0.0005" in by_flag[differ[0] + 1]
 
 
 def test_estimate_repeated_config_key_is_bad_input(tmp_path, capsys):
@@ -681,6 +741,17 @@ def test_estimate_non_positive_n_names_n(capsys, n, point):
     err = capsys.readouterr().err
     assert f"error: n must be positive, got n = {n}" in err
     assert "g_sep" not in err
+
+
+def test_estimate_coset_error_of_one_is_refused(capsys):
+    # d_off 0, one piece and 2 * 512 * 512 repetitions, a power of two:
+    # the padding makes the coset error exactly 1.
+    argv = ["estimate", "--n", "2048", "--ne", "2048", "--point", "17,27,0,4,4,2048"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: no grid point stays under the error budget (last overflow: coset error at "
+        "LayoutPoint(L1=17, L2=27, d_off=0, g_mul=4, g_exp=4, g_sep=2048))\n"
+    )
 
 
 def test_estimate_overflowing_point_names_its_error_term(capsys):

@@ -85,7 +85,7 @@ def test_unrepresentable_cost_raises(variant, n, n_e, w_e, w_m, initial_bits):
         cost(variant, n, n_e, w_e, w_m, initial_bits)
 
 
-@pytest.mark.parametrize("n, w", [(2048, 600), (2048, 10**12), (10**400, 5)])
+@pytest.mark.parametrize("n, w", [(2048, 600), (2048, 10**12), (10**400, 5), (2**1000, 500)])
 def test_unrepresentable_crossover_raises(n, w):
     with pytest.raises(ValueError, match=f"w_e={w}, w_m={w} does not fit a finite float"):
         crossover_initial_lookup(n, w, w)
@@ -229,6 +229,18 @@ def test_grid_matches_brute_force_small():
             if best is None or key < best:
                 best = key
     assert grid_best_windows(n, n_e, "original") == best[1:]
+
+
+def test_grid_initial_bits_stop_at_the_exponent():
+    # n_e = 6 is below the 40 initial bits the search tries.
+    n, n_e = 24, 6
+    best = min(
+        (cost("opt3", n, n_e, w_e, w_m, nep).total_tofs, w_e, w_m, nep)
+        for w_e in range(1, 11)
+        for w_m in range(1, 11)
+        for nep in range(n_e + 1)
+    )
+    assert grid_best_windows(n, n_e, "opt3") == best[1:]
 
 
 def test_grid_ties_break_lexicographically():

@@ -94,6 +94,8 @@ def test_parse_config_basics():
 def test_parse_config_rejects_malformed_line():
     with pytest.raises(ValueError, match="line 2"):
         parse_config("p_phys = 1e-3\nnot a config line\n")
+    with pytest.raises(ValueError, match="line 2: bad number '1e-3x'"):
+        parse_config("q = 1\np_phys = 1e-3x\n")
 
 
 def test_load_profile_rejects_unknown_key(tmp_path):
@@ -626,13 +628,7 @@ def reference_estimate(profile, sched, fac):
     deviation = 2.0**-sched.pad
     coset = sched.reps * deviation
     runway = sched.reps * (sched.pieces - 1) * deviation
-    budget = ErrorBudget(
-        min(data, 1.0),
-        min(tofs * fac.ccz_error, 1.0),
-        min(coset, 1.0),
-        min(runway, 1.0),
-        profile.postprocess_error,
-    )
+    budget = ErrorBudget(data, tofs * fac.ccz_error, coset, runway, profile.postprocess_error)
     for name, part in zip(("data", "factory", "coset", "runway", "postprocess"), budget):
         if part >= 1:
             raise BudgetOverflow(sched, fac, name)

@@ -22,9 +22,9 @@ from wmodexp.builders import (
 from wmodexp.circuit import tally
 from wmodexp.costs import CIRCUIT_VARIANTS, VARIANT_TABLE
 from wmodexp.numerics import ProblemInstance, WindowParams
-from wmodexp.sim import SparseState, deposit, extract, run
+from wmodexp.sim import ContractViolation, SparseState, deposit, extract, run
 
-from standalone_circuits import superposition
+from standalone_circuits import superposition, unreduced
 
 INST15 = ProblemInstance(15, 7, 4)
 
@@ -367,6 +367,27 @@ def test_coset_backend_simulates_without_contract_breaks():
 def test_bad_adder_name():
     with pytest.raises(ValueError):
         ModexpConfig(INST15, WindowParams(2, 2), adder="lookup")
+
+
+def test_negative_coset_pad():
+    with pytest.raises(ValueError, match="coset_pad must be >= 0"):
+        ModexpConfig(INST15, WindowParams(2, 2), adder=COSET, coset_pad=-1)
+
+
+@pytest.mark.parametrize("modulus", [643, 1021])
+@pytest.mark.parametrize("variant", CIRCUIT_VARIANTS)
+def test_unreduced_table_entries_break_the_adder_contract(monkeypatch, modulus, variant):
+    # Every multiplication-table entry that fits its word gets N added. An
+    # adder that reduced its source mod N absorbed this fault: original,
+    # opt1, opt3 and opt4 then passed the output check with the meter
+    # matching exact_cost. The exact adder takes only reduced operands.
+    monkeypatch.setattr(builders, "build_mul_table", unreduced(builders.build_mul_table))
+    opts = VARIANT_TABLE[variant].options(2)
+    circuit = build_windowed_modexp(
+        ModexpConfig(ProblemInstance(modulus, 3, 8), WindowParams(3, 3), opts)
+    )
+    with pytest.raises(ContractViolation, match=f"ModAddOracle source not below N={modulus}"):
+        run(circuit, modexp_input_state(circuit))
 
 
 def test_check_reads_each_x_once_the_exponent_planes_stop_counting():

@@ -43,6 +43,53 @@ class TestInstanceValidation:
         with pytest.raises(NotInvertible):
             ProblemInstance(15, 6, 4)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: ProblemInstance(15, 0, 4), r"base must lie in \[1, modulus\), got 0"),
+            (lambda: ProblemInstance(15, 16, 4), r"base must lie in \[1, modulus\), got 16"),
+            (lambda: ProblemInstance(15, 7, 0), "exp_bits must be positive"),
+            (lambda: WindowParams(0, 2), "window sizes must be >= 1"),
+            (lambda: WindowParams(2, 0), "window sizes must be >= 1"),
+            (lambda: LookupTable("sum", 1, 4, (0, 1)), "unknown table kind 'sum'"),
+            (lambda: LookupTable("multiply", 1, 4, (0, 16)), "entry 1 = 16 exceeds 4 bits"),
+            (lambda: LookupTable("multiply", 1, 4, (-1, 0)), "entry 0 = -1 exceeds 4 bits"),
+            (
+                lambda: build_phase_fixup_table(build_mul_table(15, 7, 1, 1, 0), 1, 3),
+                "low_bits 3 out of range for 2 address bits",
+            ),
+            (
+                lambda: build_phase_fixup_table(build_mul_table(15, 7, 1, 1, 0), 1, -1),
+                "low_bits -1 out of range",
+            ),
+            (
+                lambda: build_direct_exp_table(ProblemInstance(15, 7, 4), 5),
+                r"initial_bits must lie in \[0, 4\]",
+            ),
+            (
+                lambda: build_direct_exp_table(ProblemInstance(15, 7, 4), -1),
+                r"initial_bits must lie in \[0, 4\]",
+            ),
+        ],
+        ids=[
+            "base=0",
+            "base=N+1",
+            "exp_bits=0",
+            "exp_window=0",
+            "mul_window=0",
+            "table-kind",
+            "entry-too-wide",
+            "entry-negative",
+            "low_bits-above",
+            "low_bits-negative",
+            "initial_bits-above",
+            "initial_bits-negative",
+        ],
+    )
+    def test_refuses_a_value_out_of_range(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_mod_bits(self):
         assert ProblemInstance(15, 7, 4).mod_bits == 4
         assert ProblemInstance(63, 2, 6).mod_bits == 6

@@ -83,10 +83,42 @@ class TestGateSemantics:
         apply(s, Gate(MOD_ADD, tuple(range(8)), modulus=15, sign=1, dest_len=4))
         assert extract(next(iter(s.branches)), (0, 1, 2, 3)) == 7
 
-    def test_mod_add_identity_above_modulus(self):
-        s = state_of(8, {15 | 2 << 4: 1})
-        apply(s, Gate(MOD_ADD, tuple(range(8)), modulus=15, sign=1, dest_len=4))
-        assert extract(next(iter(s.branches)), (0, 1, 2, 3)) == 15
+    @pytest.mark.parametrize("sign", [1, -1], ids=["add", "subtract"])
+    @pytest.mark.parametrize(
+        "dest, src, operand",
+        [(15, 2, "destination"), (3, 15, "source"), (15, 15, "destination")],
+        ids=["dest", "src", "both"],
+    )
+    def test_mod_add_refuses_an_operand_at_or_above_modulus(self, dest, src, operand, sign):
+        # Branch 0 is in the domain and branch 1 is not: the gate refuses
+        # the whole state, names the operand and N, and writes nothing.
+        s = state_of(8, {1 | 2 << 4: 1, dest | src << 4: -1})
+        s.transcript["m"] = 1
+        before = (list(s.planes), s.phase, dict(s.transcript))
+        gate = Gate(MOD_ADD, tuple(range(8)), modulus=15, sign=sign, dest_len=4)
+        with pytest.raises(ContractViolation, match=f"ModAddOracle {operand} .*N=15"):
+            apply(s, gate)
+        assert (s.planes, s.phase, s.transcript) == before
+
+    @pytest.mark.parametrize("dest_len", [1, 2, 3])
+    @pytest.mark.parametrize("src_len", [1, 2, 3])
+    def test_mod_add_on_every_reduced_pair(self, dest_len, src_len):
+        # One branch per reduced (dest, src) pair, every modulus that fits
+        # dest, both signs; the source and the phases stay as they were.
+        dest_qubits = tuple(range(dest_len))
+        src_qubits = tuple(range(dest_len, dest_len + src_len))
+        for modulus in range(2, (1 << dest_len) + 1):
+            pairs = [
+                (dest, src) for dest in range(modulus) for src in range(min(modulus, 1 << src_len))
+            ]
+            phases = {dest | src << dest_len: (-1) ** (dest + src) for dest, src in pairs}
+            for sign in (1, -1):
+                s = state_of(dest_len + src_len, phases)
+                apply(s, mod_add_gate(dest_qubits, src_qubits, modulus, sign))
+                assert s.branches == {
+                    (dest + sign * src) % modulus | src << dest_len: phase
+                    for (dest, src), phase in zip(pairs, phases.values())
+                }
 
     def test_mod_add_subtract_inverts(self):
         fwd = Gate(MOD_ADD, tuple(range(8)), modulus=13, sign=1, dest_len=4)
@@ -219,6 +251,11 @@ class TestRun:
         s = state_of(1, {0: 1})
         with pytest.raises(ValueError):
             apply(s, Gate("Hadamard", (0,)))
+
+    def test_apply_refuses_a_measurement(self):
+        s = state_of(1, {0: 1})
+        with pytest.raises(ValueError, match="use measure_x"):
+            apply(s, Gate(MEASURE_X, (0,), slot="m"))
 
 
 class TestReads:
@@ -361,10 +398,12 @@ def reference_run(gates, branches, outcomes, width=WIDTH):
             elif name == MOD_ADD:
                 dest, src = qs[: gate.dest_len], qs[gate.dest_len :]
                 value = sum(b[q] << i for i, q in enumerate(dest))
-                if value < gate.modulus:
-                    value += gate.sign * sum(b[q] << i for i, q in enumerate(src))
-                    for i, q in enumerate(dest):
-                        b[q] = value % gate.modulus >> i & 1
+                addend = sum(b[q] << i for i, q in enumerate(src))
+                if value >= gate.modulus or addend >= gate.modulus:
+                    return state, transcript, index
+                value += gate.sign * addend
+                for i, q in enumerate(dest):
+                    b[q] = value % gate.modulus >> i & 1
             updated[sum(bit << q for q, bit in enumerate(b))] = phase
         state = updated
     return state, transcript, None
@@ -395,8 +434,9 @@ def random_circuits(draw, width=WIDTH, value_bits=WIDTH // 2, branch_range=(1, 6
     """A valid gate list over all eight kinds on width qubits, one forced
     outcome per measurement, and a branch count in branch_range, each below
     2**value_bits; by default the high half starts at |0>, like the ancillas
-    of a built circuit. TempAnd pairs may break their contracts on purpose,
-    and a conditioned phase may name a slot that is never measured."""
+    of a built circuit. TempAnd pairs and ModAddOracle operands may break
+    their contracts on purpose, and a conditioned phase may name a slot
+    that is never measured."""
     qubits = st.permutations(range(width))
     gates, outcomes = [], []
     for _ in range(draw(st.integers(0, 14))):
@@ -444,7 +484,8 @@ class TestDifferential:
 
     # 16 to 64 branches over all WIDE qubits: planes span several int digits,
     # measurement keys span many planes and often collide with two register
-    # values, and ModAddOracle sources run far above the modulus.
+    # values, and most ModAddOracle gates meet an operand at or above the
+    # modulus on some branch, so they test the refusal.
     @given(random_circuits(WIDE, WIDE, (16, 64)))
     @settings(max_examples=100, deadline=None)
     def test_engine_matches_reference_on_wide_states(self, case):
