@@ -59,10 +59,6 @@ class SizeMismatch(ValueError):
     """Register widths do not fit the requested construction."""
 
 
-EXACT_MODULAR = "exact_modular"
-COSET = "coset"
-
-
 @dataclass(frozen=True)
 class ModexpOptions:
     """Independent, composable optimization flags.
@@ -88,27 +84,19 @@ class ModexpConfig:
     inst: ProblemInstance
     wp: WindowParams
     opts: ModexpOptions = field(default_factory=ModexpOptions)
-    adder: str = EXACT_MODULAR
-    coset_pad: int = 0
+    # The adder: None adds through the exact ModAddOracle gate, a pad p >= 0
+    # through a Cuccaro ripple on value registers p bits wider, which
+    # plan_modexp sizes.
+    coset_pad: int | None = None
 
     def __post_init__(self) -> None:
-        if self.adder not in (EXACT_MODULAR, COSET):
-            raise ValueError(f"unknown adder backend {self.adder!r}")
-        if self.coset_pad < 0:
+        if self.coset_pad is not None and self.coset_pad < 0:
             raise ValueError("coset_pad must be >= 0")
         if not 0 <= self.opts.initial_lookup_bits <= self.inst.exp_bits:
             raise ValueError(
                 f"initial_lookup_bits = {self.opts.initial_lookup_bits} must lie in "
                 f"[0, exp_bits = {self.inst.exp_bits}]"
             )
-
-    @property
-    def value_width(self) -> int:
-        """Width of the value registers: the modulus width, plus coset
-        padding when the cost-booking adder is selected."""
-        if self.adder == COSET:
-            return self.inst.mod_bits + self.coset_pad
-        return self.inst.mod_bits
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +309,16 @@ class ModexpPlan:
     circuit builder, by costs.exact_cost and by the simulate gate cap.
 
     Register order: exponent | multiplicand | target | lookup | unary |
-    fanout | walk spine | carry. initial_bits is the initial lookup's width
-    (0 when absent); exp_windows and mul_windows hold the actual window
-    widths, ragged boundary windows included; walk_bits and unary_bits are
-    the widest walk and unary zone used anywhere in the circuit, and fanout
-    is the width of the low-depth unary's control copies (0 when absent).
+    fanout | walk spine | carry. value_width is the multiplicand, target and
+    lookup width: the modulus bits plus any coset pad, whose Cuccaro adder
+    needs the carry. initial_bits is the initial lookup's width (0 when
+    absent); exp_windows and mul_windows hold the actual window widths,
+    ragged boundary windows included; walk_bits and unary_bits are the
+    widest walk and unary zone used anywhere in the circuit, and fanout is
+    the width of the low-depth unary's control copies (0 when absent).
     """
 
+    value_width: int
     initial_bits: int
     exp_windows: tuple[int, ...]
     mul_windows: tuple[int, ...]
@@ -369,8 +360,8 @@ def plan_modexp(cfg: ModexpConfig) -> ModexpPlan:
         walk_bits = max(nep, we + wm)
         unary_bits = we if opts.deferred_unlookup else (we + wm) // 2
     fanout = (1 << (unary_bits - 1)) - 1 if opts.lowdepth_unary and unary_bits >= 2 else 0
-    coset = cfg.adder == COSET
-    return ModexpPlan(nep, exp_windows, mul_windows, walk_bits, unary_bits, fanout, coset)
+    width, carry = inst.mod_bits + (cfg.coset_pad or 0), cfg.coset_pad is not None
+    return ModexpPlan(width, nep, exp_windows, mul_windows, walk_bits, unary_bits, fanout, carry)
 
 
 def build_windowed_modexp(cfg: ModexpConfig) -> Circuit:
@@ -380,9 +371,9 @@ def build_windowed_modexp(cfg: ModexpConfig) -> Circuit:
     Input contract: all registers |0>, with the exponent register holding (a
     superposition of) x. Output: the result register (see result_register)
     holds base**x mod N, the exponent is unchanged, and every workspace
-    register is back to zero, all phases +1, under the exact_modular adder.
-    The coset adder books realistic gate counts instead and only approximates
-    modular reduction.
+    register is back to zero, all phases +1, under the exact adder
+    (coset_pad=None). A coset pad books realistic gate counts instead and
+    only approximates modular reduction.
 
     Registers follow plan_modexp(cfg). Per exponent window the accumulator is
     multiplied in via a forward sweep of lookup-additions, the multiplicand
@@ -391,7 +382,7 @@ def build_windowed_modexp(cfg: ModexpConfig) -> Circuit:
     """
     inst, wp, opts = cfg.inst, cfg.wp, cfg.opts
     plan = plan_modexp(cfg)
-    nep, width = opts.initial_lookup_bits, cfg.value_width
+    nep, width = plan.initial_bits, plan.value_width
     cb = CircuitBuilder()
     exp = cb.add_register("exponent", inst.exp_bits, "exponent")
     acc = cb.add_register("multiplicand", width, "multiplicand")
@@ -430,11 +421,11 @@ def build_windowed_modexp(cfg: ModexpConfig) -> Circuit:
             cb.emit(*select_walk_gates(addr, spine, xor_payload(pruned, look), skip))
         else:
             cb.emit(*select_walk_gates(addr, spine, xor_payload(table, look)))
-        if cfg.adder == EXACT_MODULAR:
-            cb.emit(mod_add_gate(tgt, look, inst.modulus, 1 if forward else -1))
-        else:
+        if carry:
             gates = cuccaro_gates(look, tgt, carry[0])
             cb.emit(*(gates if forward else invert_gates(gates)))
+        else:
+            cb.emit(mod_add_gate(tgt, look, inst.modulus, 1 if forward else -1))
         slot = cb.new_slot("m")
         cb.emit(Gate(MEASURE_X, look, slot=slot))
         if not opts.deferred_unlookup:
@@ -488,7 +479,7 @@ def modexp_input_state(circuit: Circuit, seed: int = 0):
 def check_modexp_output(circuit: Circuit, inst: ProblemInstance, state) -> list[str]:
     """Compare a final simulator state against {(x, base**x mod N)} with all
     phases +1. Returns human-readable mismatch lines; empty means exact.
-    Only meaningful for circuits built with the exact_modular adder. Reads x
+    Only meaningful for circuits built with coset_pad=None. Reads x
     per branch only once the exponent planes stop counting (branch i holding
     x = i), and whole branches only where the result, workspace or phase
     planes show a mismatch."""

@@ -21,8 +21,8 @@ TEMP_AND = "TempAndCompute"
 TEMP_AND_UNDO = "TempAndUncompute"
 MEASURE_X = "MeasureXRegister"
 PHASE_Z = "ClassicalPhaseZ"
-# Gate-set extension: dest -> (dest +/- src) mod N, for the exact functional
-# adder backend only; it books zero Toffolis. Its domain is checked like a
+# Gate-set extension: dest -> (dest +/- src) mod N, for the exact adder only
+# (coset_pad=None); it books zero Toffolis. Its domain is checked like a
 # temp-AND's: the simulator refuses it unless dest, src < N on every branch.
 MOD_ADD = "ModAddOracle"
 

@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .builders import COSET, ModexpConfig, ModexpOptions, plan_modexp
+from .builders import ModexpConfig, ModexpOptions, plan_modexp
 
 
 @dataclass(frozen=True)
@@ -281,12 +281,12 @@ def exact_cost(cfg: ModexpConfig) -> ExactCost:
     """Predict the metered tally of build_windowed_modexp(cfg).
 
     total_tofs equals the circuit's counted-gate total and qubits equals
-    its allocation high water, for every option subset, adder backend, and
+    its allocation high water, for every option subset, coset pad, and
     window shape, divisible or not.
     """
     opts = cfg.opts
     plan = plan_modexp(cfg)
-    width = cfg.value_width
+    width = plan.value_width
 
     adt = (1 << opts.initial_lookup_bits) - 1
     lookup = add = unlookup = 0
@@ -294,7 +294,7 @@ def exact_cost(cfg: ModexpConfig) -> ExactCost:
         for wm in plan.mul_windows:
             ell = we + wm
             lookup += (1 << ell) - ((1 << we) if opts.selective_lookup else 1)
-            if cfg.adder == COSET:
+            if plan.carry:
                 add += 2 * width
             if not opts.deferred_unlookup:
                 low = ell // 2

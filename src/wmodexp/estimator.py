@@ -331,8 +331,8 @@ def physical_per_logical(code_distance: int) -> int:
 
 def padding_bits(reps: int, pieces: int, d_off: int) -> int:
     """Coset/runway padding: enough bits that the expected deviation over
-    all additions stays bounded, plus the searched offset."""
-    return math.ceil(math.log2(max(2, reps * pieces))) + d_off
+    all additions stays bounded, plus the searched offset; exact at any size."""
+    return (max(2, reps * pieces) - 1).bit_length() + d_off
 
 
 # ---------------------------------------------------------------------------
@@ -415,24 +415,30 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
     board strip and the data code's terms come from fac, which must have
     been built for profile. What is left is the arithmetic that needs both:
     the board, the runtime and the data and factory errors. Raises
-    BudgetOverflow(sched, fac, component) when an error term reaches 1,
-    checking the factory error first, before the board is priced, then the
-    data and coset errors, then their composition ("total"). The schedule
-    keeps the runway error below 1, and the profile the postprocess error.
+    BudgetOverflow(sched, fac, component) when an error term is not below 1
+    (NaN included), checking the factory error first, before the board is
+    priced, then the data and coset errors, then their composition
+    ("total"). The schedule keeps the runway error below 1, and the profile
+    the postprocess error. Raises ValueError when Mqb or the runtime leaves
+    float range.
     """
     tofs = sched.tofs
     factory_error = tofs * fac.ccz_error
-    if factory_error >= 1:
+    if not factory_error < 1:
         raise BudgetOverflow(sched, fac, "factory")
 
     # The board: `pieces` strips, each holding the data registers of one
-    # adder piece below the rows of fac's factory pairs.
+    # adder piece below the rows of fac's factory pairs. Counted in floats
+    # (-(-x // 1) is a float ceiling), a board past float range reaches inf,
+    # or NaN past an infinite strip, instead of an int too large to convert.
     pieces = sched.pieces
     width = fac.board_width
     reg_rows = math.ceil(sched.piece_len / (width - 2))
-    height = math.ceil(fac.strip_height + reg_rows * sched.registers)
+    height = -(-(fac.strip_height + reg_rows * sched.registers) // 1)
     tiles = pieces * width * height
     mqb = tiles * fac.qubits_per_tile / 1e6
+    if not mqb < math.inf:
+        raise ValueError(f"Mqb = {mqb} leaves float range at {layout_point(sched, fac)}")
 
     # Serial reaction-limited schedule. serial_overhead stretches the bare
     # reaction time for feedforward and routing stalls. The factories cap
@@ -441,21 +447,23 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
     depth_s = sched.serial_steps * fac.reaction_s * profile.serial_overhead
     factory_s = tofs / (2.0 * pieces * fac.pairs / fac.ccz_time_s)
     runtime_s = max(depth_s, factory_s)
+    if not runtime_s < math.inf:
+        raise ValueError(f"runtime {runtime_s} s leaves float range at {layout_point(sched, fac)}")
     binding = "depth" if depth_s >= factory_s else "factory"
     hours = runtime_s / 3600.0
 
     # Every tile outside the distillation blocks stores data for the run.
     storage_tiles = tiles - pieces * fac.distillation_tiles
     data_error = storage_tiles * (runtime_s / fac.round_s) * fac.unit_cell_error
-    if data_error >= 1:
+    if not data_error < 1:
         raise BudgetOverflow(sched, fac, "data")
-    if sched.coset_error >= 1:
+    if not sched.coset_error < 1:
         raise BudgetOverflow(sched, fac, "coset")
     budget = ErrorBudget(
         data_error, factory_error, sched.coset_error, sched.runway_error, profile.postprocess_error
     )
     risk = budget.total
-    if risk >= 1:
+    if not risk < 1:
         raise BudgetOverflow(sched, fac, "total")
 
     vol_per_run = mqb * hours / 24.0

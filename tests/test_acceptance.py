@@ -33,7 +33,6 @@ import time
 import pytest
 
 from wmodexp.builders import (
-    COSET,
     ModexpConfig,
     ModexpOptions,
     build_windowed_modexp,
@@ -204,9 +203,7 @@ def test_criterion_3_cost_formula_fidelity():
     pad = 3
     for w_e in (1, 2, 3):
         for w_m in (1, 2, 3):
-            cfg = ModexpConfig(
-                inst, WindowParams(w_e, w_m), adder=COSET, coset_pad=pad
-            )
+            cfg = ModexpConfig(inst, WindowParams(w_e, w_m), coset_pad=pad)
             counts = tally(build_windowed_modexp(cfg))
             additions = 2 * (6 // w_e) * (6 // w_m)
             ell = w_e + w_m

@@ -8,8 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wmodexp.builders import (
-    COSET,
-    EXACT_MODULAR,
     ModexpConfig,
     ModexpOptions,
     SizeMismatch,
@@ -327,15 +325,15 @@ def test_unlookup_rejects_tampered_dest():
 # -- adders -----------------------------------------------------------------
 
 
-def adder_circuit(mode, modulus, pad=0, subtract=False):
+def adder_circuit(modulus, pad=None, subtract=False):
     """dest += src (or -=) from the gates build_windowed_modexp emits: one
-    modular oracle gate for EXACT_MODULAR, a Cuccaro ripple over
-    modulus-width + pad registers with a carry ancilla for COSET."""
+    modular oracle gate when pad is None, else a Cuccaro ripple over
+    modulus-width + pad registers with a carry ancilla."""
     cb = CircuitBuilder()
-    width = modulus.bit_length() + (pad if mode == COSET else 0)
+    width = modulus.bit_length() + (pad or 0)
     dest = cb.add_register("dest", width, "target")
     src = cb.add_register("src", width, "lookup")
-    if mode == EXACT_MODULAR:
+    if pad is None:
         cb.emit(mod_add_gate(dest, src, modulus, -1 if subtract else 1))
     else:
         carry = cb.add_register("carry", 1, "ancilla")
@@ -345,7 +343,7 @@ def adder_circuit(mode, modulus, pad=0, subtract=False):
 
 
 def test_exact_adder_full_table():
-    circuit = adder_circuit(EXACT_MODULAR, 13)
+    circuit = adder_circuit(13)
     dest = circuit.register("dest").qubits
     for a in range(13):
         for b in range(13):
@@ -355,7 +353,7 @@ def test_exact_adder_full_table():
 
 
 def test_exact_adder_subtract():
-    circuit = adder_circuit(EXACT_MODULAR, 13, subtract=True)
+    circuit = adder_circuit(13, subtract=True)
     dest = circuit.register("dest").qubits
     state = run(circuit, single_branch(circuit, {"dest": 3, "src": 9}))
     assert extract(only_branch(state), dest) == (3 - 9) % 13
@@ -371,7 +369,7 @@ def test_exact_adder_subtract():
 def test_coset_adder_wraps_power_of_two(pad, a, b, subtract):
     width = 3 + pad
     a, b = a % (1 << width), b % (1 << width)
-    circuit = adder_circuit(COSET, 5, pad=pad, subtract=subtract)
+    circuit = adder_circuit(5, pad=pad, subtract=subtract)
     dest = circuit.register("dest").qubits
     state = run(circuit, single_branch(circuit, {"dest": a, "src": b}))
     key = only_branch(state)
@@ -383,7 +381,7 @@ def test_coset_adder_wraps_power_of_two(pad, a, b, subtract):
 
 @pytest.mark.parametrize("pad", [0, 2])
 def test_coset_adder_cost(pad):
-    circuit = adder_circuit(COSET, 5, pad=pad)
+    circuit = adder_circuit(5, pad=pad)
     counts = tally(circuit)
     assert counts.toffoli_count == 2 * (3 + pad)
     assert counts.toffoli_depth == 2 * (3 + pad)
@@ -422,7 +420,6 @@ def _pinned_circuits():
         ProblemInstance(21, 2, 6),
         WindowParams(3, 2),
         ModexpOptions(True, True, 0, True),
-        adder=COSET,
         coset_pad=1,
     )
     circuits.append(("modexp21.coset", lambda: build_windowed_modexp(coset)))

@@ -700,6 +700,34 @@ def test_estimate_bad_calibration_names_the_field(tmp_path, capsys, line):
     assert f"error: {line.split()[0]} must" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("lines", "reason"),
+    [
+        (["routing_height = 1e305"], "Mqb = inf leaves float range"),
+        (["cycle_ns = 1e305"], "Mqb = inf leaves float range"),
+        (["t1_height = 1e306"], "Mqb = inf leaves float range"),
+        (["cz_fixup_height = 1e308"], "Mqb = nan leaves float range"),
+        (
+            ["error_coeff = 0", "routing_height = 1e150", "reaction_ns = 1e160"],
+            "last overflow: data error at",
+        ),
+        (["reaction_ns = 1.5e308"], "runtime inf s leaves float range"),
+    ],
+    ids=["routing_height", "cycle_ns", "t1_height", "cz_fixup_height", "nan_data", "reaction_ns"],
+)
+def test_estimate_out_of_range_calibration_names_the_figure(tmp_path, capsys, lines, reason):
+    # Finite calibrations whose board, runtime or data error leaves float
+    # range: the tile count in floats reaches inf (or NaN past an infinite
+    # strip) rather than an int too large to convert, and a NaN data error
+    # (inf * 0 with error_coeff = 0) is refused as the data term, not as q.
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert main(["estimate", "--config", str(cfg), *PUBLISHED_POINT]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert reason in err
+
+
 def test_estimate_perr_matches_a_config_setting_p_phys(tmp_path, capsys):
     # --perr overrides the profile's p_phys: the rows and the manifest's
     # flags equal those of a config file setting it, and only the config

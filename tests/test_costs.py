@@ -7,8 +7,6 @@ from itertools import product
 import pytest
 
 from wmodexp.builders import (
-    COSET,
-    EXACT_MODULAR,
     ModexpConfig,
     ModexpOptions,
     build_windowed_modexp,
@@ -290,18 +288,18 @@ def _flag_subsets(initial_bits):
         )
 
 
-_ADDERS = ((EXACT_MODULAR, 0), (COSET, 0), (COSET, 2))
+_PADS = (None, 0, 2)
 
 
 def _meter_shapes(seed=5):
-    """(modulus, base, exp_bits, w_e, w_m, initial bits, adders): five
+    """(modulus, base, exp_bits, w_e, w_m, initial bits, coset pads): five
     hand-picked shapes, then one seeded shape per edge that the shared
     ModexpPlan has to get right: an exponent window wider than the whole
     exponent, a multiplicand window wider than the modulus, an initial
     lookup that leaves one exponent bit or none, and the ripple adder at
     pads 0 to 3."""
     shapes = [
-        pytest.param(*shape, 2, _ADDERS, id="-".join(map(str, shape)))
+        pytest.param(*shape, 2, _PADS, id="-".join(map(str, shape)))
         for shape in (
             (15, 7, 4, 2, 2),
             (15, 7, 5, 2, 3),
@@ -316,7 +314,7 @@ def _meter_shapes(seed=5):
         base = rng.choice([b for b in range(1, modulus) if math.gcd(b, modulus) == 1])
         exp_bits, w_e, w_m = rng.randint(2, 4), rng.randint(1, 3), rng.randint(1, 3)
         nep = rng.randint(1, exp_bits - 1)
-        adders = _ADDERS
+        pads = _PADS
         if edge == "wide_exp":
             w_e = exp_bits + rng.randint(1, 2)
         elif edge == "wide_mul":
@@ -326,19 +324,19 @@ def _meter_shapes(seed=5):
         elif edge == "nep_all":
             nep = exp_bits
         else:
-            adders = tuple((COSET, pad) for pad in range(4))
+            pads = tuple(range(4))
         shape = (modulus, base, exp_bits, w_e, w_m, nep)
-        shapes.append(pytest.param(*shape, adders, id=f"{edge}-" + "-".join(map(str, shape))))
+        shapes.append(pytest.param(*shape, pads, id=f"{edge}-" + "-".join(map(str, shape))))
     return shapes
 
 
-@pytest.mark.parametrize("modulus,base,exp_bits,w_e,w_m,nep,adders", _meter_shapes())
-def test_exact_layer_matches_meter(modulus, base, exp_bits, w_e, w_m, nep, adders):
+@pytest.mark.parametrize("modulus,base,exp_bits,w_e,w_m,nep,pads", _meter_shapes())
+def test_exact_layer_matches_meter(modulus, base, exp_bits, w_e, w_m, nep, pads):
     inst = ProblemInstance(modulus, base, exp_bits)
     wp = WindowParams(w_e, w_m)
     for opts in _flag_subsets(nep):
-        for adder, pad in adders:
-            cfg = ModexpConfig(inst, wp, opts, adder, pad)
+        for pad in pads:
+            cfg = ModexpConfig(inst, wp, opts, pad)
             predicted = exact_cost(cfg)
             metered = tally(build_windowed_modexp(cfg))
             assert predicted.total_tofs == metered.toffoli_count, cfg
@@ -363,7 +361,7 @@ def test_exact_layer_divisible_closed_form():
     # lookup-addition one walk of 2^l - 1, a 2(n + pad) ripple, and an
     # unlookup of 2^(l/2) + 2^(l - l/2) - 2.
     inst = ProblemInstance(55, 7, 6)  # 6 mod bits, 6 exp bits
-    cfg = ModexpConfig(inst, WindowParams(3, 3), adder=COSET, coset_pad=2)
+    cfg = ModexpConfig(inst, WindowParams(3, 3), coset_pad=2)
     predicted = exact_cost(cfg)
     sweeps = 2 * (6 // 3)
     per_sweep = 6 // 3

@@ -239,6 +239,11 @@ def test_padding_bits_monotone():
     base = padding_bits(496920, 2, 4)
     assert base == math.ceil(math.log2(2 * 496920)) + 4
     assert padding_bits(496920, 2, 5) == base + 1
+    # Exact at any size: the float log2 of 2^53 + 2 and of 2^60 + 2 rounds
+    # to exactly 53 and 60, so its ceiling would fall one bit short.
+    assert padding_bits(2**53 + 2, 1, 0) == 54
+    assert padding_bits(2**60 + 2, 1, 0) == 61
+    assert padding_bits(2**53, 1, 0) == 53
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +393,21 @@ def test_budget_overflow_on_undersized_factories(profile):
     assert (info.value.point, info.value.component) == (GE_POINT, "factory")
     assert str(info.value) == f"error budget saturated at {GE_POINT}"
     assert info.value.component == "factory"
+
+
+def test_budget_overflow_on_a_survival_that_rounds_away(profile, ge_row):
+    # Factory and data errors of 1 - 2^-30 each are below 1, but their
+    # survivals multiply to about 2^-60, so 1 - survival rounds to 1.0 and
+    # only the composed term overflows.
+    sched, fac = shape("original", GE_POINT), factory(profile, 15, 27)
+    near_one = 1 - 2.0**-30
+    fac = fac._replace(
+        ccz_error=near_one / sched.tofs,
+        unit_cell_error=fac.unit_cell_error * near_one / ge_row.budget.data_error,
+    )
+    with pytest.raises(BudgetOverflow) as info:
+        estimate(profile, sched, fac)
+    assert info.value.component == "total"
 
 
 def test_budget_overflow_point_and_message_forms(profile):

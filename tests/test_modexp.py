@@ -12,7 +12,6 @@ import pytest
 
 from wmodexp import builders
 from wmodexp.builders import (
-    COSET,
     ModexpConfig,
     ModexpOptions,
     build_windowed_modexp,
@@ -20,7 +19,7 @@ from wmodexp.builders import (
     modexp_input_state,
 )
 from wmodexp.circuit import tally
-from wmodexp.costs import CIRCUIT_VARIANTS, VARIANT_TABLE
+from wmodexp.costs import CIRCUIT_VARIANTS, VARIANT_TABLE, exact_cost
 from wmodexp.numerics import ProblemInstance, WindowParams
 from wmodexp.sim import ContractViolation, SparseState, deposit, extract, run
 
@@ -337,18 +336,29 @@ def test_metered_depth_at_n4093(variant, initial_bits, toffolis, depth):
     # Table payloads are CNOTs, which carry layers, so the depth depends on
     # the table values and hence on the base: base 7 gives 2417 / 2417 / 1947.
     opts = VARIANT_TABLE[variant].options(initial_bits)
-    cfg = ModexpConfig(ProblemInstance(4093, 2, 12), WindowParams(3, 3), opts, adder=COSET)
+    cfg = ModexpConfig(ProblemInstance(4093, 2, 12), WindowParams(3, 3), opts, coset_pad=0)
     counts = tally(build_windowed_modexp(cfg))
     assert (counts.toffoli_count, counts.toffoli_depth) == (toffolis, depth)
 
 
 def test_coset_backend_books_ripple_adders():
     plain = ModexpConfig(INST15, WindowParams(2, 2))
-    coset = ModexpConfig(INST15, WindowParams(2, 2), adder=COSET, coset_pad=2)
+    coset = ModexpConfig(INST15, WindowParams(2, 2), coset_pad=2)
     base = tally(build_windowed_modexp(plain)).toffoli_count
     full = tally(build_windowed_modexp(coset)).toffoli_count
     # 8 lookup-additions, each adding a width-6 ripple of 12 Toffolis
     assert full == base + 8 * 2 * 6
+
+
+def test_coset_pad_alone_picks_the_ripple_adder():
+    # A pad with no other setting builds the padded Cuccaro circuit: value
+    # registers 4 + 3 bits wide, a carry ancilla, and 8 ripples of 14 Toffolis
+    # on top of the exact circuit's 168 Toffolis and 25 qubits.
+    cfg = ModexpConfig(INST15, WindowParams(2, 2), coset_pad=3)
+    counts = tally(build_windowed_modexp(cfg))
+    assert (counts.toffoli_count, counts.qubit_highwater) == (280, 35)
+    predicted = exact_cost(cfg)
+    assert (predicted.total_tofs, predicted.qubits) == (280, 35)
 
 
 def test_coset_backend_simulates_without_contract_breaks():
@@ -356,7 +366,6 @@ def test_coset_backend_simulates_without_contract_breaks():
         INST15,
         WindowParams(2, 2),
         ModexpOptions(deferred_unlookup=True),
-        adder=COSET,
         coset_pad=2,
     )
     circuit = build_windowed_modexp(cfg)
@@ -364,14 +373,9 @@ def test_coset_backend_simulates_without_contract_breaks():
     assert len(state.branches) == 16
 
 
-def test_bad_adder_name():
-    with pytest.raises(ValueError):
-        ModexpConfig(INST15, WindowParams(2, 2), adder="lookup")
-
-
 def test_negative_coset_pad():
     with pytest.raises(ValueError, match="coset_pad must be >= 0"):
-        ModexpConfig(INST15, WindowParams(2, 2), adder=COSET, coset_pad=-1)
+        ModexpConfig(INST15, WindowParams(2, 2), coset_pad=-1)
 
 
 @pytest.mark.parametrize("modulus", [643, 1021])
