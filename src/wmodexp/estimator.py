@@ -18,8 +18,9 @@ factory() books what the distances (L1, L2) and the profile fix: the CCZ
 state error, footprint, CCZ time and pair count, the board strip's width,
 fixed height and distillation tiles, the physical qubits per tile, the
 round time and unit-cell error at the data code distance, and the reaction
-time. estimate() combines one of each into the point's board, runtime,
-data and factory errors, and row. The grid search builds the factories
+time. Every board figure, here and in estimate(), is a float rounded up by
+-(-x // 1). estimate() combines one of each into the point's board,
+runtime, data and factory errors, and row. The grid search builds the factories
 once and one Schedule per (cost row, g_sep, d_off), and prices every
 factory against each Schedule.
 """
@@ -273,48 +274,47 @@ def audit_row(row: EstimateRow) -> None:
 
 def factory(profile: HardwareProfile, L1: int, L2: int) -> Factory:
     """The CCZ factory at distances (L1, L2) under profile; ValueError
-    unless 0 < L1 < L2."""
+    unless 0 < L1 < L2 and the error fit stays in float range. Each board
+    figure is a float rounded up by -(-x // 1): past float range it reaches
+    inf or NaN, which estimate() refuses as Mqb."""
     if not 0 < L1 < L2:
         raise ValueError(f"factory distances need 0 < L1 < L2, got L1={L1}, L2={L2}")
-    width, height, depth = factory_dimensions(profile, L1, L2)
-    ccz_time = depth * profile.cycle_s * L2
-    pairs = math.ceil(ccz_time / profile.reaction_s / 2)
-    strip_height = (
-        height * 2 + profile.cz_fixup_height * 2 + profile.adder_height + profile.routing_height
-    )
-    return Factory(
-        L1,
-        L2,
-        ccz_state_error(profile, L1, L2),
-        width,
-        height,
-        ccz_time,
-        pairs,
-        (width + 1) * pairs + 1,
-        strip_height,
-        int(height * width * pairs * 2),
-        physical_per_logical(L2),
-        profile.cycle_s * L2,
-        profile.unit_cell_error(L2),
-        profile.reaction_s,
-    )
-
-
-def factory_dimensions(profile: HardwareProfile, L1: int, L2: int) -> tuple[int, int, float]:
-    """(width, height, depth) of one CCZ factory block in logical tiles at
-    the data code distance; depth is in code-distance rounds."""
+    try:  # The fit's float powers raise OverflowError, not inf.
+        ccz_error = ccz_state_error(profile, L1, L2)
+    except OverflowError:
+        raise ValueError(f"the calibration's error fit overflows at L1={L1}, L2={L2}") from None
     shrink = L1 / L2
     t1_w = profile.t1_width * shrink
     t1_h = profile.t1_height * shrink
     t1_d = profile.t1_depth * shrink
     ccz_rate = 1.0 / profile.ccz_depth
     t1_rate = 1.0 / t1_d
-    t1_count = math.ceil(ccz_rate * profile.t_per_ccz / t1_rate)
-    column_height = t1_h * math.ceil(t1_count / 2)
-    width = math.ceil(t1_w * 2 + profile.ccz_width + profile.storage_width * shrink)
-    height = math.ceil(max(profile.ccz_height, column_height))
-    depth = max(profile.ccz_depth, t1_d)
-    return width, height, depth
+    t1_count = -(-(ccz_rate * profile.t_per_ccz / t1_rate) // 1)
+    column_height = t1_h * -(-(t1_count / 2) // 1)
+    width = -(-(t1_w * 2 + profile.ccz_width + profile.storage_width * shrink) // 1)
+    # The column first: max() keeps its first argument when given a NaN.
+    height = -(-max(column_height, profile.ccz_height) // 1)
+    ccz_time = max(profile.ccz_depth, t1_d) * profile.cycle_s * L2
+    pairs = -(-(ccz_time / profile.reaction_s / 2) // 1)
+    strip_height = (
+        height * 2 + profile.cz_fixup_height * 2 + profile.adder_height + profile.routing_height
+    )
+    return Factory(
+        L1,
+        L2,
+        ccz_error,
+        width,
+        height,
+        ccz_time,
+        pairs,
+        (width + 1) * pairs + 1,
+        strip_height,
+        height * width * pairs * 2,
+        2 * (L2 + 1) ** 2,
+        profile.cycle_s * L2,
+        profile.unit_cell_error(L2),
+        profile.reaction_s,
+    )
 
 
 def ccz_state_error(profile: HardwareProfile, L1: int, L2: int) -> float:
@@ -323,10 +323,6 @@ def ccz_state_error(profile: HardwareProfile, L1: int, L2: int) -> float:
     l0 = profile.p_phys + profile.l0_injection_cells * profile.unit_cell_error(L1 // 2)
     l1 = profile.l1_distill_coeff * l0**3 + profile.l1_factory_cells * profile.unit_cell_error(L1)
     return profile.l2_distill_coeff * l1**2 + profile.l2_factory_cells * profile.unit_cell_error(L2)
-
-
-def physical_per_logical(code_distance: int) -> int:
-    return 2 * (code_distance + 1) ** 2
 
 
 def padding_bits(reps: int, pieces: int, d_off: int) -> int:
@@ -419,8 +415,8 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
     (NaN included), checking the factory error first, before the board is
     priced, then the data and coset errors, then their composition
     ("total"). The schedule keeps the runway error below 1, and the profile
-    the postprocess error. Raises ValueError when Mqb or the runtime leaves
-    float range.
+    the postprocess error. Raises ValueError when Mqb, the runtime, E[vol]
+    or E[hrs] leaves float range.
     """
     tofs = sched.tofs
     factory_error = tofs * fac.ccz_error
@@ -428,12 +424,11 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
         raise BudgetOverflow(sched, fac, "factory")
 
     # The board: `pieces` strips, each holding the data registers of one
-    # adder piece below the rows of fac's factory pairs. Counted in floats
-    # (-(-x // 1) is a float ceiling), a board past float range reaches inf,
-    # or NaN past an infinite strip, instead of an int too large to convert.
+    # adder piece below the rows of fac's factory pairs. Counted in floats,
+    # as fac's figures are, a board past float range reaches inf or NaN.
     pieces = sched.pieces
     width = fac.board_width
-    reg_rows = math.ceil(sched.piece_len / (width - 2))
+    reg_rows = -(-(sched.piece_len / (width - 2)) // 1)
     height = -(-(fac.strip_height + reg_rows * sched.registers) // 1)
     tiles = pieces * width * height
     mqb = tiles * fac.qubits_per_tile / 1e6
@@ -467,9 +462,16 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
         raise BudgetOverflow(sched, fac, "total")
 
     vol_per_run = mqb * hours / 24.0
+    expected_vol = vol_per_run / (1 - risk)
+    if not expected_vol < math.inf:
+        point = layout_point(sched, fac)
+        raise ValueError(f"E[vol] = {expected_vol} leaves float range at {point}")
     expected_hours = hours / (1 - risk)
     log_skewed_volume = profile.q * math.log(mqb) + math.log(expected_hours)
     if not math.isfinite(log_skewed_volume):
+        if expected_hours == math.inf:
+            point = layout_point(sched, fac)
+            raise ValueError(f"E[hrs] = {expected_hours} leaves float range at {point}")
         raise ValueError(f"q = {profile.q!r} overflows the log skewed volume")
     cost_row = sched.cost_row
     row = EstimateRow(
@@ -482,7 +484,7 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
         profile.q,
         risk,
         vol_per_run,
-        vol_per_run / (1 - risk),
+        expected_vol,
         mqb,
         hours,
         expected_hours,

@@ -22,7 +22,7 @@ needs no new check of that contract while they stay unchanged.
 from __future__ import annotations
 
 import random
-import sys
+import struct
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -106,8 +106,7 @@ class SparseState:
 
 assert array("Q").itemsize == 8, "_transpose needs 64-bit array words"
 # Packing only moves bytes, so the host's byte order matters only when the
-# transposed words are read back as numbers.
-_BIG_ENDIAN = sys.byteorder == "big"
+# transposed words are read back as numbers, which struct does little-endian.
 _CHUNK_BLOCKS = 256  # 2^14 columns: 128 KB per temporary
 
 
@@ -153,10 +152,7 @@ def _transpose(rows: list[int], width: int) -> list[int]:
             for shift, mask in _swap_steps(count):
                 t = (x ^ x >> shift) & mask
                 x ^= t ^ t << shift
-            out = array("Q", x.to_bytes(512 * count, "little"))
-            if _BIG_ENDIAN:
-                out.byteswap()
-            keys += out.tolist()
+            keys += struct.unpack(f"<{64 * count}Q", x.to_bytes(512 * count, "little"))
         del keys[width:]
         result = [a | b << g for a, b in zip(result, keys)] if g else keys
     return result if rows else [0] * width

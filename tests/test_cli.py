@@ -712,14 +712,46 @@ def test_estimate_bad_calibration_names_the_field(tmp_path, capsys, line):
             "last overflow: data error at",
         ),
         (["reaction_ns = 1.5e308"], "runtime inf s leaves float range"),
+        (["t1_width = 1e308"], "Mqb = inf leaves float range"),
+        (["ccz_height = 1e308"], "Mqb = nan leaves float range"),
+        (["t1_depth = 1e308"], "Mqb = nan leaves float range"),
+        (["storage_width = 1e308"], "Mqb = inf leaves float range"),
+        (["t_per_ccz = 1e308", "t1_depth = 100"], "Mqb = nan leaves float range"),
+        (["error_threshold = 1e-300"], "the calibration's error fit overflows at L1=15, L2=27"),
+        (["l0_injection_cells = 1e300"], "the calibration's error fit overflows at L1=15, L2=27"),
+        (["l1_distill_coeff = 1e300"], "the calibration's error fit overflows at L1=15, L2=27"),
+        (
+            ["p_phys = 1e-300", "cycle_ns = 1e200", "reaction_ns = 1e150", "routing_height = 1e120"],
+            "E[vol] = inf leaves float range at LayoutPoint(L1=15, L2=27",
+        ),
     ],
-    ids=["routing_height", "cycle_ns", "t1_height", "cz_fixup_height", "nan_data", "reaction_ns"],
+    ids=[
+        "routing_height",
+        "cycle_ns",
+        "t1_height",
+        "cz_fixup_height",
+        "nan_data",
+        "reaction_ns",
+        "t1_width",
+        "ccz_height",
+        "t1_depth",
+        "storage_width",
+        "t_per_ccz",
+        "error_threshold",
+        "l0_injection_cells",
+        "l1_distill_coeff",
+        "volume",
+    ],
 )
 def test_estimate_out_of_range_calibration_names_the_figure(tmp_path, capsys, lines, reason):
-    # Finite calibrations whose board, runtime or data error leaves float
-    # range: the tile count in floats reaches inf (or NaN past an infinite
-    # strip) rather than an int too large to convert, and a NaN data error
-    # (inf * 0 with error_coeff = 0) is refused as the data term, not as q.
+    # Finite calibrations whose error fit, board, runtime, data error or
+    # volume leaves float range. Every board figure is a float, so it
+    # reaches inf (or NaN past an infinite figure, an infinite T-factory
+    # count included) rather than an int too large to convert; the error
+    # fit's float powers overflow and are refused with the distances; a NaN
+    # data error (inf * 0 with error_coeff = 0) is refused as the data term,
+    # not as q; and a finite Mqb and runtime whose volume is not is refused
+    # as bad input, not left to audit_row as a verification failure.
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("\n".join(lines) + "\n")
     assert main(["estimate", "--config", str(cfg), *PUBLISHED_POINT]) == 2

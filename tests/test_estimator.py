@@ -26,13 +26,11 @@ from wmodexp.estimator import (
     ccz_state_error,
     estimate,
     factory,
-    factory_dimensions,
     grid_search,
     load_profile,
     padding_bits,
     pareto_frontier,
     parse_config,
-    physical_per_logical,
     schedule,
     _variant_cost,
 )
@@ -129,8 +127,8 @@ def test_unit_cell_error_fit(profile):
     assert profile.unit_cell_error(3) == pytest.approx(1e-3, rel=1e-9)
 
 
-def test_physical_per_logical_at_27():
-    assert physical_per_logical(27) == 2 * 28**2 == 1568
+def test_qubits_per_tile_at_27(profile):
+    assert factory(profile, 15, 27).qubits_per_tile == 2 * 28**2 == 1568
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +153,31 @@ def test_layout_points_sort_by_field_tuple():
 # Factory records: one per (L1, L2), from the profile's formulas.
 
 
+def reference_footprint(profile, l1, l2):
+    """(width, height, depth) of one CCZ factory block by the integer
+    formulas it was first written with: math.ceil on each rounded figure."""
+    shrink = l1 / l2
+    t1_w = profile.t1_width * shrink
+    t1_h = profile.t1_height * shrink
+    t1_d = profile.t1_depth * shrink
+    ccz_rate = 1.0 / profile.ccz_depth
+    t1_rate = 1.0 / t1_d
+    t1_count = math.ceil(ccz_rate * profile.t_per_ccz / t1_rate)
+    column_height = t1_h * math.ceil(t1_count / 2)
+    width = math.ceil(t1_w * 2 + profile.ccz_width + profile.storage_width * shrink)
+    height = math.ceil(max(profile.ccz_height, column_height))
+    depth = max(profile.ccz_depth, t1_d)
+    return width, height, depth
+
+
 def test_factory_equals_its_formulas():
     ranges = GridRanges()
     pairs = [(l1, l2) for l1 in ranges.l1 for l2 in ranges.l2 if l1 < l2]
     assert len(pairs) == 74
+    board = ("width", "height", "pairs", "board_width", "strip_height", "distillation_tiles")
     for profile in (HardwareProfile(), OTHER_PROFILE):
         for l1, l2 in pairs:
-            width, height, depth = factory_dimensions(profile, l1, l2)
+            width, height, depth = reference_footprint(profile, l1, l2)
             ccz_time = depth * profile.cycle_s * l2
             pairs_needed = math.ceil(ccz_time / profile.reaction_s / 2)
             error = ccz_state_error(profile, l1, l2)
@@ -180,12 +196,12 @@ def test_factory_equals_its_formulas():
                 + profile.adder_height
                 + profile.routing_height,
                 int(height * width * pairs_needed * 2),
-                physical_per_logical(l2),
+                2 * (l2 + 1) ** 2,
                 profile.cycle_s * l2,
                 profile.unit_cell_error(l2),
                 profile.reaction_s,
             )
-            assert type(fac.distillation_tiles) is int
+            assert [type(getattr(fac, name)) for name in board] == [float] * len(board)
 
 
 @pytest.mark.parametrize("l1, l2", [(0, 11), (-1, 0), (27, 15), (15, 15)])
@@ -205,8 +221,10 @@ def test_profile_is_its_fields(profile):
 # acceptance band around the published 19.249 through estimate() below.
 
 
-def test_factory_dimensions_at_ge_point(profile):
-    assert factory_dimensions(profile, 15, 27) == (13, 7, 5.0)
+def test_factory_footprint_at_ge_point(profile):
+    fac = factory(profile, 15, 27)
+    assert (fac.width, fac.height) == (13, 7)
+    assert fac.ccz_time_s == 5.0 * profile.cycle_s * 27
 
 
 def test_board_layout_at_ge_point(profile, ge_row):
@@ -408,6 +426,28 @@ def test_budget_overflow_on_a_survival_that_rounds_away(profile, ge_row):
     with pytest.raises(BudgetOverflow) as info:
         estimate(profile, sched, fac)
     assert info.value.component == "total"
+
+
+def test_estimate_refuses_expected_hours_past_float_range(profile, ge_row):
+    # A finite run of 1e303 hours (the reaction and round times stretched
+    # alike) whose data error leaves a survival of 5e-6: E[hrs] = 2e308
+    # leaves float range, while E[vol] (Mqb / 24 times that, with Mqb below
+    # 24) stays finite, so the hours are named.
+    sched, fac = shape("original", GE_POINT), factory(profile, 15, 27)
+    stretch = 1e303 / ge_row.hours
+    _, *others = ge_row.budget
+    survival = 5e-6
+    for part in others:
+        survival /= 1 - part
+    fac = fac._replace(
+        reaction_s=fac.reaction_s * stretch,
+        round_s=fac.round_s * stretch,
+        unit_cell_error=fac.unit_cell_error * (1 - survival) / ge_row.budget.data_error,
+    )
+    assert ge_row.mqb < 24
+    with pytest.raises(ValueError) as info:
+        estimate(profile, sched, fac)
+    assert str(info.value) == f"E[hrs] = inf leaves float range at {GE_POINT}"
 
 
 def test_budget_overflow_point_and_message_forms(profile):
@@ -637,7 +677,7 @@ def reference_estimate(profile, sched, fac):
     storage_tiles = tiles - sched.pieces * distillation_tiles
     toffoli_rate = 2.0 * sched.pieces * fac.pairs / fac.ccz_time_s
 
-    mqb = tiles * physical_per_logical(fac.L2) / 1e6
+    mqb = tiles * (2 * (fac.L2 + 1) ** 2) / 1e6
     factory_s = tofs / toffoli_rate
     runtime_s = max(depth_s, factory_s)
     binding = "depth" if depth_s >= factory_s else "factory"
