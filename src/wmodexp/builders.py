@@ -53,6 +53,7 @@ from .numerics import (
     window_count,
     window_width,
 )
+from .sim import SparseState, counting_planes, deposit, extract
 
 
 class SizeMismatch(ValueError):
@@ -461,12 +462,10 @@ def build_windowed_modexp(cfg: ModexpConfig) -> Circuit:
 # Verification helpers.
 
 
-def modexp_input_state(circuit: Circuit, seed: int = 0):
+def modexp_input_state(circuit: Circuit, seed: int = 0) -> SparseState:
     """All-zero workspace with the exponent register in a uniform positive
     superposition over every value. Branch i holds x = i, so the exponent
     planes tell every branch apart and are declared the separating set."""
-    from .sim import SparseState, counting_planes
-
     exp = circuit.register("exponent").qubits
     planes = [0] * circuit.num_qubits
     for q, plane in zip(exp, counting_planes(len(exp))):
@@ -476,15 +475,13 @@ def modexp_input_state(circuit: Circuit, seed: int = 0):
     return SparseState(planes, 0, ones, rng, separating=separating)
 
 
-def check_modexp_output(circuit: Circuit, inst: ProblemInstance, state) -> list[str]:
+def check_modexp_output(circuit: Circuit, inst: ProblemInstance, state: SparseState) -> list[str]:
     """Compare a final simulator state against {(x, base**x mod N)} with all
     phases +1. Returns human-readable mismatch lines; empty means exact.
     Only meaningful for circuits built with coset_pad=None. Reads x
     per branch only once the exponent planes stop counting (branch i holding
     x = i), and whole branches only where the result, workspace or phase
     planes show a mismatch."""
-    from .sim import counting_planes, deposit, extract
-
     exp = circuit.register("exponent").qubits
     result = circuit.register(circuit.result_register).qubits
     # ones is all-ones over the branches, so its length is the branch count.

@@ -9,7 +9,10 @@ runs the physical-layout grid search and exports the frontier.
 Every output embeds a run manifest recording the subcommand, all flag
 values, the RNG seed, the configuration digest, and the package version.
 Outputs are pure functions of their manifest, so two runs with the same
-manifest produce the same bytes.
+manifest produce the same bytes. main reads the --config file once, before
+any subcommand runs, and both the digest and estimate's profile come from
+those bytes, so a config read from a pipe is recorded as it was read; an
+unreadable config is bad input under every subcommand.
 
 Exit codes: 0 on success, 1 when a verification step fails, 2 on bad input.
 """
@@ -22,7 +25,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -80,39 +83,6 @@ class UsageError(ValueError):
 # Run manifest. Every subcommand builds one and stamps it on its output.
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record embedded in every output file.
-
-    flags holds (name, rendered value) pairs in a fixed order covering the
-    global flags and the subcommand's own, with defaults resolved. The
-    output content is a function of this record alone.
-    """
-
-    subcommand: str
-    flags: tuple[tuple[str, str], ...]
-    seed: int
-    config_digest: str
-    version: str
-
-    def lines(self) -> list[str]:
-        return [
-            f"# wmodexp {self.subcommand} v{self.version}",
-            f"# seed = {self.seed}",
-            f"# config sha256 = {self.config_digest}",
-            "# flags: " + " ".join(f"{name}={value}" for name, value in self.flags),
-        ]
-
-    def as_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "flags": dict(self.flags),
-            "seed": self.seed,
-            "config_sha256": self.config_digest,
-            "version": self.version,
-        }
-
-
 def _render_flag(value) -> str:
     """Full-fidelity rendering of a manifest flag or a cost cell: ints
     verbatim, floats via repr, None as "-", sequences comma-joined."""
@@ -125,33 +95,34 @@ def _render_flag(value) -> str:
     return str(value)
 
 
-def _config_digest(path: str | None) -> str:
-    if path is None:
-        data = b""
-    else:
-        try:
-            data = Path(path).read_bytes()
-        except OSError as exc:
-            raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    return hashlib.sha256(data).hexdigest()
-
-
-def _manifest(args, **resolved) -> RunManifest:
-    """Manifest of this run: the subcommand's flags in declaration order,
-    each valued from resolved (keyed by argparse dest) when the subcommand
-    resolved it itself, else as parsed."""
-    flags = []
+def _manifest(args, **resolved) -> dict:
+    """Provenance record of this run, as the JSON export embeds it. flags
+    maps each of the subcommand's flags, in declaration order, to its
+    rendered value: from resolved (keyed by argparse dest) when the
+    subcommand resolved it itself, else as parsed. The output content is a
+    function of this record alone."""
+    flags = {}
     for flag, _ in FLAGS[args.subcommand]:
         dest = flag[2:].replace("-", "_")
         value = resolved[dest] if dest in resolved else getattr(args, dest)
-        flags.append((flag[2:], _render_flag(value)))
-    return RunManifest(
-        subcommand=args.subcommand,
-        flags=tuple(flags),
-        seed=args.seed,
-        config_digest=_config_digest(args.config),
-        version=__version__,
-    )
+        flags[flag[2:]] = _render_flag(value)
+    return {
+        "subcommand": args.subcommand,
+        "flags": flags,
+        "seed": args.seed,
+        "config_sha256": hashlib.sha256(args.config_bytes).hexdigest(),
+        "version": __version__,
+    }
+
+
+def _manifest_lines(manifest: dict) -> list[str]:
+    """The manifest as the four `#` lines that head every output but JSON."""
+    return [
+        f"# wmodexp {manifest['subcommand']} v{manifest['version']}",
+        f"# seed = {manifest['seed']}",
+        f"# config sha256 = {manifest['config_sha256']}",
+        "# flags: " + " ".join(f"{name}={value}" for name, value in manifest["flags"].items()),
+    ]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -205,7 +176,7 @@ def cmd_tables(args) -> int:
     direct = build_direct_exp_table(inst, args.initial_bits)
 
     manifest = _manifest(args, low_bits=low_bits, outcome=outcome)
-    header = "\n".join(manifest.lines()) + "\n"
+    header = "\n".join(_manifest_lines(manifest)) + "\n"
     outdir = Path(args.out) if args.out is not None else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
     notes = []
@@ -240,7 +211,7 @@ def cmd_simulate(args) -> int:
     # (gates - 1).bit_length() is the least bits with 2^bits >= gates.
     _check_cap((gates - 1).bit_length(), MAX_GATES, "MAX_GATES", "gates of the largest circuit")
 
-    lines = _manifest(args).lines()
+    lines = _manifest_lines(_manifest(args))
     lines.append(
         f"instance: modulus={inst.modulus} base={inst.base} exp_bits={inst.exp_bits}"
     )
@@ -307,7 +278,7 @@ def cmd_cost(args) -> int:
             initial = 0
         rows.append(cost(variant, args.n, args.ne, args.we, args.wm, initial))
 
-    lines = _manifest(args).lines()
+    lines = _manifest_lines(_manifest(args))
     lines.append(", ".join(COST_FIELDS))
     for row in rows:
         lines.append(", ".join(_render_flag(getattr(row, field)) for field in COST_FIELDS))
@@ -370,7 +341,7 @@ def cmd_estimate(args) -> int:
     for budget in args.budget_mqb or ():
         if not (math.isfinite(budget) and budget > 0):
             raise UsageError(f"--budget-mqb must be finite and > 0, got {budget!r}")
-    profile = load_profile(args.config)
+    profile = load_profile(args.config_bytes.decode())
     if args.perr is not None:
         profile = replace(profile, p_phys=args.perr)
     if args.q is not None:
@@ -387,7 +358,7 @@ def cmd_estimate(args) -> int:
 
     if fmt == "json":
         payload = {
-            "manifest": manifest.as_dict(),
+            "manifest": manifest,
             "best": _estimate_dict(result.best),
             "frontier": [_estimate_dict(row) for row in result.frontier],
         }
@@ -404,7 +375,7 @@ def cmd_estimate(args) -> int:
 
     best = result.best
     point = " ".join(f"{name}={value}" for name, value in zip(LayoutPoint._fields, best.point))
-    lines = manifest.lines()
+    lines = _manifest_lines(manifest)
     lines.append(
         f"# best: {point} E[hrs]={best.expected_hours:.6g} Mqb={best.mqb:.6g} "
         f"binding={best.binding}"
@@ -533,6 +504,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Read once: the manifest digest and the profile come from these bytes.
+        try:
+            args.config_bytes = b"" if args.config is None else Path(args.config).read_bytes()
+        except OSError as exc:
+            raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
         return args.func(args)
     except AssertionError as exc:  # sim.ContractViolation among them
         print(f"verification failure: {exc}", file=sys.stderr)

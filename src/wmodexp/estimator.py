@@ -82,8 +82,8 @@ _POSITIVE = frozenset({"cycle_ns", "reaction_ns", "error_threshold", "t1_depth",
 @dataclass(frozen=True)
 class HardwareProfile:
     """Device and calibration constants, checked on construction. The
-    fields are the whole state and the config keys: a config file passed to
-    load_profile (the CLI's --config) overlays these defaults key by key."""
+    fields are the whole state and the config keys: load_profile overlays
+    these defaults key by key with a config's text (the CLI's --config)."""
 
     # Physical device.
     p_phys: float = 1e-3
@@ -132,6 +132,8 @@ class HardwareProfile:
                 raise ValueError(f"{f.name} must be > 0, got {value!r}")
             if value < 0:
                 raise ValueError(f"{f.name} must be >= 0, got {value!r}")
+            if f.name.endswith("_ns") and value * 1e-9 == 0:
+                raise ValueError(f"{f.name} must be > 0 in seconds, got {value!r} ns")
         if not 0 < self.p_phys < 1:
             raise ValueError("p_phys must lie in (0, 1)")
         if self.postprocess_error >= 1:
@@ -176,12 +178,9 @@ def parse_config(text: str) -> dict[str, float]:
     return values
 
 
-def load_profile(path: str | None = None) -> HardwareProfile:
-    """The HardwareProfile defaults, overlaid with an optional config file."""
-    if path is None:
-        return HardwareProfile()
-    with open(path) as handle:
-        values = parse_config(handle.read())
+def load_profile(text: str = "") -> HardwareProfile:
+    """The HardwareProfile defaults, overlaid with the config text; reads no file."""
+    values = parse_config(text)
     unknown = set(values) - {f.name for f in fields(HardwareProfile)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -274,9 +273,10 @@ def audit_row(row: EstimateRow) -> None:
 
 def factory(profile: HardwareProfile, L1: int, L2: int) -> Factory:
     """The CCZ factory at distances (L1, L2) under profile; ValueError
-    unless 0 < L1 < L2 and the error fit stays in float range. Each board
-    figure is a float rounded up by -(-x // 1): past float range it reaches
-    inf or NaN, which estimate() refuses as Mqb."""
+    unless 0 < L1 < L2, the error fit stays in float range and the board
+    strip is wider than its two edge columns. Each board figure is a float
+    rounded up by -(-x // 1): past float range it reaches inf or NaN, which
+    estimate() refuses as Mqb."""
     if not 0 < L1 < L2:
         raise ValueError(f"factory distances need 0 < L1 < L2, got L1={L1}, L2={L2}")
     try:  # The fit's float powers raise OverflowError, not inf.
@@ -299,6 +299,12 @@ def factory(profile: HardwareProfile, L1: int, L2: int) -> Factory:
     strip_height = (
         height * 2 + profile.cz_fixup_height * 2 + profile.adder_height + profile.routing_height
     )
+    board_width = (width + 1) * pairs + 1
+    if board_width < 3:  # estimate() lays the data registers out in board_width - 2 columns
+        raise ValueError(
+            f"board width {board_width} (factory width {width}, {pairs} pairs) "
+            f"leaves no data columns at L1={L1}, L2={L2}"
+        )
     return Factory(
         L1,
         L2,
@@ -307,7 +313,7 @@ def factory(profile: HardwareProfile, L1: int, L2: int) -> Factory:
         height,
         ccz_time,
         pairs,
-        (width + 1) * pairs + 1,
+        board_width,
         strip_height,
         height * width * pairs * 2,
         2 * (L2 + 1) ** 2,

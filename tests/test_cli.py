@@ -113,9 +113,13 @@ def test_help_lists_each_subcommands_variants(capsys):
         assert "{" + ",".join(variants) + "}" in capsys.readouterr().out
 
 
-def test_missing_config_is_bad_input(capsys, tmp_path):
-    assert main(["cost", "--config", str(tmp_path / "absent.cfg")]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("subcommand", ["tables", "simulate", "cost", "estimate"])
+def test_missing_config_is_bad_input(capsys, tmp_path, subcommand):
+    # main reads the config before any subcommand runs, so nothing is written.
+    config, out = tmp_path / "absent.cfg", tmp_path / "out"
+    assert main([subcommand, "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config file {config}: ")
+    assert not out.exists()
 
 
 def test_module_entry_point():
@@ -605,6 +609,30 @@ def test_estimate_config_overlay_and_digest(tmp_path, capsys):
     assert float(row[12]) == pytest.approx(19.2488, rel=1e-4)
 
 
+def test_estimate_config_from_a_pipe_equals_the_file(tmp_path, capsys):
+    # The config is read once: a pipe, which a second open finds empty, gives
+    # the profile and the manifest digest of the bytes it carried.
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd on this platform")
+    data = b"p_phys = 5e-4\ncycle_ns = 500\nreaction_ns = 3000\nserial_overhead = 1.1\n"
+    cfg = tmp_path / "overlay.cfg"
+    cfg.write_bytes(data)
+    read, write = os.pipe()
+    os.write(write, data)
+    os.close(write)
+    try:
+        piped = ["--config", f"/dev/fd/{read}", "--out", str(tmp_path / "piped")]
+        assert main(["estimate", *PUBLISHED_POINT, *piped]) == 0
+    finally:
+        os.close(read)
+    filed = ["--config", str(cfg), "--out", str(tmp_path / "filed")]
+    assert main(["estimate", *PUBLISHED_POINT, *filed]) == 0
+    capsys.readouterr()
+    out = (tmp_path / "piped").read_bytes()
+    assert out == (tmp_path / "filed").read_bytes()
+    assert f"# config sha256 = {hashlib.sha256(data).hexdigest()}\n".encode() in out
+
+
 def test_estimate_bad_point_is_bad_input(capsys):
     for point in ("15,27,4", "a,b,c,d,e,f", "15,27,4,5,5,1024,7"):
         assert main(["estimate", "--point", point]) == 2
@@ -700,6 +728,9 @@ def test_estimate_bad_calibration_names_the_field(tmp_path, capsys, line):
     assert f"error: {line.split()[0]} must" in capsys.readouterr().err
 
 
+ZERO_WIDTHS = ["t1_width = 0", "ccz_width = 0", "storage_width = 0"]
+
+
 @pytest.mark.parametrize(
     ("lines", "reason"),
     [
@@ -724,6 +755,12 @@ def test_estimate_bad_calibration_names_the_field(tmp_path, capsys, line):
             ["p_phys = 1e-300", "cycle_ns = 1e200", "reaction_ns = 1e150", "routing_height = 1e120"],
             "E[vol] = inf leaves float range at LayoutPoint(L1=15, L2=27",
         ),
+        (
+            [*ZERO_WIDTHS, "reaction_ns = 1e6"],
+            "board width 2.0 (factory width 0.0, 1.0 pairs) leaves no data columns at L1=15, L2=27",
+        ),
+        (["cycle_ns = 1e-320"], "error: cycle_ns must be > 0 in seconds, got 1e-320 ns"),
+        (["reaction_ns = 1e-318"], "error: reaction_ns must be > 0 in seconds, got 1e-318 ns"),
     ],
     ids=[
         "routing_height",
@@ -741,6 +778,9 @@ def test_estimate_bad_calibration_names_the_field(tmp_path, capsys, line):
         "l0_injection_cells",
         "l1_distill_coeff",
         "volume",
+        "no_data_columns",
+        "cycle_ns_underflow",
+        "reaction_ns_underflow",
     ],
 )
 def test_estimate_out_of_range_calibration_names_the_figure(tmp_path, capsys, lines, reason):
@@ -751,13 +791,27 @@ def test_estimate_out_of_range_calibration_names_the_figure(tmp_path, capsys, li
     # fit's float powers overflow and are refused with the distances; a NaN
     # data error (inf * 0 with error_coeff = 0) is refused as the data term,
     # not as q; and a finite Mqb and runtime whose volume is not is refused
-    # as bad input, not left to audit_row as a verification failure.
+    # as bad input, not left to audit_row as a verification failure. Below
+    # range, a positive time that underflows to 0 s, and a strip of one
+    # factory pair 0 tiles wide, which is only its two edge columns, would
+    # each divide by zero.
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("\n".join(lines) + "\n")
     assert main(["estimate", "--config", str(cfg), *PUBLISHED_POINT]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert reason in err
+
+
+def test_estimate_zero_width_factory_runs_at_the_default_reaction_time(tmp_path, capsys):
+    # At the default reaction time the strip holds 7 factory pairs, so a
+    # footprint 0 tiles wide still leaves 6 data columns between its edges.
+    cfg, out = tmp_path / "zero.cfg", tmp_path / "out"
+    cfg.write_text("\n".join(ZERO_WIDTHS) + "\n")
+    argv = ["estimate", "--config", str(cfg), *PUBLISHED_POINT, "--format", "csv"]
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "13f9fc25c1bbec40"
 
 
 def test_estimate_perr_matches_a_config_setting_p_phys(tmp_path, capsys):

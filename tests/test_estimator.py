@@ -96,17 +96,13 @@ def test_parse_config_rejects_malformed_line():
         parse_config("q = 1\np_phys = 1e-3x\n")
 
 
-def test_load_profile_rejects_unknown_key(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("no_such_knob = 3\n")
+def test_load_profile_rejects_unknown_key():
     with pytest.raises(ValueError, match="no_such_knob"):
-        load_profile(str(bad))
+        load_profile("no_such_knob = 3\n")
 
 
-def test_load_profile_overlays_user_values(tmp_path):
-    over = tmp_path / "over.cfg"
-    over.write_text("p_phys = 1e-4\ncycle_ns = 500\n")
-    prof = load_profile(str(over))
+def test_load_profile_overlays_user_values():
+    prof = load_profile("p_phys = 1e-4\ncycle_ns = 500\n")
     assert prof.p_phys == 1e-4
     assert prof.cycle_ns == 500
     assert prof.reaction_ns == HardwareProfile().reaction_ns

@@ -77,6 +77,11 @@ class TestGateSemantics:
         apply(s, Gate("ClassicalPhaseZ", (0,), slot="m", mask=0b01))
         assert s.branches == {0b1: -1}  # even parity: no flip
 
+    def test_phase_z_before_its_measurement(self):
+        s = state_of(1, {0b1: 1})
+        with pytest.raises(ContractViolation, match="ClassicalPhaseZ before measurement m"):
+            apply(s, Gate("ClassicalPhaseZ", (0,), slot="m", mask=0b1))
+
     def test_mod_add_wraps(self):
         # dest qubits 0..3 hold 9, src 4..7 hold 13, modulus 15 -> 7
         s = state_of(8, {9 | 13 << 4: 1})
