@@ -273,10 +273,9 @@ def audit_row(row: EstimateRow) -> None:
 
 def factory(profile: HardwareProfile, L1: int, L2: int) -> Factory:
     """The CCZ factory at distances (L1, L2) under profile; ValueError
-    unless 0 < L1 < L2, the error fit stays in float range and the board
-    strip is wider than its two edge columns. Each board figure is a float
-    rounded up by -(-x // 1): past float range it reaches inf or NaN, which
-    estimate() refuses as Mqb."""
+    unless 0 < L1 < L2 and the error fit stays in float range. Each board
+    figure is a float rounded up by -(-x // 1): past float range it reaches
+    inf or NaN, which estimate() refuses as Mqb."""
     if not 0 < L1 < L2:
         raise ValueError(f"factory distances need 0 < L1 < L2, got L1={L1}, L2={L2}")
     try:  # The fit's float powers raise OverflowError, not inf.
@@ -299,12 +298,6 @@ def factory(profile: HardwareProfile, L1: int, L2: int) -> Factory:
     strip_height = (
         height * 2 + profile.cz_fixup_height * 2 + profile.adder_height + profile.routing_height
     )
-    board_width = (width + 1) * pairs + 1
-    if board_width < 3:  # estimate() lays the data registers out in board_width - 2 columns
-        raise ValueError(
-            f"board width {board_width} (factory width {width}, {pairs} pairs) "
-            f"leaves no data columns at L1={L1}, L2={L2}"
-        )
     return Factory(
         L1,
         L2,
@@ -313,7 +306,7 @@ def factory(profile: HardwareProfile, L1: int, L2: int) -> Factory:
         height,
         ccz_time,
         pairs,
-        board_width,
+        (width + 1) * pairs + 1,
         strip_height,
         height * width * pairs * 2,
         2 * (L2 + 1) ** 2,
@@ -421,8 +414,9 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
     (NaN included), checking the factory error first, before the board is
     priced, then the data and coset errors, then their composition
     ("total"). The schedule keeps the runway error below 1, and the profile
-    the postprocess error. Raises ValueError when Mqb, the runtime, E[vol]
-    or E[hrs] leaves float range.
+    the postprocess error. Raises ValueError when the board strip has no
+    data columns, or when Mqb, the runtime, E[vol] or E[hrs] leaves float
+    range.
     """
     tofs = sched.tofs
     factory_error = tofs * fac.ccz_error
@@ -434,6 +428,11 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
     # as fac's figures are, a board past float range reaches inf or NaN.
     pieces = sched.pieces
     width = fac.board_width
+    if width <= 2:  # Only the strip's two edge columns: no room for data.
+        raise ValueError(
+            f"board width {width} (factory width {fac.width}, {fac.pairs} pairs) "
+            f"leaves no data columns at L1={fac.L1}, L2={fac.L2}"
+        )
     reg_rows = -(-(sched.piece_len / (width - 2)) // 1)
     height = -(-(fac.strip_height + reg_rows * sched.registers) // 1)
     tiles = pieces * width * height

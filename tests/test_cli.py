@@ -12,6 +12,7 @@ from wmodexp import builders
 from wmodexp.circuit import X, Circuit, Gate
 from wmodexp.cli import COST_FIELDS, ESTIMATE_HEADER, main
 from wmodexp.costs import CIRCUIT_VARIANTS, VARIANTS
+from wmodexp.estimator import factory, load_profile
 from wmodexp.numerics import (
     ProblemInstance,
     WindowParams,
@@ -812,6 +813,22 @@ def test_estimate_zero_width_factory_runs_at_the_default_reaction_time(tmp_path,
     assert main([*argv, "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == "13f9fc25c1bbec40"
+
+
+@pytest.mark.parametrize(
+    ("reaction_ns", "digest"), [(30000, "bbfe5581742053d8"), (50000, "0b36cb3d93cf8d38")]
+)
+def test_estimate_grid_skips_strips_without_data_columns(tmp_path, capsys, reaction_ns, digest):
+    # Every L2 = 11 factory is one pair 0 tiles wide, a strip of only its
+    # two edge columns, but each of its points overflows the factory error
+    # budget before the strip is read, so the grid prices the rest.
+    text = "\n".join([*ZERO_WIDTHS, f"reaction_ns = {reaction_ns}"]) + "\n"
+    assert factory(load_profile(text), 5, 11).board_width == 2
+    cfg, out = tmp_path / "zero.cfg", tmp_path / "out"
+    cfg.write_text(text)
+    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
 
 
 def test_estimate_perr_matches_a_config_setting_p_phys(tmp_path, capsys):
