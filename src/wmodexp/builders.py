@@ -56,10 +56,6 @@ from .numerics import (
 from .sim import SparseState, counting_planes, deposit, extract
 
 
-class SizeMismatch(ValueError):
-    """Register widths do not fit the requested construction."""
-
-
 @dataclass(frozen=True)
 class ModexpOptions:
     """Independent, composable optimization flags.
@@ -124,7 +120,7 @@ def select_walk_gates(
     """
     width = len(addr_lsb)
     if len(spine) < width + 1:
-        raise SizeMismatch("walk spine too short for the address width")
+        raise ValueError("walk spine too short for the address width")
     per_depth = [Gate(X, (spine[0],))]
     for depth, bit in enumerate(reversed(addr_lsb)):
         parent, child = spine[depth], spine[depth + 1]
@@ -180,7 +176,7 @@ def xor_payload(table: LookupTable, dest: tuple[int, ...]):
     """Leaf payload XOR-ing table entries into dest via CNOT fans. The fan
     from each control line is built once and its gates reused."""
     if len(dest) < table.word_bits:
-        raise SizeMismatch(
+        raise ValueError(
             f"dest has {len(dest)} qubits for {table.word_bits}-bit entries"
         )
     fans: dict[int, list[Gate]] = {}
@@ -234,7 +230,7 @@ def unary_forward_gates(
     """
     width = len(bits_lsb)
     if len(out) < 1 << width:
-        raise SizeMismatch(f"unary register needs {1 << width} qubits")
+        raise ValueError(f"unary register needs {1 << width} qubits")
     gates: list[Gate] = []
     for level, bit in enumerate(bits_lsb):
         block = 1 << level
@@ -259,7 +255,7 @@ def cuccaro_gates(
     single borrowed carry ancilla. 2m Toffolis, 2m layers; the reversed gate
     list subtracts."""
     if len(src) != len(dest):
-        raise SizeMismatch("adder operands must have equal width")
+        raise ValueError("adder operands must have equal width")
     m = len(src)
     chain = (carry,) + src[:-1]
     gates = []

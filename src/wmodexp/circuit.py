@@ -31,10 +31,6 @@ COUNTED = frozenset({TOFFOLI, TEMP_AND})
 ROLES = ("exponent", "multiplicand", "lookup", "target", "unary", "ancilla", "pad")
 
 
-class UnknownQubit(KeyError):
-    """A gate referenced a qubit outside every register."""
-
-
 class Gate(NamedTuple):
     """One gate. qubits are (controls..., target) for X/CNOT/Toffoli/TempAnd,
     the measured register (low bit first) for MeasureXRegister, and the
@@ -126,7 +122,7 @@ class Circuit:
                             at += 1
                         layer[a] = layer[b] = layer[t] = at
                     elif qubits[0] not in layer:  # an X leaves every layer as it is
-                        raise UnknownQubit(qubits[0])
+                        raise ValueError(f"X acts on qubit {qubits[0]}, which is in no register")
                     continue
                 if len(set(qubits)) != len(qubits):
                     raise ValueError(f"{name} operands must be distinct: {qubits}")
@@ -156,7 +152,8 @@ class Circuit:
                 for q in qubits:
                     layer[q] = at
         except KeyError:
-            raise UnknownQubit(next(q for q in gate.qubits if q not in layer)) from None
+            q = next(q for q in qubits if q not in layer)
+            raise ValueError(f"{name} acts on qubit {q}, which is in no register") from None
         meter = Tally(count, max(layer.values(), default=0), len(layer), len(slots))
         object.__setattr__(self, "_meter", meter)
 

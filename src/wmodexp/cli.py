@@ -15,6 +15,9 @@ those bytes, so a config read from a pipe is recorded as it was read; an
 unreadable config is bad input under every subcommand.
 
 Exit codes: 0 on success, 1 when a verification step fails, 2 on bad input.
+Every refusal of bad input is a plain ValueError and every verification
+failure an AssertionError (sim.ContractViolation among them); main maps
+them, and an OSError, to those codes by type.
 """
 
 from __future__ import annotations
@@ -75,10 +78,6 @@ MAX_ENTRIES = 1 << 16
 MAX_GATES = 1 << 20
 
 
-class UsageError(ValueError):
-    """Bad command line input; reported on stderr with exit code 2."""
-
-
 # ---------------------------------------------------------------------------
 # Run manifest. Every subcommand builds one and stamps it on its output.
 
@@ -135,7 +134,7 @@ def _emit(text: str, out: str | None) -> None:
 def _check_cap(bits: int, cap: int, name: str, what: str) -> None:
     # Compare widths: 2**bits itself may be too large to build.
     if bits >= cap.bit_length():
-        raise UsageError(f"{what}: 2^{bits} exceeds the cap {name} = {cap}")
+        raise ValueError(f"{what}: 2^{bits} exceeds the cap {name} = {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +158,7 @@ def cmd_tables(args) -> int:
         f"squarings of the base up to exponent bit {squarings}",
     )
     if args.outcome is not None and not 0 <= args.outcome < 1 << inst.mod_bits:
-        raise UsageError(
+        raise ValueError(
             f"--outcome {args.outcome} is not a {inst.mod_bits}-bit measurement outcome"
         )
     offset = args.mul_index * wp.mul_window
@@ -333,15 +332,19 @@ def _parse_point(text: str) -> GridRanges:
     try:
         L1, L2, d_off, g_mul, g_exp, g_sep = ((int(part),) for part in text.split(","))
     except ValueError:
-        raise UsageError("--point wants six integers: L1,L2,d_off,g_mul,g_exp,g_sep") from None
+        raise ValueError("--point wants six integers: L1,L2,d_off,g_mul,g_exp,g_sep") from None
     return GridRanges(l1=L1, l2=L2, d_off=d_off, g_exp=g_exp, g_mul=g_mul, g_sep=g_sep)
 
 
 def cmd_estimate(args) -> int:
     for budget in args.budget_mqb or ():
         if not (math.isfinite(budget) and budget > 0):
-            raise UsageError(f"--budget-mqb must be finite and > 0, got {budget!r}")
-    profile = load_profile(args.config_bytes.decode())
+            raise ValueError(f"--budget-mqb must be finite and > 0, got {budget!r}")
+    try:
+        text = args.config_bytes.decode()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"config file {args.config} is not UTF-8 text: {exc}") from None
+    profile = load_profile(text)
     if args.perr is not None:
         profile = replace(profile, p_phys=args.perr)
     if args.q is not None:
@@ -508,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             args.config_bytes = b"" if args.config is None else Path(args.config).read_bytes()
         except OSError as exc:
-            raise UsageError(f"cannot read config file {args.config}: {exc}") from exc
+            raise ValueError(f"cannot read config file {args.config}: {exc}") from exc
         return args.func(args)
     except AssertionError as exc:  # sim.ContractViolation among them
         print(f"verification failure: {exc}", file=sys.stderr)

@@ -72,16 +72,12 @@ def _unfit(what: str, **params: int) -> ValueError:
     return ValueError(f"{what} at {named} does not fit a finite float")
 
 
-class InvalidVariant(ValueError):
-    """Requested variant is not one of VARIANTS."""
-
-
 def variant_flags(variant: str) -> Variant:
-    """The VARIANT_TABLE row of variant; raises InvalidVariant."""
+    """The VARIANT_TABLE row of variant; raises ValueError."""
     try:
         return VARIANT_TABLE[variant]
     except KeyError:
-        raise InvalidVariant(f"unknown variant {variant!r}") from None
+        raise ValueError(f"unknown variant {variant!r}") from None
 
 
 @dataclass(frozen=True)

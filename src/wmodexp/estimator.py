@@ -273,9 +273,10 @@ def audit_row(row: EstimateRow) -> None:
 
 def factory(profile: HardwareProfile, L1: int, L2: int) -> Factory:
     """The CCZ factory at distances (L1, L2) under profile; ValueError
-    unless 0 < L1 < L2 and the error fit stays in float range. Each board
-    figure is a float rounded up by -(-x // 1): past float range it reaches
-    inf or NaN, which estimate() refuses as Mqb."""
+    unless 0 < L1 < L2, the error fit stays in float range and the level-1
+    depth t1_depth * L1 / L2, which t1_rate divides by, is not 0. Each
+    board figure is a float rounded up by -(-x // 1): past float range it
+    reaches inf or NaN, which estimate() refuses as Mqb."""
     if not 0 < L1 < L2:
         raise ValueError(f"factory distances need 0 < L1 < L2, got L1={L1}, L2={L2}")
     try:  # The fit's float powers raise OverflowError, not inf.
@@ -286,6 +287,8 @@ def factory(profile: HardwareProfile, L1: int, L2: int) -> Factory:
     t1_w = profile.t1_width * shrink
     t1_h = profile.t1_height * shrink
     t1_d = profile.t1_depth * shrink
+    if not t1_d:
+        raise ValueError(f"t1_depth = {profile.t1_depth!r} shrinks to 0 at L1={L1}, L2={L2}")
     ccz_rate = 1.0 / profile.ccz_depth
     t1_rate = 1.0 / t1_d
     t1_count = -(-(ccz_rate * profile.t_per_ccz / t1_rate) // 1)

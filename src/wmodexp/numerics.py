@@ -14,10 +14,6 @@ import math
 from dataclasses import dataclass
 
 
-class NotInvertible(ValueError):
-    """The value shares a factor with the modulus, so no inverse exists."""
-
-
 def _brief(number: int) -> str:
     """number in full below 2**64, else its leading hex digits and bit length,
     so that a message about a cryptographic-size modulus stays one line."""
@@ -51,7 +47,7 @@ class ProblemInstance:
         if not 1 <= self.base < self.modulus:
             raise ValueError(f"base must lie in [1, modulus), got {self.base}")
         if math.gcd(self.base, self.modulus) != 1:
-            raise NotInvertible(
+            raise ValueError(
                 f"base {_brief(self.base)} shares a factor with {_brief(self.modulus)}"
             )
         if self.exp_bits < 1:

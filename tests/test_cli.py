@@ -5,14 +5,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from wmodexp import builders
 from wmodexp.circuit import X, Circuit, Gate
-from wmodexp.cli import COST_FIELDS, ESTIMATE_HEADER, main
+from wmodexp.cli import COST_FIELDS, ESTIMATE_HEADER, FLAGS, main
 from wmodexp.costs import CIRCUIT_VARIANTS, VARIANTS
-from wmodexp.estimator import factory, load_profile
+from wmodexp.estimator import HardwareProfile, factory, load_profile
 from wmodexp.numerics import (
     ProblemInstance,
     WindowParams,
@@ -893,6 +894,83 @@ def test_estimate_overflowing_point_names_its_error_term(capsys):
         "error: no grid point stays under the error budget (last overflow: factory error at "
         "LayoutPoint(L1=5, L2=11, d_off=2, g_mul=4, g_exp=4, g_sep=256))\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract: on any input, main returns 0, or 2 with the reason on
+# stderr; nothing escapes it as a traceback. A flag refused by argparse
+# exits 2 through SystemExit, which is the same exit status.
+
+
+def exit_status(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("subcommand", ["tables", "simulate", "cost"])
+def test_numeric_flags_exit_0_or_2(tmp_path, subcommand):
+    for flag, options in FLAGS[subcommand]:
+        if "type" in options:
+            for value in (-1, 0, 1, 2, 3, 17, 40, 10**6):
+                argv = [subcommand, flag, str(value), "--out", str(tmp_path / "out")]
+                assert exit_status(argv) in (0, 2), argv
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(HardwareProfile)])
+def test_calibration_values_exit_0_or_2(tmp_path, field):
+    cfg = tmp_path / "field.cfg"
+    for value in (0, 5e-324, 1e-320, 1e-300, 0.5, 1e300, 1e308):
+        cfg.write_text(f"{field} = {value!r}\n")
+        assert main(["estimate", "--config", str(cfg), *PUBLISHED_POINT]) in (0, 2), value
+
+
+T1_DEPTH_UNDERFLOWS = ["t1_depth = 5e-324", "t1_depth = 5e-324\nccz_depth = 5e-324"]
+
+
+@pytest.mark.parametrize("text", T1_DEPTH_UNDERFLOWS, ids=["t1_depth", "ccz_depth"])
+def test_grid_refuses_a_level1_depth_of_zero(capsys, tmp_path, text):
+    # t1_depth * L1 / L2 is 0.0 at 42 of the grid's 74 distance pairs, the
+    # first one built being (5, 11).
+    cfg = tmp_path / "t1.cfg"
+    cfg.write_text(text + "\n")
+    assert main(["estimate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: t1_depth = 5e-324 shrinks to 0 at L1=5, L2=11\n"
+
+
+def test_level1_depth_of_5e_324_prices_the_published_point(capsys, tmp_path):
+    # At (15, 27) the level-1 depth is 5e-324, not 0, so the point prices.
+    cfg = tmp_path / "t1.cfg"
+    cfg.write_text(T1_DEPTH_UNDERFLOWS[0] + "\n")
+    assert main(["estimate", "--config", str(cfg), *PUBLISHED_POINT]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest()[:16] == "995fbf9de676af80"
+
+
+def test_level1_depth_refusal_leaves_no_traceback(tmp_path):
+    cfg = tmp_path / "t1.cfg"
+    cfg.write_text(T1_DEPTH_UNDERFLOWS[0] + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "wmodexp.cli", "estimate", "--config", str(cfg)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "t1_depth" in proc.stderr
+
+
+def test_non_utf8_config_is_refused_only_where_it_is_parsed(capsys, tmp_path):
+    # estimate parses the config as text; cost, like tables and simulate,
+    # only records the sha256 of its bytes.
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"\xffq = 1\n")
+    assert main(["estimate", "--config", str(cfg), *PUBLISHED_POINT]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config file {cfg} is not UTF-8 text: ")
+    assert main(["cost", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest()[:16] == "6e515f5ff67f1931"
 
 
 # ---------------------------------------------------------------------------
