@@ -8,7 +8,7 @@ with one reaction-limited Toffoli per reaction time. Runtime is therefore
 depth-limited with a factory-throughput floor; estimate() computes both
 and reports which one bound. All geometry and error-fit constants are
 calibration data living in the HardwareProfile defaults, which a config
-file may overlay; none is written into the formulas.
+file may overlay within profile_domain(); none is written into the formulas.
 
 A point is priced from two records, each built once, so that estimate()
 does only the arithmetic that needs both. schedule() books what the cost
@@ -74,16 +74,27 @@ class BudgetOverflow(RuntimeError):
         return f"error budget saturated at {self.point}"
 
 
-# HardwareProfile fields that must be > 0: the cost formulas divide by all
-# but q, and the selection metric needs q > 0.
-_POSITIVE = frozenset({"cycle_ns", "reaction_ns", "error_threshold", "t1_depth", "ccz_depth", "q"})
+# The calibration domain: each HardwareProfile field lies in the closed
+# range [default / 100, default * 100] unless listed here, and p_phys is at
+# most error_threshold / 2, so the error fit falls with the code distance.
+# Widths stay positive, so every board strip has data columns. Inside the
+# domain and the point bounds below, every figure of a priced point is
+# finite, and an error term at or above 1 is a BudgetOverflow.
+DOMAIN_EXCEPTIONS = {
+    "p_phys": (1e-9, 0.5),
+    "serial_overhead": (1.0, 130.0),  # from the bare reaction limit
+    "q": (0.012, 1000.0),
+    "postprocess_error": (0.0, 0.5),  # 0 switches the term off
+    "error_coeff": (0.0, 10.0),
+}
 
 
 @dataclass(frozen=True)
 class HardwareProfile:
-    """Device and calibration constants, checked on construction. The
-    fields are the whole state and the config keys: load_profile overlays
-    these defaults key by key with a config's text (the CLI's --config)."""
+    """Device and calibration constants, checked against profile_domain()
+    on construction. The fields are the whole state and the config keys:
+    load_profile overlays these defaults key by key with a config's text
+    (the CLI's --config)."""
 
     # Physical device.
     p_phys: float = 1e-3
@@ -124,22 +135,15 @@ class HardwareProfile:
     routing_height: float = 6.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-            if f.name in _POSITIVE and value <= 0:
-                raise ValueError(f"{f.name} must be > 0, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{f.name} must be >= 0, got {value!r}")
-            if f.name.endswith("_ns") and value * 1e-9 == 0:
-                raise ValueError(f"{f.name} must be > 0 in seconds, got {value!r} ns")
-        if not 0 < self.p_phys < 1:
-            raise ValueError("p_phys must lie in (0, 1)")
-        if self.postprocess_error >= 1:
-            raise ValueError("postprocess_error must lie in [0, 1)")
-        if self.serial_overhead < 1:
-            raise ValueError("serial_overhead cannot beat the reaction limit")
+        for name, (lo, hi) in profile_domain().items():
+            value = getattr(self, name)
+            if not lo <= value <= hi:  # NaN included
+                raise ValueError(f"{name} must lie in [{lo!r}, {hi!r}], got {value!r}")
+        if self.p_phys > self.error_threshold / 2:
+            raise ValueError(
+                f"p_phys must be at most error_threshold / 2 = {self.error_threshold / 2!r}, "
+                f"got {self.p_phys!r}"
+            )
 
     @property
     def cycle_s(self) -> float:
@@ -154,6 +158,14 @@ class HardwareProfile:
         round block."""
         ratio = self.p_phys / self.error_threshold
         return self.error_coeff * ratio ** ((code_distance + 1) / 2)
+
+
+def profile_domain() -> dict[str, tuple[float, float]]:
+    """The closed range of each HardwareProfile field, in field order."""
+    return {
+        f.name: DOMAIN_EXCEPTIONS.get(f.name) or (f.default / 100, f.default * 100)
+        for f in fields(HardwareProfile)
+    }
 
 
 def parse_config(text: str) -> dict[str, float]:
@@ -190,8 +202,14 @@ def load_profile(text: str = "") -> HardwareProfile:
 # One operating point of the machine: factory distances, padding deviation,
 # window sizes and the runway separation; the data code distance is L2.
 # Points order lexicographically by field, which breaks ties between equal
-# rows. factory(), schedule() and cost() refuse its bad fields.
+# rows. factory(), schedule() and cost() refuse its bad fields, the first
+# two past the upper bounds below as well, which lie far past any useful
+# layout and, with the calibration domain, keep every figure finite.
 LayoutPoint = namedtuple("LayoutPoint", "L1 L2 d_off g_mul g_exp g_sep")
+
+MAX_DISTANCE = 1000
+MAX_D_OFF = 1000
+MAX_G_SEP = 2**20
 
 
 # One CCZ factory at distances (L1, L2) under a profile, with every term of a
@@ -273,28 +291,22 @@ def audit_row(row: EstimateRow) -> None:
 
 def factory(profile: HardwareProfile, L1: int, L2: int) -> Factory:
     """The CCZ factory at distances (L1, L2) under profile; ValueError
-    unless 0 < L1 < L2, the error fit stays in float range and the level-1
-    depth t1_depth * L1 / L2, which t1_rate divides by, is not 0. Each
-    board figure is a float rounded up by -(-x // 1): past float range it
-    reaches inf or NaN, which estimate() refuses as Mqb."""
-    if not 0 < L1 < L2:
-        raise ValueError(f"factory distances need 0 < L1 < L2, got L1={L1}, L2={L2}")
-    try:  # The fit's float powers raise OverflowError, not inf.
-        ccz_error = ccz_state_error(profile, L1, L2)
-    except OverflowError:
-        raise ValueError(f"the calibration's error fit overflows at L1={L1}, L2={L2}") from None
+    unless 0 < L1 < L2 <= MAX_DISTANCE. Each board figure is a float
+    rounded up by -(-x // 1)."""
+    if not 0 < L1 < L2 <= MAX_DISTANCE:
+        raise ValueError(
+            f"factory distances need 0 < L1 < L2 <= {MAX_DISTANCE}, got L1={L1}, L2={L2}"
+        )
+    ccz_error = ccz_state_error(profile, L1, L2)
     shrink = L1 / L2
     t1_w = profile.t1_width * shrink
     t1_h = profile.t1_height * shrink
     t1_d = profile.t1_depth * shrink
-    if not t1_d:
-        raise ValueError(f"t1_depth = {profile.t1_depth!r} shrinks to 0 at L1={L1}, L2={L2}")
     ccz_rate = 1.0 / profile.ccz_depth
     t1_rate = 1.0 / t1_d
     t1_count = -(-(ccz_rate * profile.t_per_ccz / t1_rate) // 1)
     column_height = t1_h * -(-(t1_count / 2) // 1)
     width = -(-(t1_w * 2 + profile.ccz_width + profile.storage_width * shrink) // 1)
-    # The column first: max() keeps its first argument when given a NaN.
     height = -(-max(column_height, profile.ccz_height) // 1)
     ccz_time = max(profile.ccz_depth, t1_d) * profile.cycle_s * L2
     pairs = -(-(ccz_time / profile.reaction_s / 2) // 1)
@@ -366,8 +378,11 @@ def schedule(cost_row: CostBreakdown, g_sep: int, d_off: int) -> Schedule:
     per runway between pieces. As 2^pad >= reps * pieces * 2^d_off, the
     coset error is at most 1 and the runway error below 1.
     """
-    if g_sep < 1 or d_off < 0:
-        raise ValueError(f"g_sep must be >= 1 and d_off >= 0, got {g_sep} and {d_off}")
+    if not (0 < g_sep <= MAX_G_SEP and 0 <= d_off <= MAX_D_OFF):
+        raise ValueError(
+            f"runway shape needs 1 <= g_sep <= {MAX_G_SEP} and 0 <= d_off <= {MAX_D_OFF}, "
+            f"got g_sep={g_sep}, d_off={d_off}"
+        )
     n, n_e = cost_row.n, cost_row.n_e
     pieces = math.ceil(n / g_sep)
     windowed_bits = n_e - cost_row.initial_bits
@@ -417,9 +432,7 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
     (NaN included), checking the factory error first, before the board is
     priced, then the data and coset errors, then their composition
     ("total"). The schedule keeps the runway error below 1, and the profile
-    the postprocess error. Raises ValueError when the board strip has no
-    data columns, or when Mqb, the runtime, E[vol] or E[hrs] leaves float
-    range.
+    the postprocess error.
     """
     tofs = sched.tofs
     factory_error = tofs * fac.ccz_error
@@ -427,21 +440,14 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
         raise BudgetOverflow(sched, fac, "factory")
 
     # The board: `pieces` strips, each holding the data registers of one
-    # adder piece below the rows of fac's factory pairs. Counted in floats,
-    # as fac's figures are, a board past float range reaches inf or NaN.
+    # adder piece below the rows of fac's factory pairs, between the strip's
+    # two edge columns.
     pieces = sched.pieces
     width = fac.board_width
-    if width <= 2:  # Only the strip's two edge columns: no room for data.
-        raise ValueError(
-            f"board width {width} (factory width {fac.width}, {fac.pairs} pairs) "
-            f"leaves no data columns at L1={fac.L1}, L2={fac.L2}"
-        )
     reg_rows = -(-(sched.piece_len / (width - 2)) // 1)
     height = -(-(fac.strip_height + reg_rows * sched.registers) // 1)
     tiles = pieces * width * height
     mqb = tiles * fac.qubits_per_tile / 1e6
-    if not mqb < math.inf:
-        raise ValueError(f"Mqb = {mqb} leaves float range at {layout_point(sched, fac)}")
 
     # Serial reaction-limited schedule. serial_overhead stretches the bare
     # reaction time for feedforward and routing stalls. The factories cap
@@ -450,8 +456,6 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
     depth_s = sched.serial_steps * fac.reaction_s * profile.serial_overhead
     factory_s = tofs / (2.0 * pieces * fac.pairs / fac.ccz_time_s)
     runtime_s = max(depth_s, factory_s)
-    if not runtime_s < math.inf:
-        raise ValueError(f"runtime {runtime_s} s leaves float range at {layout_point(sched, fac)}")
     binding = "depth" if depth_s >= factory_s else "factory"
     hours = runtime_s / 3600.0
 
@@ -471,16 +475,8 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
 
     vol_per_run = mqb * hours / 24.0
     expected_vol = vol_per_run / (1 - risk)
-    if not expected_vol < math.inf:
-        point = layout_point(sched, fac)
-        raise ValueError(f"E[vol] = {expected_vol} leaves float range at {point}")
     expected_hours = hours / (1 - risk)
     log_skewed_volume = profile.q * math.log(mqb) + math.log(expected_hours)
-    if not math.isfinite(log_skewed_volume):
-        if expected_hours == math.inf:
-            point = layout_point(sched, fac)
-            raise ValueError(f"E[hrs] = {expected_hours} leaves float range at {point}")
-        raise ValueError(f"q = {profile.q!r} overflows the log skewed volume")
     cost_row = sched.cost_row
     row = EstimateRow(
         cost_row.n,

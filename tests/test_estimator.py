@@ -11,10 +11,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wmodexp import estimator
 from wmodexp.estimator import (
     DEFAULT_MQB_BUDGETS,
+    MAX_D_OFF,
+    MAX_DISTANCE,
+    MAX_G_SEP,
     BudgetOverflow,
     ErrorBudget,
     EstimateRow,
@@ -31,9 +36,13 @@ from wmodexp.estimator import (
     padding_bits,
     pareto_frontier,
     parse_config,
+    profile_domain,
     schedule,
     _variant_cost,
 )
+
+# Each HardwareProfile field's closed range, in field order.
+DOMAIN = profile_domain()
 
 # The published n=2048, 1e-3 operating point and its reported stats; the
 # reproduction tests use the same tolerance bands as the acceptance gate.
@@ -115,6 +124,24 @@ def test_profile_validation():
         HardwareProfile(p_phys=1.5)
     with pytest.raises(ValueError):
         HardwareProfile(serial_overhead=0.8)
+
+
+def test_profile_domain_names_the_field_and_its_range():
+    # Away from the cross-field bound on p_phys, each field alone decides.
+    loose = {"p_phys": 1e-9, "error_threshold": 1.0}
+    for name, (lo, hi) in DOMAIN.items():
+        HardwareProfile(**{**loose, name: lo})
+        HardwareProfile(**{**loose, name: hi})
+        for value in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf), math.nan):
+            with pytest.raises(ValueError) as info:
+                HardwareProfile(**{**loose, name: value})
+            assert str(info.value) == f"{name} must lie in [{lo!r}, {hi!r}], got {value!r}"
+    # The error fit must fall with the code distance: p_phys is at most half
+    # the threshold.
+    HardwareProfile(p_phys=0.005)
+    with pytest.raises(ValueError) as info:
+        HardwareProfile(p_phys=0.006)
+    assert str(info.value) == "p_phys must be at most error_threshold / 2 = 0.005, got 0.006"
 
 
 def test_unit_cell_error_fit(profile):
@@ -200,9 +227,9 @@ def test_factory_equals_its_formulas():
             assert [type(getattr(fac, name)) for name in board] == [float] * len(board)
 
 
-@pytest.mark.parametrize("l1, l2", [(0, 11), (-1, 0), (27, 15), (15, 15)])
+@pytest.mark.parametrize("l1, l2", [(0, 11), (-1, 0), (27, 15), (15, 15), (15, MAX_DISTANCE + 1)])
 def test_factory_refuses_impossible_distances(profile, l1, l2):
-    with pytest.raises(ValueError, match="0 < L1 < L2"):
+    with pytest.raises(ValueError, match=f"0 < L1 < L2 <= {MAX_DISTANCE}, got L1={l1}, L2={l2}"):
         factory(profile, l1, l2)
 
 
@@ -394,10 +421,13 @@ def test_estimate_point_is_built_from_schedule_and_factory(profile):
 
 def test_schedule_rejects_an_impossible_shape():
     cost_row = _variant_cost("original", N, NE, 5, 5)
-    with pytest.raises(ValueError, match="g_sep must be >= 1"):
-        schedule(cost_row, 0, 4)
-    with pytest.raises(ValueError, match="d_off >= 0"):
-        schedule(cost_row, 1024, -1)
+    for g_sep, d_off in ((0, 4), (1024, -1), (MAX_G_SEP + 1, 4), (1024, MAX_D_OFF + 1)):
+        with pytest.raises(ValueError) as info:
+            schedule(cost_row, g_sep, d_off)
+        assert str(info.value) == (
+            f"runway shape needs 1 <= g_sep <= {MAX_G_SEP} and 0 <= d_off <= {MAX_D_OFF}, "
+            f"got g_sep={g_sep}, d_off={d_off}"
+        )
 
 
 def test_budget_overflow_on_undersized_factories(profile):
@@ -422,28 +452,6 @@ def test_budget_overflow_on_a_survival_that_rounds_away(profile, ge_row):
     with pytest.raises(BudgetOverflow) as info:
         estimate(profile, sched, fac)
     assert info.value.component == "total"
-
-
-def test_estimate_refuses_expected_hours_past_float_range(profile, ge_row):
-    # A finite run of 1e303 hours (the reaction and round times stretched
-    # alike) whose data error leaves a survival of 5e-6: E[hrs] = 2e308
-    # leaves float range, while E[vol] (Mqb / 24 times that, with Mqb below
-    # 24) stays finite, so the hours are named.
-    sched, fac = shape("original", GE_POINT), factory(profile, 15, 27)
-    stretch = 1e303 / ge_row.hours
-    _, *others = ge_row.budget
-    survival = 5e-6
-    for part in others:
-        survival /= 1 - part
-    fac = fac._replace(
-        reaction_s=fac.reaction_s * stretch,
-        round_s=fac.round_s * stretch,
-        unit_cell_error=fac.unit_cell_error * (1 - survival) / ge_row.budget.data_error,
-    )
-    assert ge_row.mqb < 24
-    with pytest.raises(ValueError) as info:
-        estimate(profile, sched, fac)
-    assert str(info.value) == f"E[hrs] = inf leaves float range at {GE_POINT}"
 
 
 def test_budget_overflow_point_and_message_forms(profile):
@@ -834,6 +842,85 @@ def test_pareto_frontier_helper():
     a, b, c = stub(10, 5), stub(12, 4), stub(11, 6)
     kept = pareto_frontier([c, b, a])
     assert [(r.mqb, r.expected_hours) for r in kept] == [(10, 5), (12, 4)]
+
+
+# ---------------------------------------------------------------------------
+# The calibration domain. Inside it and the point bounds every figure of a
+# priced point is finite, so estimate() has no float-range refusal: a point
+# either prices, passing audit_row, or overflows its error budget.
+
+
+def domain_corners(count, seed):
+    """count seeded corners of the calibration domain: each field at one end
+    of its range, and p_phys at 1e-9 or error_threshold / 2."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        values = {name: rng.choice(bounds) for name, bounds in DOMAIN.items()}
+        values["p_phys"] = rng.choice((DOMAIN["p_phys"][0], values["error_threshold"] / 2))
+        yield HardwareProfile(**values)
+
+
+# Both ends of L1 below the largest L2, with the largest d_off and g_sep; a
+# search at n = MAX_G_SEP reaches that g_sep.
+BOUND_POINTS = GridRanges(
+    l1=(1, MAX_DISTANCE - 1),
+    l2=(MAX_DISTANCE,),
+    d_off=(MAX_D_OFF,),
+    g_exp=(4,),
+    g_mul=(4,),
+    g_sep=(MAX_G_SEP,),
+)
+
+
+def test_domain_corners_price_or_overflow():
+    # A search at the bound points takes about 0.3 ms; one on the default
+    # grid takes up to 0.25 s where every point prices, so it sees 4 corners.
+    searches = collections.Counter()
+    corners = list(domain_corners(128, seed=33))
+    runs = [(corner, MAX_G_SEP, BOUND_POINTS) for corner in corners]
+    runs += [(corner, N, GridRanges()) for corner in corners[:4]]
+    for profile, n, ranges in runs:
+        try:
+            grid_search(n, NE, profile, ranges=ranges)
+        except ValueError as exc:
+            assert str(exc).startswith("no grid point stays under the error budget"), exc
+            searches["overflow", n] += 1
+        else:
+            searches["rows", n] += 1
+    assert set(searches) == {(kind, n) for kind in ("rows", "overflow") for n in (N, MAX_G_SEP)}
+
+
+@st.composite
+def domain_profiles(draw):
+    """A HardwareProfile with each field drawn from its range in the
+    calibration domain, and p_phys at most error_threshold / 2."""
+    values = {name: draw(st.floats(*bounds)) for name, bounds in DOMAIN.items() if name != "p_phys"}
+    values["p_phys"] = draw(st.floats(DOMAIN["p_phys"][0], values["error_threshold"] / 2))
+    return HardwareProfile(**values)
+
+
+GRID = GridRanges()
+
+
+@settings(max_examples=200, deadline=None)
+@given(domain_profiles(), st.data())
+def test_raising_p_phys_keeps_the_board_and_never_lowers_the_risk(profile, data):
+    # Gidney and Ekera's error model: a noisier device needs no other board
+    # and runs no longer, and its retry risk does not fall. An overflow is a
+    # risk of 1, so once the lower p_phys overflows the higher one must.
+    raised = dataclasses.replace(
+        profile, p_phys=data.draw(st.floats(profile.p_phys, profile.error_threshold / 2))
+    )
+    l2 = data.draw(st.sampled_from(GRID.l2))
+    l1 = data.draw(st.sampled_from([l1 for l1 in GRID.l1 if l1 < l2]))
+    shape_axes = (GRID.d_off, GRID.g_mul, GRID.g_exp, GRID.g_sep)
+    point = LayoutPoint(l1, l2, *(data.draw(st.sampled_from(axis)) for axis in shape_axes))
+    sched = shape("original", point)
+    before, after = (outcome(estimate, p, sched, factory(p, l1, l2)) for p in (profile, raised))
+    if type(after) is EstimateRow:
+        assert type(before) is EstimateRow
+        assert (after.mqb, after.hours) == (before.mqb, before.hours)
+        assert after.retry_risk >= before.retry_risk
 
 
 # ---------------------------------------------------------------------------
