@@ -237,21 +237,17 @@ def grid_best_windows(n: int, n_e: int, variant: str) -> tuple[int, int, int]:
     """Exhaustive window search minimizing total_tofs.
 
     Returns (w_e, w_m, initial_bits) with windows in 1..10; ties break
-    lexicographically on that triple. initial_bits ranges over 0..40 for
-    the variants that take an initial lookup and is 0 otherwise.
+    lexicographically on that triple. initial_bits ranges over 0..min(40,
+    n_e) for the variants that take an initial lookup and is 0 otherwise.
     """
-    inits = range(41) if variant_flags(variant).initial_lookup else range(1)
-    best: tuple[float, int, int, int] | None = None
-    for w_e in range(1, 11):
-        for w_m in range(1, 11):
-            for nep in inits:
-                if nep > n_e:
-                    continue
-                total = cost(variant, n, n_e, w_e, w_m, nep).total_tofs
-                key = (total, w_e, w_m, nep)
-                if best is None or key < best:
-                    best = key
-    assert best is not None
+    # A non-positive n_e still prices initial_bits 0, so cost() refuses it.
+    top = max(0, min(n_e, 40)) if variant_flags(variant).initial_lookup else 0
+    best = min(
+        (cost(variant, n, n_e, w_e, w_m, nep).total_tofs, w_e, w_m, nep)
+        for w_e in range(1, 11)
+        for w_m in range(1, 11)
+        for nep in range(top + 1)
+    )
     return best[1], best[2], best[3]
 
 

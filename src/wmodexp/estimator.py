@@ -21,8 +21,8 @@ round time and unit-cell error at the data code distance, and the reaction
 time. Every board figure, here and in estimate(), is a float rounded up by
 -(-x // 1). estimate() combines one of each into the point's board,
 runtime, data and factory errors, and row. The grid search builds the factories
-once and one Schedule per (cost row, g_sep, d_off), and prices every
-factory against each Schedule.
+once and one Schedule per (cost row, g_sep, d_off), prices every
+factory against each Schedule, and runs audit_row on each row it returns.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .costs import CostBreakdown, cost, crossover_initial_lookup, variant_flags
 
@@ -240,7 +241,8 @@ class ErrorBudget(
 
     @property
     def total(self) -> float:
-        """1 minus the product of the component survivals, in field order."""
+        """1 minus the product of the component survivals, in field order;
+        estimate() composes the risk inline by the same expression."""
         data, factory, coset, runway, postprocess = self
         survival = (1.0 - data) * (1.0 - factory) * (1.0 - coset) * (1.0 - runway)
         return 1.0 - survival * (1.0 - postprocess)
@@ -432,7 +434,8 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
     (NaN included), checking the factory error first, before the board is
     priced, then the data and coset errors, then their composition
     ("total"). The schedule keeps the runway error below 1, and the profile
-    the postprocess error.
+    the postprocess error. The row is not audited here: grid_search runs
+    audit_row on the rows it returns.
     """
     tofs = sched.tofs
     factory_error = tofs * fac.ccz_error
@@ -464,41 +467,49 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
     data_error = storage_tiles * (runtime_s / fac.round_s) * fac.unit_cell_error
     if not data_error < 1:
         raise BudgetOverflow(sched, fac, "data")
-    if not sched.coset_error < 1:
+    coset_error = sched.coset_error
+    if not coset_error < 1:
         raise BudgetOverflow(sched, fac, "coset")
-    budget = ErrorBudget(
-        data_error, factory_error, sched.coset_error, sched.runway_error, profile.postprocess_error
-    )
-    risk = budget.total
+    runway_error = sched.runway_error
+    postprocess = profile.postprocess_error
+    # ErrorBudget.total, inline and in its operand order.
+    survival = (1.0 - data_error) * (1.0 - factory_error) * (1.0 - coset_error)
+    survival *= 1.0 - runway_error
+    risk = 1.0 - survival * (1.0 - postprocess)
     if not risk < 1:
         raise BudgetOverflow(sched, fac, "total")
 
     vol_per_run = mqb * hours / 24.0
-    expected_vol = vol_per_run / (1 - risk)
     expected_hours = hours / (1 - risk)
-    log_skewed_volume = profile.q * math.log(mqb) + math.log(expected_hours)
     cost_row = sched.cost_row
-    row = EstimateRow(
-        cost_row.n,
-        cost_row.n_e,
-        profile.p_phys,
-        layout_point(sched, fac),
-        cost_row.variant,
-        cost_row.initial_bits,
-        profile.q,
-        risk,
-        vol_per_run,
-        expected_vol,
-        mqb,
-        hours,
-        expected_hours,
-        tofs / 1e9,
-        log_skewed_volume,
-        budget,
-        binding,
+    # tuple.__new__ skips the named tuples' Python-level __new__, which took
+    # a sixth of a row's price; the fields go in their declared order.
+    return tuple.__new__(
+        EstimateRow,
+        (
+            cost_row.n,
+            cost_row.n_e,
+            profile.p_phys,
+            tuple.__new__(
+                LayoutPoint, (fac.L1, fac.L2, sched.d_off, cost_row.w_m, cost_row.w_e, sched.g_sep)
+            ),
+            cost_row.variant,
+            cost_row.initial_bits,
+            profile.q,
+            risk,
+            vol_per_run,
+            vol_per_run / (1 - risk),
+            mqb,
+            hours,
+            expected_hours,
+            tofs / 1e9,
+            profile.q * math.log(mqb) + math.log(expected_hours),
+            tuple.__new__(
+                ErrorBudget, (data_error, factory_error, coset_error, runway_error, postprocess)
+            ),
+            binding,
+        ),
     )
-    audit_row(row)
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -545,11 +556,12 @@ def grid_search(
     minimizer (ranked by its log, ties broken by lexicographic point), the
     Pareto frontier over (mqb, expected_hours), and the best row under each
     physical-qubit budget; all three rank rows by point, so the order of
-    evaluation does not matter. Raises ValueError, before any cost row is
-    built, when n is not positive, an axis of ranges is empty, every g_sep
-    exceeds n or no L1 is below an L2, so no point can be evaluated; and
-    when every evaluated point overflows the error budget, naming the last
-    overflowing point and error term.
+    evaluation does not matter. audit_row checks the best row and every
+    frontier row, which include the by-budget rows. Raises ValueError,
+    before any cost row is built, when n is not positive, an axis of ranges
+    is empty, every g_sep exceeds n or no L1 is below an L2, so no point can
+    be evaluated; and when every evaluated point overflows the error budget,
+    naming the last overflowing point and error term.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got n = {n}")
@@ -583,15 +595,17 @@ def grid_search(
         sched, fac, component = overflow
         last = f"(last overflow: {component} error at {layout_point(sched, fac)})"
         raise ValueError(f"no grid point stays under the error budget {last}")
-    best = min(rows, key=lambda r: (r.log_skewed_volume, r.point))
+    best = min(rows, key=attrgetter("log_skewed_volume", "point"))
     frontier = pareto_frontier(rows)
+    for row in (best, *frontier):
+        audit_row(row)
     by_budget = tuple((b, best_under_budget(frontier, b)) for b in budgets)
     return GridResult(best=best, frontier=frontier, by_budget=by_budget)
 
 
 def pareto_frontier(rows: list[EstimateRow]) -> tuple[EstimateRow, ...]:
     """Rows not dominated in both mqb and expected_hours; sorted by mqb."""
-    ordered = sorted(rows, key=lambda r: (r.mqb, r.expected_hours, r.point))
+    ordered = sorted(rows, key=attrgetter("mqb", "expected_hours", "point"))
     frontier: list[EstimateRow] = []
     best_hours = math.inf
     for row in ordered:

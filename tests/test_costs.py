@@ -50,6 +50,13 @@ def test_parameter_validation():
         cost("original", 0, 3029, 5, 5)
     with pytest.raises(ValueError):
         cost("original", 2048, 3029, 5, 0)
+    # The window search refuses a non-positive n_e as cost() does, also when
+    # no initial lookup fits it.
+    for variant in ("original", "combined"):
+        for n_e in (0, -1):
+            with pytest.raises(ValueError) as exc:
+                grid_best_windows(64, n_e, variant)
+            assert str(exc.value) == f"n, n_e, w_e, w_m must be positive, got 64, {n_e}, 1, 1"
     # An initial-bits refusal names the value, n_e, the variant and the takers.
     for variant, n_e, initial_bits, span in (
         ("original", 3029, 10, "[0, 0]"),

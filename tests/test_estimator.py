@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wmodexp import estimator
+from wmodexp.costs import VARIANTS
 from wmodexp.estimator import (
     DEFAULT_MQB_BUDGETS,
     MAX_D_OFF,
@@ -32,6 +33,7 @@ from wmodexp.estimator import (
     estimate,
     factory,
     grid_search,
+    layout_point,
     load_profile,
     padding_bits,
     pareto_frontier,
@@ -772,36 +774,55 @@ def test_estimate_equals_the_reference_formulas(n, n_e, variant, hardware):
     assert kinds["row"] and kinds["factory"]
 
 
-def test_grid_overflow_set_is_pinned(profile, monkeypatch):
+# Factory and data overflows of the search at (N, NE) on the default grid,
+# under the default profile and under OTHER_PROFILE. Each search evaluates
+# 21,312 points; none overflows on its coset error or the composed risk.
+GRID_OVERFLOWS = {
+    "original": ((17856, 334), (11273, 823)),
+    "opt1": ((17856, 291), (11268, 828)),
+    "opt2": ((17856, 320), (11270, 826)),
+    "opt3": ((17856, 334), (11269, 827)),
+    "opt4": ((17856, 287), (11273, 823)),
+    "combined": ((17856, 269), (11264, 832)),
+    "sliced_A": ((17856, 576), (11273, 823)),
+    "sliced_B": ((17856, 334), (11232, 864)),
+}
+
+
+def test_grid_overflow_set_is_pinned(monkeypatch):
     # These counts are what pricing every point in full (schedule, board and
     # whole budget) gives: the early factory check must refuse exactly the
-    # same points, with the same exception.
+    # same points, with the same exception. grid_search audits only the rows
+    # it returns, so this walk audits every row estimate() prices, and checks
+    # the risk and point that estimate() builds inline.
     real_estimate = estimator.estimate
-    evaluated = rows = 0
-    overflows = collections.Counter()
+    counts = collections.Counter()
 
-    def counting(profile, sched, fac):
-        nonlocal evaluated, rows
-        evaluated += 1
-        cost_row = sched.cost_row
-        point = LayoutPoint(fac.L1, fac.L2, sched.d_off, cost_row.w_m, cost_row.w_e, sched.g_sep)
+    def checked(profile, sched, fac):
+        counts["evaluated"] += 1
         try:
             row = real_estimate(profile, sched, fac)
         except BudgetOverflow as exc:
+            # The point and the message are built from these arguments.
             assert exc.args == (sched, fac, exc.component)
-            assert exc.point == point
-            assert str(exc) == f"error budget saturated at {point}"
-            overflows[exc.component] += 1
+            counts[exc.component] += 1
             raise
-        assert row.point == point
-        rows += 1
+        audit_row(row)
+        assert row.budget.total == row.retry_risk
+        assert row.point == layout_point(sched, fac)
         return row
 
-    monkeypatch.setattr(estimator, "estimate", counting)
-    grid_search(N, NE, profile, variant="original")
-    assert evaluated == 21312
-    assert overflows == {"factory": 17856, "data": 334}
-    assert rows == 3122
+    monkeypatch.setattr(estimator, "estimate", checked)
+    for index, hardware in enumerate((HardwareProfile(), OTHER_PROFILE)):
+        for variant, pins in GRID_OVERFLOWS.items():
+            counts.clear()
+            grid_search(N, NE, hardware, variant)
+            factory_overflows, data_overflows = pins[index]
+            assert counts == {
+                "evaluated": 21312,
+                "factory": factory_overflows,
+                "data": data_overflows,
+            }, variant
 
 
 def test_grid_search_leaves_no_cyclic_garbage():
@@ -900,6 +921,38 @@ def domain_profiles(draw):
 
 
 GRID = GridRanges()
+ERROR_FIT = (
+    "error_coeff",
+    "error_threshold",
+    "l0_injection_cells",
+    "l1_factory_cells",
+    "l2_factory_cells",
+    "l1_distill_coeff",
+    "l2_distill_coeff",
+    "postprocess_error",
+)
+HEIGHTS = ("t1_height", "ccz_height", "cz_fixup_height", "adder_height", "routing_height")
+WIDTHS = ("t1_width", "ccz_width", "storage_width")
+
+
+def draw_point(data):
+    """A point of the default grid."""
+    l2 = data.draw(st.sampled_from(GRID.l2))
+    l1 = data.draw(st.sampled_from([l1 for l1 in GRID.l1 if l1 < l2]))
+    shape_axes = (GRID.d_off, GRID.g_mul, GRID.g_exp, GRID.g_sep)
+    return LayoutPoint(l1, l2, *(data.draw(st.sampled_from(axis)) for axis in shape_axes))
+
+
+def raise_field(data, profile, name):
+    """profile with the field name raised within its range in the domain."""
+    value = data.draw(st.floats(getattr(profile, name), DOMAIN[name][1]))
+    return dataclasses.replace(profile, **{name: value})
+
+
+def before_and_after(profile, raised, point):
+    """The outcomes of point under the original variant at both profiles."""
+    sched = shape("original", point)
+    return [outcome(estimate, p, sched, factory(p, point.L1, point.L2)) for p in (profile, raised)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -911,16 +964,84 @@ def test_raising_p_phys_keeps_the_board_and_never_lowers_the_risk(profile, data)
     raised = dataclasses.replace(
         profile, p_phys=data.draw(st.floats(profile.p_phys, profile.error_threshold / 2))
     )
-    l2 = data.draw(st.sampled_from(GRID.l2))
-    l1 = data.draw(st.sampled_from([l1 for l1 in GRID.l1 if l1 < l2]))
-    shape_axes = (GRID.d_off, GRID.g_mul, GRID.g_exp, GRID.g_sep)
-    point = LayoutPoint(l1, l2, *(data.draw(st.sampled_from(axis)) for axis in shape_axes))
-    sched = shape("original", point)
-    before, after = (outcome(estimate, p, sched, factory(p, l1, l2)) for p in (profile, raised))
+    before, after = before_and_after(profile, raised, draw_point(data))
     if type(after) is EstimateRow:
         assert type(before) is EstimateRow
         assert (after.mqb, after.hours) == (before.mqb, before.hours)
         assert after.retry_risk >= before.retry_risk
+
+
+@settings(max_examples=200, deadline=None)
+@given(domain_profiles(), st.sampled_from(ERROR_FIT), st.data())
+def test_a_worse_error_fit_keeps_the_board_and_never_lowers_the_risk(profile, name, data):
+    # As for p_phys; a higher error_threshold is the mirror case, so it is
+    # the lower threshold that plays the raised field.
+    raised = raise_field(data, profile, name)
+    if name == "error_threshold":
+        profile, raised = raised, profile
+    before, after = before_and_after(profile, raised, draw_point(data))
+    if type(after) is EstimateRow:
+        assert type(before) is EstimateRow
+        assert (after.mqb, after.hours) == (before.mqb, before.hours)
+        assert after.retry_risk >= before.retry_risk
+
+
+@settings(max_examples=200, deadline=None)
+@given(domain_profiles(), st.sampled_from(("serial_overhead", "reaction_ns")), st.data())
+def test_a_slower_reaction_never_shortens_the_run(profile, name, data):
+    # Both stretch the serial schedule. serial_overhead leaves the board
+    # alone. A longer reaction time needs no more factory pairs per strip,
+    # but Mqb moves both ways: at the domain's edge one pair fewer narrows a
+    # strip so far that its registers need more rows than the pair saved.
+    raised = raise_field(data, profile, name)
+    point = draw_point(data)
+    before, after = before_and_after(profile, raised, point)
+    pairs = [factory(p, point.L1, point.L2).pairs for p in (profile, raised)]
+    assert pairs[1] <= pairs[0]
+    if type(before) is type(after) is EstimateRow:
+        assert after.hours >= before.hours
+        if name == "serial_overhead":
+            assert after.mqb == before.mqb
+
+
+@settings(max_examples=200, deadline=None)
+@given(domain_profiles(), st.sampled_from(HEIGHTS + WIDTHS), st.data())
+def test_a_larger_footprint_keeps_the_hours(profile, name, data):
+    # Footprints size the board, not the schedule or the factory pairs. A
+    # taller strip stores the same registers on more tiles, so Mqb and the
+    # risk do not fall (an overflow is a risk of 1). A wider one needs fewer
+    # register rows, so its Mqb and risk move both ways.
+    raised = raise_field(data, profile, name)
+    before, after = before_and_after(profile, raised, draw_point(data))
+    if name in HEIGHTS and type(after) is EstimateRow:
+        assert type(before) is EstimateRow
+        assert after.mqb >= before.mqb
+        assert after.retry_risk >= before.retry_risk
+    if type(before) is type(after) is EstimateRow:
+        assert after.hours == before.hours
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(VARIANTS), st.data())
+def test_a_longer_exponent_never_lowers_the_toffolis(variant, data):
+    point = draw_point(data)
+    n_e = data.draw(st.integers(1, 2 * NE))
+    longer = data.draw(st.integers(n_e, 2 * NE))
+    tofs = [shape(variant, point, N, e).tofs for e in (n_e, longer)]
+    assert tofs[1] >= tofs[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(VARIANTS), st.data())
+def test_a_larger_offset_never_raises_the_deviation_errors(variant, data):
+    # Each offset bit halves the deviation per addition; the repetitions
+    # and pieces do not depend on the offset.
+    point = draw_point(data)
+    d_off = data.draw(st.integers(0, MAX_D_OFF))
+    deeper = data.draw(st.integers(d_off, MAX_D_OFF))
+    before, after = (shape(variant, point._replace(d_off=d), N, NE) for d in (d_off, deeper))
+    assert after.coset_error <= before.coset_error
+    assert after.runway_error <= before.runway_error
 
 
 # ---------------------------------------------------------------------------
