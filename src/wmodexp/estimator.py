@@ -20,7 +20,8 @@ fixed height and distillation tiles, the physical qubits per tile, the
 round time and unit-cell error at the data code distance, and the reaction
 time. Every board figure, here and in estimate(), is a float rounded up by
 -(-x // 1). estimate() combines one of each into the point's board,
-runtime, data and factory errors, and row. The grid search builds the factories
+runtime, data and factory errors, and row, or raises BudgetOverflow(term)
+naming the error term that reached 1. The grid search builds the factories
 once and one Schedule per (cost row, g_sep, d_off), prices every
 factory against each Schedule, and runs audit_row on each row it returns.
 """
@@ -55,24 +56,9 @@ DEFAULT_MQB_BUDGETS = (
 class BudgetOverflow(RuntimeError):
     """Accumulated error probability reached 1; the run cannot succeed.
 
-    The arguments are the Schedule and the Factory of the overflowing point
-    and the error term that reached 1 ("total" for their composition). The
-    point is built only when asked for, since the grid search raises and
-    swallows one per overflowing point.
+    The only argument is the error term that reached 1: "factory", "data",
+    "coset", or "total" for their composition. The caller holds the point.
     """
-
-    @property
-    def point(self) -> LayoutPoint:
-        """The overflowing LayoutPoint."""
-        return layout_point(*self.args[:2])
-
-    @property
-    def component(self) -> str:
-        """The error term that reached 1."""
-        return self.args[2]
-
-    def __str__(self) -> str:
-        return f"error budget saturated at {self.point}"
 
 
 # The calibration domain: each HardwareProfile field lies in the closed
@@ -241,8 +227,8 @@ class ErrorBudget(
 
     @property
     def total(self) -> float:
-        """1 minus the product of the component survivals, in field order;
-        estimate() composes the risk inline by the same expression."""
+        """1 minus the product of the component survivals, in field order:
+        the retry risk of estimate()'s row."""
         data, factory, coset, runway, postprocess = self
         survival = (1.0 - data) * (1.0 - factory) * (1.0 - coset) * (1.0 - runway)
         return 1.0 - survival * (1.0 - postprocess)
@@ -364,7 +350,9 @@ Schedule = namedtuple(
 def layout_point(sched: Schedule, fac: Factory) -> LayoutPoint:
     """The LayoutPoint of fac's distances and sched's shape."""
     cost_row = sched.cost_row
-    return LayoutPoint(fac.L1, fac.L2, sched.d_off, cost_row.w_m, cost_row.w_e, sched.g_sep)
+    return tuple.__new__(
+        LayoutPoint, (fac.L1, fac.L2, sched.d_off, cost_row.w_m, cost_row.w_e, sched.g_sep)
+    )
 
 
 def schedule(cost_row: CostBreakdown, g_sep: int, d_off: int) -> Schedule:
@@ -430,9 +418,9 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
     board strip and the data code's terms come from fac, which must have
     been built for profile. What is left is the arithmetic that needs both:
     the board, the runtime and the data and factory errors. Raises
-    BudgetOverflow(sched, fac, component) when an error term is not below 1
-    (NaN included), checking the factory error first, before the board is
-    priced, then the data and coset errors, then their composition
+    BudgetOverflow(term) when an error term is not below 1 (NaN included),
+    checking the factory error first, before the board is priced, then the
+    data and coset errors, then the row's retry risk, ErrorBudget.total
     ("total"). The schedule keeps the runway error below 1, and the profile
     the postprocess error. The row is not audited here: grid_search runs
     audit_row on the rows it returns.
@@ -440,7 +428,7 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
     tofs = sched.tofs
     factory_error = tofs * fac.ccz_error
     if not factory_error < 1:
-        raise BudgetOverflow(sched, fac, "factory")
+        raise BudgetOverflow("factory")
 
     # The board: `pieces` strips, each holding the data registers of one
     # adder piece below the rows of fac's factory pairs, between the strip's
@@ -466,33 +454,31 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
     storage_tiles = tiles - pieces * fac.distillation_tiles
     data_error = storage_tiles * (runtime_s / fac.round_s) * fac.unit_cell_error
     if not data_error < 1:
-        raise BudgetOverflow(sched, fac, "data")
+        raise BudgetOverflow("data")
     coset_error = sched.coset_error
     if not coset_error < 1:
-        raise BudgetOverflow(sched, fac, "coset")
-    runway_error = sched.runway_error
-    postprocess = profile.postprocess_error
-    # ErrorBudget.total, inline and in its operand order.
-    survival = (1.0 - data_error) * (1.0 - factory_error) * (1.0 - coset_error)
-    survival *= 1.0 - runway_error
-    risk = 1.0 - survival * (1.0 - postprocess)
+        raise BudgetOverflow("coset")
+    # tuple.__new__ (here, for the row and in layout_point) skips the named
+    # tuples' Python-level __new__, which took a sixth of a row's price; the
+    # fields go in their declared order.
+    budget = tuple.__new__(
+        ErrorBudget,
+        (data_error, factory_error, coset_error, sched.runway_error, profile.postprocess_error),
+    )
+    risk = budget.total
     if not risk < 1:
-        raise BudgetOverflow(sched, fac, "total")
+        raise BudgetOverflow("total")
 
     vol_per_run = mqb * hours / 24.0
     expected_hours = hours / (1 - risk)
     cost_row = sched.cost_row
-    # tuple.__new__ skips the named tuples' Python-level __new__, which took
-    # a sixth of a row's price; the fields go in their declared order.
     return tuple.__new__(
         EstimateRow,
         (
             cost_row.n,
             cost_row.n_e,
             profile.p_phys,
-            tuple.__new__(
-                LayoutPoint, (fac.L1, fac.L2, sched.d_off, cost_row.w_m, cost_row.w_e, sched.g_sep)
-            ),
+            layout_point(sched, fac),
             cost_row.variant,
             cost_row.initial_bits,
             profile.q,
@@ -504,9 +490,7 @@ def estimate(profile: HardwareProfile, sched: Schedule, fac: Factory) -> Estimat
             expected_hours,
             tofs / 1e9,
             profile.q * math.log(mqb) + math.log(expected_hours),
-            tuple.__new__(
-                ErrorBudget, (data_error, factory_error, coset_error, runway_error, postprocess)
-            ),
+            budget,
             binding,
         ),
     )
@@ -561,7 +545,7 @@ def grid_search(
     before any cost row is built, when n is not positive, an axis of ranges
     is empty, every g_sep exceeds n or no L1 is below an L2, so no point can
     be evaluated; and when every evaluated point overflows the error budget,
-    naming the last overflowing point and error term.
+    naming the last point the loop evaluated and its BudgetOverflow's term.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got n = {n}")
@@ -589,11 +573,10 @@ def grid_search(
                         try:
                             rows.append(estimate(profile, sched, fac))
                         except BudgetOverflow as exc:
-                            # Not exc: its traceback would hold this frame.
-                            overflow = exc.args
+                            term = exc.args[0]
     if not rows:
-        sched, fac, component = overflow
-        last = f"(last overflow: {component} error at {layout_point(sched, fac)})"
+        # Every point overflowed, so the loop ended on the last overflow.
+        last = f"(last overflow: {term} error at {layout_point(sched, fac)})"
         raise ValueError(f"no grid point stays under the error budget {last}")
     best = min(rows, key=attrgetter("log_skewed_volume", "point"))
     frontier = pareto_frontier(rows)

@@ -436,9 +436,7 @@ def test_budget_overflow_on_undersized_factories(profile):
     # A 4096-bit run through 15/27 factories exhausts the error budget.
     with pytest.raises(BudgetOverflow) as info:
         price(profile, "original", GE_POINT, 4096, 6101)
-    assert (info.value.point, info.value.component) == (GE_POINT, "factory")
-    assert str(info.value) == f"error budget saturated at {GE_POINT}"
-    assert info.value.component == "factory"
+    assert info.value.args == ("factory",)
 
 
 def test_budget_overflow_on_a_survival_that_rounds_away(profile, ge_row):
@@ -453,16 +451,10 @@ def test_budget_overflow_on_a_survival_that_rounds_away(profile, ge_row):
     )
     with pytest.raises(BudgetOverflow) as info:
         estimate(profile, sched, fac)
-    assert info.value.component == "total"
+    assert info.value.args == ("total",)
 
 
 def test_budget_overflow_point_and_message_forms(profile):
-    sched, fac = shape("original", GE_POINT), factory(profile, 15, 27)
-    at_point = BudgetOverflow(sched, fac, "data")
-    assert at_point.args == (sched, fac, "data")
-    assert (at_point.point, at_point.component) == (GE_POINT, "data")
-    assert at_point.component == "data"
-    assert str(at_point) == f"error budget saturated at {GE_POINT}"
     # A grid whose every point overflows is bad input, not one overflow.
     point = LayoutPoint(L1=5, L2=11, d_off=2, g_mul=4, g_exp=4, g_sep=256)
     ranges = GridRanges(l1=(5,), l2=(11,), d_off=(2,), g_exp=(4,), g_mul=(4,), g_sep=(256,))
@@ -470,6 +462,24 @@ def test_budget_overflow_point_and_message_forms(profile):
         grid_search(256, 300, profile, ranges=ranges)
     assert str(info.value) == (
         f"no grid point stays under the error budget (last overflow: factory error at {point})"
+    )
+
+
+def test_all_overflow_message_names_the_last_point_in_loop_order(profile):
+    # Three factories: (13, 21) and (13, 23) overflow on the factory error
+    # and (21, 23), the last in loop order, on the data error.
+    ranges = GridRanges(l1=(13, 21), l2=(21, 23), d_off=(4,), g_exp=(5,), g_mul=(5,), g_sep=(1024,))
+    point = GE_POINT._replace(L1=21, L2=23)
+    terms = [
+        outcome(estimate, profile, shape("original", point), factory(profile, l1, l2))
+        for l1, l2 in ((13, 21), (13, 23), (21, 23))
+    ]
+    assert terms == ["factory", "factory", "data"]
+    with pytest.raises(ValueError) as info:
+        grid_search(N, NE, profile, ranges=ranges)
+    assert str(info.value) == (
+        "no grid point stays under the error budget (last overflow: data error at "
+        "LayoutPoint(L1=21, L2=23, d_off=4, g_mul=5, g_exp=5, g_sep=1024))"
     )
 
 
@@ -666,7 +676,7 @@ def reference_estimate(profile, sched, fac):
     point = LayoutPoint(fac.L1, fac.L2, sched.d_off, cost_row.w_m, cost_row.w_e, sched.g_sep)
     tofs = sched.tofs
     if tofs * fac.ccz_error >= 1:
-        raise BudgetOverflow(sched, fac, "factory")
+        raise BudgetOverflow("factory")
     depth_s = sched.serial_steps * profile.reaction_s * profile.serial_overhead
 
     width = (fac.width + 1) * fac.pairs + 1
@@ -697,13 +707,13 @@ def reference_estimate(profile, sched, fac):
     budget = ErrorBudget(data, tofs * fac.ccz_error, coset, runway, profile.postprocess_error)
     for name, part in zip(("data", "factory", "coset", "runway", "postprocess"), budget):
         if part >= 1:
-            raise BudgetOverflow(sched, fac, name)
+            raise BudgetOverflow(name)
     survival = 1.0
     for part in budget:
         survival *= 1.0 - part
     risk = 1.0 - survival
     if risk >= 1:
-        raise BudgetOverflow(sched, fac, "total")
+        raise BudgetOverflow("total")
 
     vol_per_run = mqb * hours / 24.0
     expected_hours = hours / (1 - risk)
@@ -729,12 +739,13 @@ def reference_estimate(profile, sched, fac):
 
 
 def outcome(price, profile, sched, fac):
-    """The row price gives, or the point and component of the
+    """The row price gives, or the error term, the only argument, of the
     BudgetOverflow it raises."""
     try:
         return price(profile, sched, fac)
     except BudgetOverflow as exc:
-        return exc.point, exc.component
+        (term,) = exc.args
+        return term
 
 
 def test_ge_point_equals_the_reference_formulas(profile, ge_row):
@@ -753,8 +764,7 @@ def test_ge_point_equals_the_reference_formulas(profile, ge_row):
 )
 def test_estimate_equals_the_reference_formulas(n, n_e, variant, hardware):
     # Bit for bit: every (Factory, Schedule) pair of the grid gives a row
-    # equal to the reference's, or a BudgetOverflow at the same point and
-    # error term.
+    # equal to the reference's, or a BudgetOverflow on the same error term.
     ranges = GridRanges()
     factories = [factory(hardware, l1, l2) for l1 in ranges.l1 for l2 in ranges.l2 if l1 < l2]
     kinds = collections.Counter()
@@ -769,7 +779,7 @@ def test_estimate_equals_the_reference_formulas(n, n_e, variant, hardware):
                         got = outcome(estimate, hardware, sched, fac)
                         assert type(got) is type(want)
                         assert got == want
-                        kinds["row" if type(want) is EstimateRow else want[1]] += 1
+                        kinds["row" if type(want) is EstimateRow else want] += 1
     assert sum(kinds.values()) == 74 * 8 * 3 * 3 * 4
     assert kinds["row"] and kinds["factory"]
 
@@ -794,7 +804,7 @@ def test_grid_overflow_set_is_pinned(monkeypatch):
     # whole budget) gives: the early factory check must refuse exactly the
     # same points, with the same exception. grid_search audits only the rows
     # it returns, so this walk audits every row estimate() prices, and checks
-    # the risk and point that estimate() builds inline.
+    # that its risk and point are its budget's total and layout_point's.
     real_estimate = estimator.estimate
     counts = collections.Counter()
 
@@ -803,9 +813,8 @@ def test_grid_overflow_set_is_pinned(monkeypatch):
         try:
             row = real_estimate(profile, sched, fac)
         except BudgetOverflow as exc:
-            # The point and the message are built from these arguments.
-            assert exc.args == (sched, fac, exc.component)
-            counts[exc.component] += 1
+            (term,) = exc.args
+            counts[term] += 1
             raise
         audit_row(row)
         assert row.budget.total == row.retry_risk
@@ -1042,6 +1051,72 @@ def test_a_larger_offset_never_raises_the_deviation_errors(variant, data):
     before, after = (shape(variant, point._replace(d_off=d), N, NE) for d in (d_off, deeper))
     assert after.coset_error <= before.coset_error
     assert after.runway_error <= before.runway_error
+
+
+# Every L1 lies below every L2, so each sub-grid has a point to evaluate.
+# Its 56 factories and 8 shapes take a few milliseconds to search.
+SUPERSET = GridRanges(
+    l1=(5, 7, 9, 11, 13, 15, 17),
+    l2=(19, 21, 23, 25, 27, 29, 31, 33),
+    d_off=(2, 9),
+    g_exp=(4, 6),
+    g_mul=(5,),
+    g_sep=(1024, 2048),
+)
+
+
+@st.composite
+def log_domain_profiles(draw):
+    """A HardwareProfile with each field log-uniform in its range in the
+    calibration domain (from default / 100 where the range starts at 0),
+    and p_phys at most error_threshold / 2. Most of these price some grid
+    point; domain_profiles() favours range ends, where most searches
+    overflow everywhere or every point's risk rounds to the same floor."""
+
+    def log_uniform(lo, hi):
+        return min(hi, max(lo, lo * (hi / lo) ** draw(st.floats(0, 1))))
+
+    default = HardwareProfile()
+    values = {
+        name: log_uniform(lo or getattr(default, name) / 100, hi)
+        for name, (lo, hi) in DOMAIN.items()
+        if name != "p_phys"
+    }
+    values["p_phys"] = log_uniform(DOMAIN["p_phys"][0], values["error_threshold"] / 2)
+    return HardwareProfile(**values)
+
+
+def search_or_none(profile, variant, ranges):
+    """grid_search at (N, NE), or None when every point overflows."""
+    try:
+        return grid_search(N, NE, profile, variant, ranges)
+    except ValueError as exc:
+        assert str(exc).startswith("no grid point stays under the error budget"), exc
+        return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_domain_profiles(), st.sampled_from(VARIANTS), st.data())
+def test_a_larger_grid_never_finds_a_worse_best_or_frontier(profile, variant, data):
+    # A superset grid evaluates every point of the sub-grid, so its best
+    # skewed volume is no larger and its frontier weakly dominates each
+    # frontier row of the sub-grid; it overflows only where the sub-grid does.
+    axes = {}
+    for field in dataclasses.fields(SUPERSET):
+        axis = getattr(SUPERSET, field.name)
+        chosen = data.draw(st.sets(st.sampled_from(axis), min_size=1))
+        axes[field.name] = tuple(value for value in axis if value in chosen)
+    sub = search_or_none(profile, variant, GridRanges(**axes))
+    if sub is None:
+        return
+    full = search_or_none(profile, variant, SUPERSET)
+    assert full is not None
+    assert full.best.log_skewed_volume <= sub.best.log_skewed_volume
+    for row in sub.frontier:
+        assert any(
+            top.mqb <= row.mqb and top.expected_hours <= row.expected_hours
+            for top in full.frontier
+        ), row
 
 
 # ---------------------------------------------------------------------------
