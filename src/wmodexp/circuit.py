@@ -28,7 +28,7 @@ MOD_ADD = "ModAddOracle"
 
 GATE_ARITY = {X: 1, CNOT: 2, TOFFOLI: 3, TEMP_AND: 3, TEMP_AND_UNDO: 3}
 COUNTED = frozenset({TOFFOLI, TEMP_AND})
-ROLES = ("exponent", "multiplicand", "lookup", "target", "unary", "ancilla", "pad")
+ROLES = ("exponent", "multiplicand", "lookup", "target", "unary", "ancilla")
 
 
 class Gate(NamedTuple):
@@ -37,9 +37,10 @@ class Gate(NamedTuple):
     conditioned-on-1 qubits for ClassicalPhaseZ.
 
     slot names a transcript entry: the outcome destination for a measurement,
-    or with mask the parity condition parity(transcript[slot] & mask) gating a
-    ClassicalPhaseZ. ModAddOracle uses dest_len/modulus/sign: the first
-    dest_len qubits are the destination, the rest the source operand.
+    or, with mask, the parity condition parity(transcript[slot] & mask) gating
+    a ClassicalPhaseZ; a phase always reads a slot measured before it.
+    ModAddOracle uses dest_len/modulus/sign: the first dest_len qubits are
+    the destination, the rest the source operand.
     """
 
     name: str
@@ -80,7 +81,8 @@ class Circuit:
     """Ordered gate sequence over named registers. Every gate is checked
     here, once, when the circuit is made, and the same walk takes the
     meter that tally returns. Per gate the checks run in a fixed order:
-    distinct operands, then the arity or the kind's own rules, then
+    distinct operands, then the arity or the kind's own rules (a
+    ClassicalPhaseZ reads a slot that an earlier measurement filled), then
     register ownership; the first gate that breaks a rule raises.
     result_register, when set, names the register holding the
     computation's output (builders that rename registers record it here).
@@ -136,8 +138,11 @@ class Circuit:
                         raise ValueError(f"measurement slot {slot} is used twice")
                     slots.add(slot)
                 elif name == PHASE_Z:
+                    slot = gate[2]
                     if not qubits:
                         raise ValueError("ClassicalPhaseZ needs at least one qubit")
+                    if slot not in slots:
+                        raise ValueError(f"ClassicalPhaseZ reads slot {slot} before it is measured")
                 elif name == MOD_ADD:
                     _, _, _, _, modulus, sign, dest_len = gate
                     if not 0 < dest_len < len(qubits):
@@ -156,11 +161,6 @@ class Circuit:
             raise ValueError(f"{name} acts on qubit {q}, which is in no register") from None
         meter = Tally(count, max(layer.values(), default=0), len(layer), len(slots))
         object.__setattr__(self, "_meter", meter)
-
-    @property
-    def slots(self) -> tuple[str, ...]:
-        """Transcript slot names in the order their measurements appear."""
-        return tuple(gate.slot for gate in self.gates if gate.name == MEASURE_X)
 
     @property
     def num_qubits(self) -> int:

@@ -249,8 +249,8 @@ def cmd_simulate(args) -> int:
             f"(predicted {predicted.total_tofs}), qubits {meter.qubit_highwater} "
             f"(predicted {predicted.qubits}) {'ok' if meter_ok else 'MISMATCH'}"
         )
-        for slot in circuit.slots:
-            lines.append(f"  outcome {slot} = {final.transcript[slot]:x}")
+        for slot, outcome in final.transcript.items():
+            lines.append(f"  outcome {slot} = {outcome:x}")
         if problems or not meter_ok:
             failures += 1
 

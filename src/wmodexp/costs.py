@@ -224,13 +224,7 @@ def crossover_initial_lookup(n: int, w_e: int, w_m: int) -> int:
     Raises ValueError unless n, w_e and w_m are positive.
     """
     per_bit = per_window_cost(n, w_e, w_m) / w_e
-    best_k = 0
-    best_f = 1.0
-    for k in range(65):
-        f = 2.0**k - k * per_bit
-        if f < best_f:
-            best_k, best_f = k, f
-    return best_k
+    return min(range(65), key=lambda k: 2.0**k - k * per_bit)
 
 
 def grid_best_windows(n: int, n_e: int, variant: str) -> tuple[int, int, int]:

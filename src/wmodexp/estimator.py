@@ -602,8 +602,5 @@ def best_under_budget(
     frontier: tuple[EstimateRow, ...], budget_mqb: float
 ) -> EstimateRow | None:
     """Lowest expected_hours among frontier rows with mqb <= budget."""
-    best: EstimateRow | None = None
-    for row in frontier:
-        if row.mqb <= budget_mqb and (best is None or row.expected_hours < best.expected_hours):
-            best = row
-    return best
+    within = (row for row in frontier if row.mqb <= budget_mqb)
+    return min(within, key=attrgetter("expected_hours"), default=None)

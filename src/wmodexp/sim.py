@@ -188,7 +188,8 @@ def deposit(key: int, qubits: tuple[int, ...], value: int) -> int:
 
 def apply(state: SparseState, gate: Gate) -> SparseState:
     """Apply one reversible gate in place and return the state. Measurement
-    gates go through measure_x instead."""
+    gates go through measure_x instead. A ClassicalPhaseZ reads the outcome
+    in its slot, which a Circuit guarantees an earlier measurement filled."""
     name = gate.name
     p = state.planes
     if name == CNOT:
@@ -212,12 +213,8 @@ def apply(state: SparseState, gate: Gate) -> SparseState:
         a, b, t = gate.qubits
         p[t] ^= p[a] & p[b]
     elif name == PHASE_Z:
-        if gate.slot is not None:
-            outcome = state.transcript.get(gate.slot)
-            if outcome is None:
-                raise ContractViolation(f"ClassicalPhaseZ before measurement {gate.slot}")
-            if (outcome & gate.mask).bit_count() & 1 == 0:
-                return state
+        if (state.transcript[gate.slot] & gate.mask).bit_count() & 1 == 0:
+            return state
         hit = state.ones
         for q in gate.qubits:
             hit &= p[q]
@@ -306,7 +303,7 @@ def measure_x(state: SparseState, qubits: tuple[int, ...], slot: str) -> tuple[S
                 raise ContractViolation(
                     f"measured register is not a function of the other registers (slot {slot})"
                 )
-    outcome = state.rng.getrandbits(len(qubits)) if qubits else 0
+    outcome = state.rng.getrandbits(len(qubits))
     for pos, q in enumerate(qubits):
         if outcome >> pos & 1:
             state.phase ^= p[q]

@@ -119,7 +119,7 @@ def dump_circuit(circuit: Circuit) -> str:
         parts = [gate.name] + [str(q) for q in gate.qubits]
         if gate.name == MEASURE_X:
             parts.append(f"slot={gate.slot}")
-        elif gate.name == PHASE_Z and gate.slot is not None:
+        elif gate.name == PHASE_Z:
             parts.append(f"cond={gate.slot}:{gate.mask:x}")
         elif gate.name == MOD_ADD:
             parts.append(f"dest={gate.dest_len}")

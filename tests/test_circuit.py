@@ -23,6 +23,8 @@ from wmodexp.circuit import (
     tally,
 )
 
+from wmodexp.sim import SparseState, run
+
 from standalone_circuits import dump_circuit
 
 
@@ -114,11 +116,10 @@ def random_circuit(rng):
             slots.append(f"m.{len(slots)}")
             picked = tuple(rng.sample(qubits, rng.randint(1, 3)))
             gates.append(Gate(MEASURE_X, picked, slot=slots[-1]))
-        elif kind == PHASE_Z:
-            slot = rng.choice(slots) if slots and rng.random() < 0.5 else None
+        elif kind == PHASE_Z and slots:
             picked = tuple(rng.sample(qubits, rng.randint(1, 2)))
-            gates.append(Gate(PHASE_Z, picked, slot=slot, mask=rng.randrange(8) if slot else 0))
-        else:
+            gates.append(Gate(PHASE_Z, picked, slot=rng.choice(slots), mask=rng.randrange(8)))
+        elif kind == MOD_ADD:
             a, b, src = rng.sample(qubits, 3)
             sign = rng.choice((1, -1))
             gates.append(mod_add_gate((a, b), (src,), rng.randint(2, 4), sign))
@@ -228,7 +229,7 @@ class TestValidation:
                 "TempAndCompute acts on qubit 6, which is in no register",
             ),
             (
-                [Gate(PHASE_Z, (1, 8), slot="m", mask=1)],
+                [Gate(MEASURE_X, (0,), slot="m"), Gate(PHASE_Z, (1, 8), slot="m", mask=1)],
                 ValueError,
                 "ClassicalPhaseZ acts on qubit 8, which is in no register",
             ),
@@ -248,6 +249,21 @@ class TestValidation:
                 "X acts on qubit 9, which is in no register",
             ),
             ([Gate(CNOT, (0, 1)), Gate(TOFFOLI, (2, 2, 9))], ValueError, "Toffoli operands"),
+            (
+                [Gate(PHASE_Z, (9,))],
+                ValueError,
+                "ClassicalPhaseZ reads slot None before it is measured",
+            ),
+            (
+                [Gate(PHASE_Z, (1, 1), slot="m")],
+                ValueError,
+                "ClassicalPhaseZ operands must be distinct",
+            ),
+            (
+                [Gate(PHASE_Z, (0,), slot="m", mask=1), Gate(MEASURE_X, (1,), slot="m")],
+                ValueError,
+                "ClassicalPhaseZ reads slot m before it is measured",
+            ),
         ],
     )
     def test_first_broken_rule_is_reported(self, gates, error, message):
@@ -259,8 +275,11 @@ class TestValidation:
         assert str(caught.value).startswith(message)
 
     def test_slots_follow_the_measurements(self):
+        # run fills the transcript in measurement order, which simulate's
+        # outcome lines follow.
         gates = [Gate(MEASURE_X, (1,), slot="b"), Gate(X, (0,)), Gate(MEASURE_X, (0,), slot="a")]
-        assert circuit_over(2, gates).slots == ("b", "a")
+        final = run(circuit_over(2, gates), SparseState([0, 0], 0, 1))
+        assert list(final.transcript) == ["b", "a"]
 
     def test_overlapping_registers(self):
         regs = (
@@ -296,7 +315,7 @@ class TestDumpFormat:
             Gate(TEMP_AND, (a[0], a[1], d[1])),
             Gate(MEASURE_X, d, slot=cb.new_slot("m")),
             Gate(PHASE_Z, (a[0],), slot="m.0", mask=0x5),
-            Gate(PHASE_Z, (a[1],)),
+            Gate(PHASE_Z, (a[1],), slot="m.0", mask=0x2),
             mod_add_gate((d[0], d[1]), (a[0], a[1]), 3, -1),
         )
         cb.result_register = "data"
@@ -312,7 +331,7 @@ class TestDumpFormat:
             "TempAndCompute 0 1 3\n"
             "MeasureXRegister 2 3 4 slot=m.0\n"
             "ClassicalPhaseZ 0 cond=m.0:5\n"
-            "ClassicalPhaseZ 1\n"
+            "ClassicalPhaseZ 1 cond=m.0:2\n"
             "ModAddOracle 2 3 0 1 dest=2 mod=3 sign=-1\n"
         )
 

@@ -65,8 +65,11 @@ class TestGateSemantics:
             apply(s, Gate("TempAndUncompute", (0, 1, 2)))
 
     def test_phase_z_unconditioned(self):
+        # An odd-parity outcome flips exactly the hit plane: the AND of the
+        # phase's qubits.
         s = state_of(2, {0b11: 1, 0b01: 1})
-        apply(s, Gate("ClassicalPhaseZ", (0, 1)))
+        s.transcript["m"] = 0b1
+        apply(s, Gate("ClassicalPhaseZ", (0, 1), slot="m", mask=0b1))
         assert s.branches == {0b11: -1, 0b01: 1}
 
     def test_phase_z_conditioned_on_transcript(self):
@@ -78,9 +81,13 @@ class TestGateSemantics:
         assert s.branches == {0b1: -1}  # even parity: no flip
 
     def test_phase_z_before_its_measurement(self):
-        s = state_of(1, {0b1: 1})
-        with pytest.raises(ContractViolation, match="ClassicalPhaseZ before measurement m"):
-            apply(s, Gate("ClassicalPhaseZ", (0,), slot="m", mask=0b1))
+        regs = (Register("a", (0,), "exponent"), Register("l", (1,), "lookup"))
+        gates = (
+            Gate("ClassicalPhaseZ", (0,), slot="m", mask=0b1),
+            Gate("MeasureXRegister", (1,), slot="m"),
+        )
+        with pytest.raises(ValueError, match="ClassicalPhaseZ reads slot m before it is measured"):
+            Circuit(gates, regs)
 
     def test_mod_add_wraps(self):
         # dest qubits 0..3 hold 9, src 4..7 hold 13, modulus 15 -> 7
@@ -378,11 +385,8 @@ def reference_run(gates, branches, outcomes, width=WIDTH):
                 updated[key & ~sum(1 << q for q in qs)] = -phase if parity else phase
             state = updated
             continue
-        if name == PHASE_Z and gate.slot is not None:
-            if gate.slot not in transcript:
-                return state, transcript, index
-            if bin(transcript[gate.slot] & gate.mask).count("1") % 2 == 0:
-                continue
+        if name == PHASE_Z and bin(transcript[gate.slot] & gate.mask).count("1") % 2 == 0:
+            continue
         updated = {}
         for key, phase in state.items():
             b = [key >> q & 1 for q in range(width)]
@@ -440,8 +444,8 @@ def random_circuits(draw, width=WIDTH, value_bits=WIDTH // 2, branch_range=(1, 6
     outcome per measurement, and a branch count in branch_range, each below
     2**value_bits; by default the high half starts at |0>, like the ancillas
     of a built circuit. TempAnd pairs and ModAddOracle operands may break
-    their contracts on purpose, and a conditioned phase may name a slot
-    that is never measured."""
+    their contracts on purpose. Every phase reads a slot measured before it,
+    as a Circuit requires."""
     qubits = st.permutations(range(width))
     gates, outcomes = [], []
     for _ in range(draw(st.integers(0, 14))):
@@ -461,13 +465,11 @@ def random_circuits(draw, width=WIDTH, value_bits=WIDTH // 2, branch_range=(1, 6
             outcomes.append(draw(st.integers(0, (1 << size) - 1)))
             # A fixup conditioned on the outcome just drawn, as builders emit.
             gates.append(Gate(PHASE_Z, (order[size],), slot, draw(st.integers(1, 7))))
-        elif kind == PHASE_Z:
-            slot = draw(st.sampled_from([None, *(f"m.{k}" for k in range(len(outcomes)))]))
-            if draw(st.integers(0, 9)) == 0:
-                slot = "m.never"
+        elif kind == PHASE_Z and outcomes:
+            slot = draw(st.sampled_from([f"m.{k}" for k in range(len(outcomes))]))
             mask = draw(st.integers(0, 7))
             gates.append(Gate(PHASE_Z, tuple(order[: draw(st.integers(1, 3))]), slot, mask))
-        else:
+        elif kind == MOD_ADD:
             dest_len = draw(st.integers(1, 3))
             src_len = draw(st.integers(1, width - dest_len))
             modulus = draw(st.integers(2, 1 << dest_len))
