@@ -22,8 +22,10 @@ time. Every board figure, here and in estimate(), is a float rounded up by
 -(-x // 1). estimate() combines one of each into the point's board,
 runtime, data and factory errors, and row, or raises BudgetOverflow(term)
 naming the error term that reached 1. The grid search builds the factories
-once and one Schedule per (cost row, g_sep, d_off), prices every
-factory against each Schedule, and runs audit_row on each row it returns.
+once and one Schedule per (cost row, g_sep, d_off), prices every factory
+against each Schedule, and folds each cost row's rows into the running best
+row and frontier, so it holds at most one cost row's rows besides them. It
+runs audit_row on each row it returns.
 """
 
 from __future__ import annotations
@@ -540,8 +542,14 @@ def grid_search(
     minimizer (ranked by its log, ties broken by lexicographic point), the
     Pareto frontier over (mqb, expected_hours), and the best row under each
     physical-qubit budget; all three rank rows by point, so the order of
-    evaluation does not matter. audit_row checks the best row and every
-    frontier row, which include the by-budget rows. Raises ValueError,
+    evaluation does not matter. After each cost row, the rows kept so far
+    shrink to their minimizer and frontier: every dropped row is beaten or
+    dominated by a kept one, so the results are those over every row, and
+    the search holds at most one cost row's rows (32 Schedules by 74
+    factories on the default grid) besides the running best and frontier.
+    pareto_frontier thus runs once per cost row that leaves rows, and once
+    at the end. audit_row checks the best row and every frontier row,
+    which include the by-budget rows. Raises ValueError,
     before any cost row is built, when n is not positive, an axis of ranges
     is empty, every g_sep exceeds n or no L1 is below an L2, so no point can
     be evaluated; and when every evaluated point overflows the error budget,
@@ -562,6 +570,7 @@ def grid_search(
     factories = [factory(profile, l1, l2) for l1 in ranges.l1 for l2 in ranges.l2 if l1 < l2]
     if not factories:
         raise ValueError(f"L1 must be smaller than L2, got L1 in {ranges.l1}, L2 in {ranges.l2}")
+    rank = attrgetter("log_skewed_volume", "point")
     rows: list[EstimateRow] = []
     for g_exp in ranges.g_exp:
         for g_mul in ranges.g_mul:
@@ -574,11 +583,15 @@ def grid_search(
                             rows.append(estimate(profile, sched, fac))
                         except BudgetOverflow as exc:
                             term = exc.args[0]
+            if rows:
+                # No two rows share a point, so the best row and every
+                # frontier row of the whole grid survive each fold.
+                rows = [min(rows, key=rank), *pareto_frontier(rows)]
     if not rows:
         # Every point overflowed, so the loop ended on the last overflow.
         last = f"(last overflow: {term} error at {layout_point(sched, fac)})"
         raise ValueError(f"no grid point stays under the error budget {last}")
-    best = min(rows, key=attrgetter("log_skewed_volume", "point"))
+    best = min(rows, key=rank)
     frontier = pareto_frontier(rows)
     for row in (best, *frontier):
         audit_row(row)

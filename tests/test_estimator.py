@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -634,36 +635,107 @@ def test_grid_search_is_deterministic(profile, grid_original):
     assert again.frontier == grid_original.frontier
 
 
-def test_grid_search_matches_a_per_point_reference_loop(profile, grid_combined):
-    # The loop order before schedules were hoisted: (L1, L2) outermost, then
-    # d_off, then the window shapes and g_sep, with a schedule and a factory
-    # built for each point. Every result ranks rows by point, so evaluation
-    # order and shared records must leave the best row, frontier and budget
-    # rows alone.
-    ranges = GridRanges()
+GRID = GridRanges()
+
+
+def reference_rows(profile, variant):
+    """Every row the default grid prices, by a per-point loop in the order
+    used before schedules were hoisted: (L1, L2) outermost, then d_off, then
+    the window shapes and g_sep, with a schedule and a factory built for
+    each point, and every row held to the end."""
     shapes = [
-        (g_mul, g_exp, g_sep, _variant_cost("combined", N, NE, g_exp, g_mul))
-        for g_exp in ranges.g_exp
-        for g_mul in ranges.g_mul
-        for g_sep in ranges.g_sep
+        (g_mul, g_exp, g_sep, _variant_cost(variant, N, NE, g_exp, g_mul))
+        for g_exp in GRID.g_exp
+        for g_mul in GRID.g_mul
+        for g_sep in GRID.g_sep
     ]
     rows = []
-    for l1 in ranges.l1:
-        for l2 in ranges.l2:
+    for l1 in GRID.l1:
+        for l2 in GRID.l2:
             if l1 >= l2:
                 continue
-            for d_off in ranges.d_off:
+            for d_off in GRID.d_off:
                 for g_mul, g_exp, g_sep, cost_row in shapes:
                     sched = schedule(cost_row, g_sep, d_off)
                     try:
                         rows.append(estimate(profile, sched, factory(profile, l1, l2)))
                     except BudgetOverflow:
                         continue
+    return rows
+
+
+def assert_search_over(result, rows):
+    """result is the best row, frontier and budget rows of rows."""
     frontier = pareto_frontier(rows)
-    assert grid_combined.best == min(rows, key=lambda r: (r.log_skewed_volume, r.point))
-    assert grid_combined.frontier == frontier
-    assert grid_combined.by_budget == tuple(
+    assert result.best == min(rows, key=lambda r: (r.log_skewed_volume, r.point))
+    assert result.frontier == frontier
+    assert result.by_budget == tuple(
         (budget, best_under_budget(frontier, budget)) for budget in DEFAULT_MQB_BUDGETS
+    )
+
+
+def test_grid_search_matches_a_per_point_reference_loop(profile, grid_combined):
+    # Every result ranks rows by point, so evaluation order, shared records
+    # and folding each cost row's rows into the running best and frontier
+    # must leave the best row, frontier and budget rows alone.
+    assert_search_over(grid_combined, reference_rows(profile, "combined"))
+
+
+def test_grid_search_matches_the_reference_under_another_profile():
+    result = grid_search(N, NE, OTHER_PROFILE, "original")
+    assert_search_over(result, reference_rows(OTHER_PROFILE, "original"))
+
+
+# The (g_exp, g_mul) blocks of the default grid in loop order; grid_search
+# folds its rows at the end of each one.
+BLOCKS = [(g_exp, g_mul) for g_exp in GRID.g_exp for g_mul in GRID.g_mul]
+
+
+@pytest.fixture(scope="module")
+def original_rows(profile):
+    return reference_rows(profile, "original")
+
+
+@pytest.mark.parametrize(
+    "emptied", [(0,), (4,), (8,), (0, 4, 8)], ids=["first", "middle", "last", "first-middle-last"]
+)
+def test_grid_search_folds_past_blocks_that_price_nothing(
+    profile, grid_original, original_rows, monkeypatch, emptied
+):
+    # The published best row lies in the middle block, (5, 5).
+    assert BLOCKS[4] == (grid_original.best.point.g_exp, grid_original.best.point.g_mul)
+    blocks = {BLOCKS[index] for index in emptied}
+    real_estimate = estimator.estimate
+
+    def blocked(profile, sched, fac):
+        if (sched.cost_row.w_e, sched.cost_row.w_m) in blocks:
+            raise BudgetOverflow("factory")
+        return real_estimate(profile, sched, fac)
+
+    monkeypatch.setattr(estimator, "estimate", blocked)
+    result = grid_search(N, NE, profile, "original")
+    rows = [row for row in original_rows if (row.point.g_exp, row.point.g_mul) not in blocks]
+    assert_search_over(result, rows)
+
+
+def test_all_overflow_grid_names_the_last_point_and_its_term(profile, monkeypatch):
+    # Every block prices nothing; the terms cycle so that the message must
+    # carry the last overflow's term, not one of an earlier point.
+    terms = ["factory", "data", "coset", "total"]
+    raised = []
+
+    def overflow(profile, sched, fac):
+        raised.append((layout_point(sched, fac), terms[len(raised) % len(terms)]))
+        raise BudgetOverflow(raised[-1][1])
+
+    monkeypatch.setattr(estimator, "estimate", overflow)
+    with pytest.raises(ValueError) as info:
+        grid_search(N, NE, profile, "original")
+    point, term = raised[-1]
+    assert point == LayoutPoint(L1=17, L2=33, d_off=9, g_mul=6, g_exp=6, g_sep=2048)
+    assert term != raised[-2][1]
+    assert str(info.value) == (
+        f"no grid point stays under the error budget (last overflow: {term} error at {point})"
     )
 
 
@@ -847,6 +919,21 @@ def test_grid_search_leaves_no_cyclic_garbage():
         gc.enable()
 
 
+@pytest.mark.parametrize("variant", ["original", "sliced_B"])
+def test_grid_search_holds_one_block_of_rows(variant):
+    # Each (g_exp, g_mul) block's rows fold into the running best and
+    # frontier, so a search holds at most one block's rows. Peak traced
+    # memory of one search: 2,068-2,193 KB holding every priced row, and
+    # 278-302 KB folding per block.
+    tracemalloc.start()
+    try:
+        grid_search(N, NE, HardwareProfile(), variant)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 768 * 1024
+
+
 def test_pareto_frontier_helper():
     def stub(mqb, hours):
         return EstimateRow(
@@ -942,7 +1029,6 @@ def log_domain_profiles(draw):
     return HardwareProfile(**values)
 
 
-GRID = GridRanges()
 ERROR_FIT = (
     "error_coeff",
     "error_threshold",
@@ -984,8 +1070,10 @@ def test_raising_p_phys_keeps_the_board_and_never_lowers_the_risk(profile, data)
     # Gidney and Ekera's error model: a noisier device needs no other board
     # and runs no longer, and its retry risk does not fall. An overflow is a
     # risk of 1, so once the lower p_phys overflows the higher one must.
-    p_phys = log_uniform(data.draw, profile.p_phys, profile.error_threshold / 2)
-    raised = dataclasses.replace(profile, p_phys=p_phys)
+    # A raise of at most 10x overflows the raised point less often, and by
+    # chaining the law over small raises implies it over large ones.
+    highest = min(10 * profile.p_phys, profile.error_threshold / 2)
+    raised = dataclasses.replace(profile, p_phys=log_uniform(data.draw, profile.p_phys, highest))
     before, after = before_and_after(profile, raised, draw_point(data))
     if type(after) is EstimateRow:
         assert type(before) is EstimateRow
