@@ -381,14 +381,14 @@ def build_windowed_modexp(cfg: ModexpConfig) -> Circuit:
     plan = plan_modexp(cfg)
     nep, width = plan.initial_bits, plan.value_width
     cb = CircuitBuilder()
-    exp = cb.add_register("exponent", inst.exp_bits, "exponent")
-    acc = cb.add_register("multiplicand", width, "multiplicand")
-    tgt = cb.add_register("target", width, "target")
-    look = cb.add_register("lookup", width, "lookup")
-    unary = cb.add_register("unary", plan.unary_size, "unary") if plan.unary_size else ()
-    copies = cb.add_register("fanout", plan.fanout, "ancilla") if plan.fanout else None
-    spine = cb.add_register("walk", plan.walk_bits + 1, "ancilla")
-    carry = cb.add_register("carry", 1, "ancilla") if plan.carry else ()
+    exp = cb.add_register("exponent", inst.exp_bits)
+    acc = cb.add_register("multiplicand", width)
+    tgt = cb.add_register("target", width)
+    look = cb.add_register("lookup", width)
+    unary = cb.add_register("unary", plan.unary_size) if plan.unary_size else ()
+    copies = cb.add_register("fanout", plan.fanout) if plan.fanout else None
+    spine = cb.add_register("walk", plan.walk_bits + 1)
+    carry = cb.add_register("carry", 1) if plan.carry else ()
 
     # Seed the accumulator: |1>, or the direct-exp entry of the nep low bits.
     if nep:

@@ -28,7 +28,6 @@ MOD_ADD = "ModAddOracle"
 
 GATE_ARITY = {X: 1, CNOT: 2, TOFFOLI: 3, TEMP_AND: 3, TEMP_AND_UNDO: 3}
 COUNTED = frozenset({TOFFOLI, TEMP_AND})
-ROLES = ("exponent", "multiplicand", "lookup", "target", "unary", "ancilla")
 
 
 class Gate(NamedTuple):
@@ -56,13 +55,6 @@ class Gate(NamedTuple):
 class Register:
     name: str
     qubits: tuple[int, ...]
-    role: str
-
-    def __post_init__(self) -> None:
-        if self.role not in ROLES:
-            raise ValueError(f"unknown register role {self.role!r}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"register {self.name} repeats qubits")
 
     def __len__(self) -> int:
         return len(self.qubits)
@@ -80,10 +72,12 @@ class Tally:
 class Circuit:
     """Ordered gate sequence over named registers. Every gate is checked
     here, once, when the circuit is made, and the same walk takes the
-    meter that tally returns. Per gate the checks run in a fixed order:
-    distinct operands, then the arity or the kind's own rules (a
-    ClassicalPhaseZ reads a slot that an earlier measurement filled), then
-    register ownership; the first gate that breaks a rule raises.
+    meter that tally returns. The walk first refuses a qubit listed twice
+    in the registers, inside one register or across two. Per gate the
+    checks run in a fixed order: distinct operands, then the arity or the
+    kind's own rules (a ClassicalPhaseZ reads a slot that an earlier
+    measurement filled), then register ownership; the first gate that
+    breaks a rule raises.
     result_register, when set, names the register holding the
     computation's output (builders that rename registers record it here).
     """
@@ -97,7 +91,7 @@ class Circuit:
         for reg in self.registers:
             for q in reg.qubits:
                 if q in layer:
-                    raise ValueError(f"qubit {q} appears in two registers")
+                    raise ValueError(f"qubit {q} is listed twice in the registers")
                 layer[q] = 0
         slots = set()
         count = 0
@@ -201,10 +195,10 @@ class CircuitBuilder:
         self._next_qubit = 0
         self.result_register: str | None = None
 
-    def add_register(self, name: str, size: int, role: str) -> tuple[int, ...]:
+    def add_register(self, name: str, size: int) -> tuple[int, ...]:
         qubits = tuple(range(self._next_qubit, self._next_qubit + size))
         self._next_qubit += size
-        self._registers.append(Register(name, qubits, role))
+        self._registers.append(Register(name, qubits))
         return qubits
 
     def new_slot(self, prefix: str) -> str:

@@ -99,9 +99,6 @@ class LookupTable:
             if not 0 <= value < limit:
                 raise ValueError(f"entry {addr} = {value} exceeds {self.word_bits} bits")
 
-    def __getitem__(self, addr: int) -> int:
-        return self.entries[addr]
-
     def __len__(self) -> int:
         return len(self.entries)
 

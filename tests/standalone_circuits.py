@@ -53,8 +53,8 @@ def build_unary(width: int) -> Circuit:
     doubling, as the unlookups build it. Pre: the output register's qubit 0
     is |1>."""
     cb = CircuitBuilder()
-    value = cb.add_register("input", width, "exponent")
-    out = cb.add_register("unary_out", 1 << width, "unary")
+    value = cb.add_register("input", width)
+    out = cb.add_register("unary_out", 1 << width)
     cb.emit(*unary_forward_gates(value, out))
     cb.result_register = "unary_out"
     return cb.build()
@@ -65,9 +65,9 @@ def build_unary_lowdepth(width: int) -> Circuit:
     input width, at the price of 2^(w-1) - 1 routing ancillas. Pre: output
     qubit 0 is |1>."""
     cb = CircuitBuilder()
-    value = cb.add_register("input", width, "exponent")
-    out = cb.add_register("unary_out", 1 << width, "unary")
-    routing = cb.add_register("routing", max(0, (1 << max(width - 1, 0)) - 1), "ancilla")
+    value = cb.add_register("input", width)
+    out = cb.add_register("unary_out", 1 << width)
+    routing = cb.add_register("routing", max(0, (1 << max(width - 1, 0)) - 1))
     cb.emit(*unary_forward_gates(value, out, routing if routing else None))
     cb.result_register = "unary_out"
     return cb.build()
@@ -76,9 +76,9 @@ def build_unary_lowdepth(width: int) -> Circuit:
 def build_qrom_lookup(table: LookupTable, skip_below: int = 0) -> Circuit:
     """Table lookup: dest ^= table[address] on every branch."""
     cb = CircuitBuilder()
-    addr = cb.add_register("address", table.addr_bits, "exponent")
-    dest = cb.add_register("dest", table.word_bits, "lookup")
-    spine = cb.add_register("walk", table.addr_bits + 1, "ancilla")
+    addr = cb.add_register("address", table.addr_bits)
+    dest = cb.add_register("dest", table.word_bits)
+    spine = cb.add_register("walk", table.addr_bits + 1)
     cb.emit(*select_walk_gates(addr, spine, xor_payload(table, dest), skip_below))
     cb.result_register = "dest"
     return cb.build()
@@ -91,14 +91,14 @@ def build_unlookup(table: LookupTable, lowdepth_unary: bool = False) -> Circuit:
     unarized and one walk over the high bits. Metered cost: 2^u + 2^(l-u) - 2
     temp-ANDs. Pre: dest holds the looked-up entry on every branch."""
     cb = CircuitBuilder()
-    addr = cb.add_register("address", table.addr_bits, "exponent")
-    dest = cb.add_register("dest", table.word_bits, "lookup")
+    addr = cb.add_register("address", table.addr_bits)
+    dest = cb.add_register("dest", table.word_bits)
     low_bits = table.addr_bits // 2
-    unary = cb.add_register("unary", 1 << low_bits, "unary")
-    spine = cb.add_register("walk", table.addr_bits - low_bits + 1, "ancilla")
+    unary = cb.add_register("unary", 1 << low_bits)
+    spine = cb.add_register("walk", table.addr_bits - low_bits + 1)
     copies = None
     if lowdepth_unary and low_bits >= 2:
-        copies = cb.add_register("routing", (1 << (low_bits - 1)) - 1, "ancilla")
+        copies = cb.add_register("routing", (1 << (low_bits - 1)) - 1)
     slot = cb.new_slot("unlook")
     cb.emit(Gate(MEASURE_X, dest, slot=slot))
     walk = [(addr[low_bits:], table, slot)]
@@ -112,7 +112,7 @@ def dump_circuit(circuit: Circuit) -> str:
     lines = []
     for reg in circuit.registers:
         ids = " ".join(str(q) for q in reg.qubits)
-        lines.append(f"register {reg.name} {reg.role} {ids}")
+        lines.append(f"register {reg.name} {ids}")
     if circuit.result_register:
         lines.append(f"result {circuit.result_register}")
     for gate in circuit.gates:

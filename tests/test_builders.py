@@ -110,8 +110,8 @@ def test_unary_lowdepth_desk_numbers():
 
 def test_unary_teardown_costs_nothing():
     cb = CircuitBuilder()
-    bits = cb.add_register("bits", 3, "exponent")
-    out = cb.add_register("out", 8, "unary")
+    bits = cb.add_register("bits", 3)
+    out = cb.add_register("out", 8)
     forward = unary_forward_gates(bits, out)
     for gate in forward:
         cb.emit(gate)
@@ -146,10 +146,10 @@ def test_lookup_writes_entry(addr_bits):
     for addr in range(len(table)):
         state = run(circuit, single_branch(circuit, {"address": addr}))
         key = only_branch(state)
-        assert extract(key, dest) == table[addr]
+        assert extract(key, dest) == table.entries[addr]
         # everything else, walk spine included, is back to zero
         assert key == deposit(
-            deposit(0, circuit.register("address").qubits, addr), dest, table[addr]
+            deposit(0, circuit.register("address").qubits, addr), dest, table.entries[addr]
         )
 
 
@@ -158,7 +158,7 @@ def test_lookup_xors_into_nonzero_dest():
     circuit = build_qrom_lookup(table)
     dest = circuit.register("dest").qubits
     state = run(circuit, single_branch(circuit, {"address": 5, "dest": 0b1010}))
-    assert extract(only_branch(state), dest) == table[5] ^ 0b1010
+    assert extract(only_branch(state), dest) == table.entries[5] ^ 0b1010
 
 
 def test_lookup_superposed_address():
@@ -168,7 +168,7 @@ def test_lookup_superposed_address():
     dest = circuit.register("dest").qubits
     start = {deposit(0, addr, a): 1 for a in range(8)}
     state = run(circuit, superposition(circuit.num_qubits, start))
-    expected = {deposit(k, dest, table[extract(k, addr)]): 1 for k in start}
+    expected = {deposit(k, dest, table.entries[extract(k, addr)]): 1 for k in start}
     assert state.branches == expected
 
 
@@ -181,7 +181,7 @@ def test_selective_lookup_skips_low_addresses(skip_bits):
     assert tally(circuit).toffoli_count == 8 - max(skip, 1)
     for addr in range(8):
         state = run(circuit, single_branch(circuit, {"address": addr}))
-        want = 0 if addr < skip else table[addr]
+        want = 0 if addr < skip else table.entries[addr]
         assert extract(only_branch(state), dest) == want
 
 
@@ -282,7 +282,7 @@ def test_unlookup_restores_prelookup_state(addr_bits, seed):
     addr = circuit.register("address").qubits
     dest = circuit.register("dest").qubits
     before = {deposit(0, addr, a): 1 for a in range(len(table))}
-    loaded = {deposit(k, dest, table[extract(k, addr)]): 1 for k in before}
+    loaded = {deposit(k, dest, table.entries[extract(k, addr)]): 1 for k in before}
     state = superposition(circuit.num_qubits, loaded, seed)
     state = run(circuit, state)
     # bit- and phase-exact, not merely up to global phase
@@ -297,7 +297,7 @@ def test_unlookup_lowdepth_variant_matches():
     addr = routed.register("address").qubits
     dest = routed.register("dest").qubits
     before = {deposit(0, addr, a): 1 for a in range(16)}
-    loaded = {deposit(k, dest, table[extract(k, addr)]): 1 for k in before}
+    loaded = {deposit(k, dest, table.entries[extract(k, addr)]): 1 for k in before}
     state = run(routed, superposition(routed.num_qubits, loaded, 3))
     assert state.branches == before
 
@@ -310,12 +310,12 @@ def test_unlookup_rejects_tampered_dest():
     addr = circuit.register("address").qubits
     dest = circuit.register("dest").qubits
     loaded = {
-        deposit(deposit(0, addr, a), dest, table[a] if a else table[a] ^ 1): 1
+        deposit(deposit(0, addr, a), dest, table.entries[a] if a else table.entries[a] ^ 1): 1
         for a in range(8)
     }
     # two branches with identical non-dest bits need identical dest values;
     # address 0 appears once, so give it a colliding twin
-    loaded[deposit(deposit(0, addr, 0), dest, table[0])] = 1
+    loaded[deposit(deposit(0, addr, 0), dest, table.entries[0])] = 1
     state = superposition(circuit.num_qubits, loaded)
     with pytest.raises(ContractViolation):
         run(circuit, state)
@@ -330,12 +330,12 @@ def adder_circuit(modulus, pad=None, subtract=False):
     modulus-width + pad registers with a carry ancilla."""
     cb = CircuitBuilder()
     width = modulus.bit_length() + (pad or 0)
-    dest = cb.add_register("dest", width, "target")
-    src = cb.add_register("src", width, "lookup")
+    dest = cb.add_register("dest", width)
+    src = cb.add_register("src", width)
     if pad is None:
         cb.emit(mod_add_gate(dest, src, modulus, -1 if subtract else 1))
     else:
-        carry = cb.add_register("carry", 1, "ancilla")
+        carry = cb.add_register("carry", 1)
         gates = cuccaro_gates(src, dest, carry[0])
         cb.emit(*(invert_gates(gates) if subtract else gates))
     return cb.build()
@@ -438,51 +438,51 @@ def _pinned_circuits():
 
 
 PINNED_DIGESTS = {
-    "modexp15.flags0": "e7259b4bdfd3a1f6",
-    "modexp15.flags1": "62d21252a0650827",
-    "modexp15.flags2": "88b7eb155de13cff",
-    "modexp15.flags3": "2d8239a6ed1ca699",
-    "modexp15.flags4": "e950524acb29c1e0",
-    "modexp15.flags5": "cae2e02e6e798ca2",
-    "modexp15.flags6": "ecdb90a54238eb20",
-    "modexp15.flags7": "856c3b07f15f07cd",
-    "modexp15.flags8": "0152c089f4d046d1",
-    "modexp15.flags9": "9935a7797e2b441c",
-    "modexp15.flags10": "8e7a60e860ec8699",
-    "modexp15.flags11": "570a2ab58ca540b5",
-    "modexp15.flags12": "af153c9e598f9611",
-    "modexp15.flags13": "44419cb32627d2f6",
-    "modexp15.flags14": "de2514cc47c5db62",
-    "modexp15.flags15": "dc0a1fd3d843f971",
-    "modexp21.flags0": "c4740c2f29d44bb9",
-    "modexp21.flags1": "76aa8a11bbad3d2b",
-    "modexp21.flags2": "1e281435f62aac80",
-    "modexp21.flags3": "f2e8051a088df40a",
-    "modexp21.flags4": "1f20f80c08be808f",
-    "modexp21.flags5": "0349fd0792748c83",
-    "modexp21.flags6": "4e5a76e5e8e9113a",
-    "modexp21.flags7": "63a5694543211edf",
-    "modexp21.flags8": "8d378332736d1d46",
-    "modexp21.flags9": "dbb5776c175f8752",
-    "modexp21.flags10": "d3d0b3c798da354e",
-    "modexp21.flags11": "e16aa012e87f7a31",
-    "modexp21.flags12": "b680f420eea41ce5",
-    "modexp21.flags13": "5c642de0993d22a9",
-    "modexp21.flags14": "04d3856dcb9b68cb",
-    "modexp21.flags15": "8d1bc8282377e4bc",
-    "modexp21.coset": "913ef54bf3bcf757",
-    "unary1": "bc9fc900c5982572",
-    "unary_lowdepth1": "3f14560b16b125f6",
-    "unary2": "ae6c16d2bb9a8b04",
-    "unary_lowdepth2": "d9a1b6c1e49045cf",
-    "unary3": "1f54f0dbe9a6b828",
-    "unary_lowdepth3": "ed1323cdd7b57ceb",
-    "unary4": "0c28a1cdb14a2b27",
-    "unary_lowdepth4": "a6461cbab12f1226",
-    "qrom": "f590b4de7356be64",
-    "qrom_skip": "fd5ec5627bf3b61f",
-    "unlookup": "0cbd2dccade5ad74",
-    "unlookup_lowdepth": "ba85263f30f876ea",
+    "modexp15.flags0": "6ceedc1658d4c2b7",
+    "modexp15.flags1": "44fcf4f7826043e3",
+    "modexp15.flags2": "68408f5c633d6514",
+    "modexp15.flags3": "0d87557b1a3b3b16",
+    "modexp15.flags4": "82d48a187c74cb4b",
+    "modexp15.flags5": "2c4e3adc03656940",
+    "modexp15.flags6": "884474510b0c3d37",
+    "modexp15.flags7": "ac27901c308a15dd",
+    "modexp15.flags8": "a1f0bc49e0482765",
+    "modexp15.flags9": "efd1d077cac3bd52",
+    "modexp15.flags10": "3c1ea09ba9799b39",
+    "modexp15.flags11": "659afda205cb8483",
+    "modexp15.flags12": "bdb2c88f0ba8b8c2",
+    "modexp15.flags13": "9dc8bad429c953d1",
+    "modexp15.flags14": "5f33df550f5810ec",
+    "modexp15.flags15": "ad3b8e64740f360c",
+    "modexp21.flags0": "0bc7a128634d3aae",
+    "modexp21.flags1": "277728102640694f",
+    "modexp21.flags2": "42411cbd14837e5c",
+    "modexp21.flags3": "6bbfa6b387a6f01a",
+    "modexp21.flags4": "4939feb6e9f0c19b",
+    "modexp21.flags5": "4d6e4a691e4ad3bf",
+    "modexp21.flags6": "0d074cc69a557d67",
+    "modexp21.flags7": "98117a67fa85d5ea",
+    "modexp21.flags8": "89fa75ef18ea44b9",
+    "modexp21.flags9": "3995250e1608a6bd",
+    "modexp21.flags10": "b0e771ca4fe397b0",
+    "modexp21.flags11": "428fee1503667f0e",
+    "modexp21.flags12": "3dfac418c85ded5a",
+    "modexp21.flags13": "3057b705756fab6a",
+    "modexp21.flags14": "e48eebea9b3597bf",
+    "modexp21.flags15": "8530c36b842a173f",
+    "modexp21.coset": "808e387f9ac6c422",
+    "unary1": "e5e6e85ffa23f5f0",
+    "unary_lowdepth1": "8c0b9e910fe834ab",
+    "unary2": "15e6cc06d55aec2a",
+    "unary_lowdepth2": "db0531318c212c47",
+    "unary3": "48ef33b229363345",
+    "unary_lowdepth3": "c4499b6151f06195",
+    "unary4": "52a4db64d72b2449",
+    "unary_lowdepth4": "73e5a174dc9ab028",
+    "qrom": "64915b481bf41424",
+    "qrom_skip": "fc97772c6e29f2c1",
+    "unlookup": "a725bf51c8bb6c06",
+    "unlookup_lowdepth": "c145f344aaf5fd1b",
 }
 
 

@@ -116,19 +116,19 @@ class TestMulTable:
         table = build_mul_table(15, 7, 2, 2, 0)
         exp_width = 2
         for expn in range(1 << exp_width):
-            assert table[expn] == 0  # mult = 0 occupies the low address block
+            assert table.entries[expn] == 0  # mult = 0 occupies the low address block
 
     def test_exp_zero_copies_mult(self):
         for j in (0, 1):
             table = build_mul_table(15, 7, 2, 2, 2 * j)
             for mult in range(4):
                 addr = mult << 2
-                assert table[addr] == (mult << (2 * j)) % 15
+                assert table.entries[addr] == (mult << (2 * j)) % 15
 
     def test_single_entry(self):
         table = build_mul_table(15, 7, 2, 2, 0)
         # mult = 1, expn = 1 at window (0, 0): 7^1 * 1 mod 15
-        assert table[(1 << 2) | 1] == 7 % 15
+        assert table.entries[(1 << 2) | 1] == 7 % 15
 
     def test_all_entries_against_direct_formula(self):
         for i in range(window_count(4, 2)):
@@ -139,7 +139,7 @@ class TestMulTable:
                         expected = (
                             pow(7, expn << (i * 2), 15) * ((mult << (j * 2)) % 15) % 15
                         )
-                        assert table[(mult << 2) | expn] == expected
+                        assert table.entries[(mult << 2) | expn] == expected
 
     def test_short_boundary_window(self):
         inst = ProblemInstance(23, 5, 5)  # 5 mod bits, 5 exp bits
@@ -155,7 +155,7 @@ class TestMulTable:
         table = build_mul_table(1021, pow(3, 1 << 3020, 1021), 5, 5, 0)
         for addr in (1 << 5 | 1, 3 << 5 | 2, 31 << 5 | 31):
             mult, expn = addr >> 5, addr & 31
-            assert table[addr] == pow(3, expn << 3020, 1021) * mult % 1021
+            assert table.entries[addr] == pow(3, expn << 3020, 1021) * mult % 1021
 
 
 class TestPrunedTable:
@@ -176,12 +176,12 @@ class TestPrunedTable:
         pruned = build_pruned_table(plain, exp_width, j * wp.mul_window)
         for addr in range(len(plain)):
             mult = addr >> exp_width
-            assert pruned[addr] ^ (mult << (j * wp.mul_window)) == plain[addr]
+            assert pruned.entries[addr] ^ (mult << (j * wp.mul_window)) == plain.entries[addr]
 
     def test_mult_zero_rows(self):
         pruned = build_pruned_table(build_mul_table(15, 7, 2, 2, 0), 2, 0)
         for expn in range(4):
-            assert pruned[expn] == 0
+            assert pruned.entries[expn] == 0
 
 
 def mod_is_coprime(a, n):
@@ -213,21 +213,21 @@ class TestPhaseFixupTable:
         for addr in range(4):
             high, low = addr >> low_bits, addr & ((1 << low_bits) - 1)
             needs_flip = bin(outcome & values[addr]).count("1") % 2 == 1
-            assert bool(fixup[high] >> low & 1) == needs_flip
+            assert bool(fixup.entries[high] >> low & 1) == needs_flip
 
 
 class TestDirectExpTable:
     def test_first_entries(self):
         inst = ProblemInstance(15, 7, 4)
         table = build_direct_exp_table(inst, 3)
-        assert table[0] == 1
-        assert table[1] == 7
+        assert table.entries[0] == 1
+        assert table.entries[1] == 7
 
     def test_all_against_mod_pow(self):
         inst = ProblemInstance(21, 2, 5)
         table = build_direct_exp_table(inst, 5)
         for e in range(32):
-            assert table[e] == pow(2, e, 21)
+            assert table.entries[e] == pow(2, e, 21)
 
 
 class TestSerialization:

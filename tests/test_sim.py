@@ -81,7 +81,7 @@ class TestGateSemantics:
         assert s.branches == {0b1: -1}  # even parity: no flip
 
     def test_phase_z_before_its_measurement(self):
-        regs = (Register("a", (0,), "exponent"), Register("l", (1,), "lookup"))
+        regs = (Register("a", (0,)), Register("l", (1,)))
         gates = (
             Gate("ClassicalPhaseZ", (0,), slot="m", mask=0b1),
             Gate("MeasureXRegister", (1,), slot="m"),
@@ -246,7 +246,7 @@ class TestMeasureX:
 
 class TestRun:
     def test_run_with_measurement(self):
-        regs = (Register("a", (0,), "exponent"), Register("l", (1,), "lookup"))
+        regs = (Register("a", (0,)), Register("l", (1,)))
         gates = (
             Gate(CNOT, (0, 1)),
             Gate("MeasureXRegister", (1,), slot="m.0"),
@@ -421,7 +421,7 @@ def reference_run(gates, branches, outcomes, width=WIDTH):
 def engine_run(gates, branches, outcomes, width=WIDTH):
     """sim.run on the circuit, with measurement outcomes forced. On a
     ContractViolation, the failing gate is the shortest prefix that raises."""
-    work = (Register("work", tuple(range(width)), "ancilla"),)
+    work = (Register("work", tuple(range(width))),)
 
     def attempt(count):
         state = state_of(width, branches)
